@@ -3,15 +3,12 @@
 #
 # Runs the tier-1 line (configure, build, full ctest), then validates the
 # machine-readable artifacts the tree emits:
-#   * the concurrent state-cache suite is re-run explicitly under
-#     ThreadSanitizer (the full ctest pass above includes it too; this
-#     step makes a silent discovery failure loud);
-#   * the work-stealing scheduler suite (Chase–Lev deque, parking lot,
-#     steal-equivalence matrix) is re-run explicitly under Tsan, and the
-#     steal_grid bench series gates sequential throughput, parallel
+#   * the sanitizer suites (Tsan: state cache, scheduler, steal
+#     equivalence; Asan+UBSan: pass pipeline, vm, analysis cache, domain
+#     partition) are re-run by name (the full ctest pass above includes
+#     them too; this step fails if one drops out of discovery);
+#   * the steal_grid bench series gates sequential throughput, parallel
 #     speedup (multi-core boxes only) and steady-state allocation;
-#   * the vm differential suite (bytecode dispatch + checked arithmetic)
-#     is re-run explicitly under Asan+UBSan;
 #   * any BENCH_*.json benchmark outputs lying around the build tree must
 #     parse as JSON arrays of flat records with a "config" field and only
 #     finite numbers (a zero-elapsed run must clamp, not emit inf/nan);
@@ -20,9 +17,6 @@
 #     artifact even when the search is cut short;
 #   * a cached parallel smoke run (`--state-cache --jobs 4`) must report
 #     the cache counters in the stats artifact;
-#   * the pass-pipeline suite is re-run explicitly under Asan+UBSan (the
-#     module-replacement / in-place-mutation paths are where a dangling
-#     cached-analysis pointer would surface);
 #   * `closer close --stats-json` runs must produce well-formed
 #     closer-close-stats-v1 artifacts: per-pass timings, analysis
 #     computed/reused counters (cold close computes each analysis exactly
@@ -40,61 +34,29 @@ cmake -B "$BUILD" -S . >/dev/null
 cmake --build "$BUILD" -j
 (cd "$BUILD" && ctest --output-on-failure -j)
 
-echo "== tsan state-cache suite =="
-# Guard against the suite silently disappearing from discovery: require at
-# least one Tsan.StateCache* test to exist and pass (skipped only when the
-# whole tree is a Tsan build, where the plain suite already is tsan).
+echo "== sanitizer suites =="
+# Re-run the sanitizer suites by name, so a suite that silently drops out
+# of discovery fails the gate instead of passing it vacuously:
+#   * Tsan: the concurrent state cache; the work-stealing scheduler layer
+#     (Chase–Lev deques, parking lot, termination protocol) and the
+#     jobs x checkpoint x cache x exec equivalence matrix;
+#   * Asan+UBSan: the pass pipeline (module replacement, in-place
+#     mutation); the bytecode VM, whose checked-arithmetic handlers (div/mod
+#     by zero, signed overflow) enforce "deterministic RuntimeError, never
+#     UB"; the analysis cache (stale/garbled blobs) and the domain
+#     partition (multi-param erase compaction).
 # (no `grep -q`: with pipefail, its early exit would SIGPIPE ctest)
-if (cd "$BUILD" && ctest -N -R 'Tsan\.StateCache' | grep 'Tsan\.StateCache' >/dev/null); then
-  (cd "$BUILD" && ctest --output-on-failure -R 'Tsan\.StateCache')
-else
-  echo "warning: no Tsan.StateCache tests discovered (Tsan tree build?)" >&2
-fi
-
-echo "== tsan scheduler suite =="
-# The work-stealing scheduler layer (Chase–Lev deques, parking lot,
-# termination protocol) and the jobs x checkpoint x cache x exec
-# equivalence matrix, recompiled under ThreadSanitizer. Same
-# silent-disappearance guard as the state-cache gate above.
-if (cd "$BUILD" && ctest -N -R 'Tsan\.(ChaseLevDeque|ParkingLot|Scheduler|StealEquivalence)' \
-    | grep 'Tsan\.' >/dev/null); then
-  (cd "$BUILD" && ctest --output-on-failure \
-    -R 'Tsan\.(ChaseLevDeque|ParkingLot|Scheduler|StealEquivalence)')
-else
-  echo "warning: no Tsan scheduler tests discovered (Tsan tree build?)" >&2
-fi
-
-echo "== asan pass-pipeline suite =="
-# Same silent-disappearance guard as the tsan gate above.
-if (cd "$BUILD" && ctest -N -R 'Asan\.PassPipeline' | grep 'Asan\.PassPipeline' >/dev/null); then
-  (cd "$BUILD" && ctest --output-on-failure -R 'Asan\.PassPipeline')
-else
-  echo "warning: no Asan.PassPipeline tests discovered (sanitizer tree build?)" >&2
-fi
-
-echo "== asan+ubsan vm differential suite =="
-# The bytecode dispatch loop and its checked-arithmetic handlers (div/mod
-# by zero, signed overflow) must run UB-free under instrumentation — this
-# is the enforcement of the "deterministic RuntimeError, never UB"
-# contract. Same silent-disappearance guard as above.
-if (cd "$BUILD" && ctest -N -R 'Asan\.Vm' | grep 'Asan\.Vm' >/dev/null); then
-  (cd "$BUILD" && ctest --output-on-failure -R 'Asan\.Vm')
-else
-  echo "warning: no Asan.Vm tests discovered (sanitizer tree build?)" >&2
-fi
-
-echo "== asan+ubsan incremental-cache suite =="
-# The analysis-cache suite (deserializing stale/garbled cache blobs into
-# analysis structures) and the domain-partition suite (multi-param erase
-# compaction) recompiled under Asan+UBSan. Same silent-disappearance guard
-# as above.
-if (cd "$BUILD" && ctest -N -R 'Asan\.(AnalysisCache|BatchClose|DomainPartition)' \
-    | grep 'Asan\.' >/dev/null); then
-  (cd "$BUILD" && ctest --output-on-failure \
-    -R 'Asan\.(AnalysisCache|BatchClose|DomainPartition)')
-else
-  echo "warning: no Asan incremental-cache tests discovered (sanitizer tree build?)" >&2
-fi
+for filter in 'Tsan\.StateCache' \
+              'Tsan\.(ChaseLevDeque|ParkingLot|Scheduler|StealEquivalence)' \
+              'Asan\.PassPipeline' \
+              'Asan\.Vm' \
+              'Asan\.(AnalysisCache|BatchClose|DomainPartition)'; do
+  if ! (cd "$BUILD" && ctest -N -R "$filter" | grep -E "$filter" >/dev/null); then
+    echo "error: no tests match '$filter'" >&2
+    exit 1
+  fi
+  (cd "$BUILD" && ctest --output-on-failure -R "$filter")
+done
 
 echo "== artifact schema checks =="
 PY=python3

@@ -40,7 +40,6 @@ json::Value closer::statsToJson(const SearchStats &S) {
   O.add("runtime_errors", S.RuntimeErrors);
   O.add("depth_limit_hits", S.DepthLimitHits);
   O.add("sleep_set_prunes", S.SleepSetPrunes);
-  O.add("hash_prunes", S.HashPrunes);
   O.add("cache_hits", S.CacheHits);
   O.add("cache_inserts", S.CacheInserts);
   O.add("cache_saturated", S.CacheSaturated);
@@ -66,9 +65,7 @@ json::Value closer::optionsToJson(const SearchOptions &Opts) {
   O.add("checkpoint_interval", static_cast<uint64_t>(Opts.CheckpointInterval));
   O.add("persistent_sets", Opts.UsePersistentSets);
   O.add("sleep_sets", Opts.UseSleepSets);
-  O.add("state_hashing", Opts.UseStateHashing);
-  O.add("state_cache_bits",
-        static_cast<uint64_t>(Opts.effectiveStateCacheBits()));
+  O.add("state_cache_bits", static_cast<uint64_t>(Opts.StateCacheBits));
   O.add("stop_on_first_error", Opts.StopOnFirstError);
   O.add("env_domain_bound", Opts.Runtime.EnvDomainBound);
   O.add("time_budget_seconds", Opts.TimeBudgetSeconds);

@@ -250,7 +250,6 @@ void accumulate(SearchStats &Into, const SearchStats &From) {
   Into.RuntimeErrors += From.RuntimeErrors;
   Into.DepthLimitHits += From.DepthLimitHits;
   Into.SleepSetPrunes += From.SleepSetPrunes;
-  Into.HashPrunes += From.HashPrunes;
   Into.CacheHits += From.CacheHits;
   Into.CacheInserts += From.CacheInserts;
   Into.CacheSaturated += From.CacheSaturated;
@@ -459,7 +458,7 @@ SearchStats ParallelExplorer::run() {
   // stale fingerprints from a previous run would prune unsoundly.
   Cache.reset();
   if (Options.stateCacheEnabled())
-    Cache = std::make_unique<StateCache>(Options.effectiveStateCacheBits());
+    Cache = std::make_unique<StateCache>(Options.StateCacheBits);
 
   if (Options.Jobs <= 1) {
     Explorer Ex(Mod, Options);
@@ -593,12 +592,8 @@ SearchResult closer::explore(const Module &Mod, const SearchOptions &Options) {
     if (Opts.Jobs > 1024)
       Opts.Jobs = 1024; // validate()'s ceiling; absurd HW reports exist.
   }
-  if (Opts.stateCacheEnabled()) {
+  if (Opts.stateCacheEnabled())
     Opts.UseSleepSets = false; // Unsound with a cross-path visited cache.
-    // Fold the deprecated boolean alias into the explicit bit count.
-    Opts.StateCacheBits = Opts.effectiveStateCacheBits();
-    Opts.UseStateHashing = true;
-  }
   // Compile the bytecode once; the seeder and every worker share the
   // immutable module while owning their own register files.
   if (Opts.Exec != ExecMode::Interp && !Opts.VmCode)

@@ -33,7 +33,6 @@ std::string SearchStats::str() const {
   Out += " runtime-errors=" + std::to_string(RuntimeErrors);
   Out += " depth-limit-hits=" + std::to_string(DepthLimitHits);
   Out += " sleep-prunes=" + std::to_string(SleepSetPrunes);
-  Out += " hash-prunes=" + std::to_string(HashPrunes);
   if (CacheInserts || CacheHits || CacheSaturated) {
     Out += " cache-hits=" + std::to_string(CacheHits);
     Out += " cache-inserts=" + std::to_string(CacheInserts);
@@ -530,7 +529,6 @@ bool Explorer::runOnce() {
         // merely passes through again.
         switch (Cache->insert(Sys.fingerprint())) {
         case StateCache::Insert::Present:
-          ++Stats.HashPrunes;
           ++Stats.CacheHits;
           if (Shared)
             Shared->CacheHits.fetch_add(1, std::memory_order_relaxed);
@@ -720,8 +718,7 @@ SearchStats Explorer::run() {
   Reports.clear();
   if (Cache == OwnedCache.get()) {
     if (Options.stateCacheEnabled()) {
-      OwnedCache =
-          std::make_unique<StateCache>(Options.effectiveStateCacheBits());
+      OwnedCache = std::make_unique<StateCache>(Options.StateCacheBits);
       Cache = OwnedCache.get();
     } else {
       OwnedCache.reset();

@@ -76,12 +76,8 @@ struct SearchOptions {
   uint64_t MaxStates = 0;
   bool UsePersistentSets = true;
   bool UseSleepSets = true;
-  /// Ablation: store state fingerprints and prune revisits. Deprecated
-  /// spelling of StateCacheBits = StateCache::DefaultBits; kept so
-  /// existing callers (and the CLI's `--hash` alias) keep working.
-  bool UseStateHashing = false;
-  /// State caching: log2 of the fingerprint-cache slot count (0 = off
-  /// unless UseStateHashing asks for the default size). The cache is a
+  /// State caching: log2 of the fingerprint-cache slot count (0 = off).
+  /// The cache stores state fingerprints and prunes revisits; it is a
   /// bounded concurrent table (explorer/StateCache.h) shared across all
   /// workers, so `--state-cache` composes with `--jobs N`. Sleep sets are
   /// disabled whenever caching is on: their path-dependent pruning is
@@ -135,15 +131,7 @@ struct SearchOptions {
   std::shared_ptr<const vm::CompiledModule> VmCode;
   SystemOptions Runtime;
 
-  /// The fingerprint-cache size in effect: StateCacheBits if set, the
-  /// default size when the deprecated UseStateHashing flag asks for
-  /// caching, 0 when caching is off.
-  unsigned effectiveStateCacheBits() const {
-    if (StateCacheBits)
-      return StateCacheBits;
-    return UseStateHashing ? StateCache::DefaultBits : 0;
-  }
-  bool stateCacheEnabled() const { return effectiveStateCacheBits() != 0; }
+  bool stateCacheEnabled() const { return StateCacheBits != 0; }
 
   /// Centralized option validation: every constraint the explorers assume
   /// (previously scattered as ad-hoc checks across the CLI and the
@@ -209,9 +197,6 @@ struct SearchStats {
   uint64_t RuntimeErrors = 0;
   uint64_t DepthLimitHits = 0;
   uint64_t SleepSetPrunes = 0;
-  /// Arrivals pruned because the state's fingerprint was already cached.
-  /// Legacy name; always equal to CacheHits.
-  uint64_t HashPrunes = 0;
   /// State-cache traffic (all zero when caching is off). CacheHits counts
   /// pruned revisits, CacheInserts first-time stores, CacheSaturated fresh
   /// arrivals the full cache declined to store (searched anyway: the

@@ -70,6 +70,16 @@ long Args::intOf(const std::string &Flag, long Default) const {
   return Out;
 }
 
+long Args::countOf(const std::string &Flag, long Default) const {
+  long Out = intOf(Flag, Default);
+  const std::string *V = value(Flag);
+  if (Out >= 0 || !V)
+    return Out;
+  fail("invalid value '" + *V + "' for " + Flag +
+       " (expected a non-negative integer)");
+  return Default;
+}
+
 double Args::secondsOf(const std::string &Flag, double Default) const {
   const std::string *V = value(Flag);
   if (!V)

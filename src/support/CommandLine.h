@@ -55,6 +55,10 @@ struct Args {
   /// overflow, recording a diagnostic in Error.
   long intOf(const std::string &Flag, long Default) const;
 
+  /// intOf() for counts, sizes and budgets: a negative value is also
+  /// diagnosed, so it can never wrap through an unsigned conversion.
+  long countOf(const std::string &Flag, long Default) const;
+
   /// Strict finite, non-negative decimal value of \p Flag (e.g. seconds).
   double secondsOf(const std::string &Flag, double Default) const;
 

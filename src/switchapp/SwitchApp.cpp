@@ -227,7 +227,7 @@ std::string closer::generateSwitchAppSource(const SwitchAppConfig &Config) {
     S += "}\n\n";
   }
 
-  for (int L = 0; L != Lines; ++L) {
+  for (int L = 0; L < Lines; ++L) {
     std::string Suffix = Variants == 1 ? "" : "_v" + itoa(L % Variants);
     S += "process line" + itoa(L) + " = line_handler" + Suffix + "(" +
          itoa(L) + ");\n";

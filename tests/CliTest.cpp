@@ -118,6 +118,18 @@ TEST(CliTest, SecondsRejectNegativeAndGarbage) {
   }
 }
 
+TEST(CliTest, CountsRejectNegative) {
+  // Used to wrap through size_t (`--max-runs -1` became 2^64 - 1).
+  Args A = parse({"--max-runs", "-1"});
+  EXPECT_EQ(A.countOf("--max-runs", 7), 7);
+  EXPECT_NE(A.Error.find("--max-runs"), std::string::npos) << A.Error;
+
+  Args B = parse({"--max-runs", "0"});
+  EXPECT_EQ(B.countOf("--max-runs", 7), 0);
+  EXPECT_EQ(B.countOf("--depth", 5), 5); // Absent flag: the default.
+  EXPECT_TRUE(B.Error.empty()) << B.Error;
+}
+
 TEST(CliTest, UnknownOptionDiagnosed) {
   Args A = parse({"prog.mc", "--frobnicate"});
   EXPECT_FALSE(A.Error.empty());

@@ -269,10 +269,10 @@ process y = pb();
   SearchStats S1 = Ex.run();
 
   SearchOptions Hashed = plainOptions();
-  Hashed.UseStateHashing = true;
+  Hashed.StateCacheBits = StateCache::DefaultBits;
   Explorer ExH(*Mod, Hashed);
   SearchStats S2 = ExH.run();
-  EXPECT_GT(S2.HashPrunes, 0u);
+  EXPECT_GT(S2.CacheHits, 0u);
   EXPECT_LT(S2.StatesVisited, S1.StatesVisited);
 }
 

@@ -56,7 +56,6 @@ TEST(ObservabilityTest, StatsJsonFieldForField) {
   S.RuntimeErrors = 37;
   S.DepthLimitHits = 41;
   S.SleepSetPrunes = 43;
-  S.HashPrunes = 47;
   S.CacheHits = 67;
   S.CacheInserts = 71;
   S.CacheSaturated = 73;
@@ -88,7 +87,6 @@ TEST(ObservabilityTest, StatsJsonFieldForField) {
   field("\"runtime_errors\": 37");
   field("\"depth_limit_hits\": 41");
   field("\"sleep_set_prunes\": 43");
-  field("\"hash_prunes\": 47");
   field("\"cache_hits\": 67");
   field("\"cache_inserts\": 71");
   field("\"cache_saturated\": 73");
@@ -341,16 +339,32 @@ TEST(ObservabilityTest, JobsZeroResolvesToHardwareConcurrency) {
 }
 
 TEST(ObservabilityTest, NegativeJobsIsRejected) {
+  // A negative count exits 1 with a diagnostic naming its flag; it must
+  // not be clamped, wrapped through an unsigned conversion, or looped on.
+  // The removed `--hash` and `partition` aliases are diagnosed too.
   std::string Src = tempPath("_jobsneg.mc");
   writeFile(Src, bigWorkload(2, 1));
-
-  int Exit = -1;
-  std::string Cmd = std::string(CLOSER_BIN) + " explore " + Src +
-                    " --open --depth 60 --jobs -2 2>&1";
-  std::string Out = runCommand(Cmd, &Exit);
+  const std::string F = " " + Src;
+  const std::pair<std::string, std::string> Rows[] = {
+      {"explore" + F + " --jobs -2", "--jobs"},
+      {"explore" + F + " --depth -1", "--depth"},
+      {"explore" + F + " --checkpoint-interval -1", "--checkpoint-interval"},
+      {"explore" + F + " --state-cache=-4", "--state-cache"},
+      {"explore" + F + " --max-runs -1", "--max-runs"},
+      {"close" + F + " --jobs -2", "--jobs"},
+      {"close" + F + " --max-reps -1", "--max-reps"},
+      {"gen-switchapp --lines -1", "--lines"},
+      {"explore" + F + " --hash", "unknown option '--hash'"},
+      {"partition" + F, "unknown command 'partition'"},
+  };
+  for (const auto &[Cmd, Named] : Rows) {
+    int Exit = -1;
+    std::string Out =
+        runCommand(std::string(CLOSER_BIN) + " " + Cmd + " 2>&1", &Exit);
+    EXPECT_EQ(Exit, 1) << Cmd << "\n" << Out;
+    EXPECT_NE(Out.find(Named), std::string::npos) << Cmd << "\n" << Out;
+  }
   std::remove(Src.c_str());
-  EXPECT_EQ(Exit, 1);
-  EXPECT_NE(Out.find("--jobs"), std::string::npos) << Out;
 }
 
 TEST(ObservabilityTest, StatsJsonOnCompletedRunReportsCompletion) {

@@ -20,25 +20,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
 
 using namespace closer;
 
 namespace {
-
-#ifndef CLOSER_SOURCE_DIR
-#define CLOSER_SOURCE_DIR "."
-#endif
-
-std::string readExample(const std::string &Name) {
-  std::string Path = std::string(CLOSER_SOURCE_DIR) + "/examples/minic/" + Name;
-  std::ifstream In(Path);
-  EXPECT_TRUE(In.good()) << "cannot open " << Path;
-  std::ostringstream Out;
-  Out << In.rdbuf();
-  return Out.str();
-}
 
 /// The statistics that describe the search tree itself (as opposed to the
 /// replay effort, which legitimately differs between the sequential and

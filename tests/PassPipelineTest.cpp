@@ -22,29 +22,12 @@
 #include "RandomProgram.h"
 #include "TestUtil.h"
 
-#include <fstream>
-#include <sstream>
-
-#ifndef CLOSER_SOURCE_DIR
-#define CLOSER_SOURCE_DIR "."
-#endif
-
 namespace closer {
 namespace {
 
 const char *const ExampleNames[] = {"bounded_buffer.mc", "figure2.mc",
                                     "lock_order_bug.mc",
                                     "resource_manager.mc"};
-
-std::string readExample(const std::string &Name) {
-  std::string Path =
-      std::string(CLOSER_SOURCE_DIR) + "/examples/minic/" + Name;
-  std::ifstream In(Path);
-  EXPECT_TRUE(In.good()) << "cannot open " << Path;
-  std::ostringstream Out;
-  Out << In.rdbuf();
-  return Out.str();
-}
 
 size_t countTossNodes(const Module &Mod) {
   size_t N = 0;

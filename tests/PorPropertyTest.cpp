@@ -27,13 +27,13 @@ namespace {
 class PorPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 SearchStats explore(const Module &Mod, bool Persistent, bool Sleep,
-                    bool Hash = false) {
+                    unsigned StateCacheBits = 0) {
   SearchOptions Opts;
   Opts.MaxDepth = 14;
   Opts.MaxRuns = 150000;
   Opts.UsePersistentSets = Persistent;
   Opts.UseSleepSets = Sleep;
-  Opts.UseStateHashing = Hash;
+  Opts.StateCacheBits = StateCacheBits;
   Explorer Ex(Mod, Opts);
   return Ex.run();
 }
@@ -86,7 +86,7 @@ TEST_P(PorPropertyTest, HashingPreservesDeadlockExistence) {
   if (!Mod)
     GTEST_SKIP() << "ground-truth search did not complete for this seed";
 
-  SearchStats Hashed = explore(*Mod, false, false, /*Hash=*/true);
+  SearchStats Hashed = explore(*Mod, false, false, StateCache::DefaultBits);
   ASSERT_TRUE(Hashed.Completed);
   EXPECT_EQ(Full.Deadlocks > 0, Hashed.Deadlocks > 0);
   EXPECT_LE(Hashed.StatesVisited, Full.StatesVisited);

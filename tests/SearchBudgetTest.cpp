@@ -94,7 +94,7 @@ TEST(SearchBudgetTest, StatsStringMentionsEveryCounter) {
   for (const char *Key :
        {"runs=", "states=", "transitions=", "deadlocks=", "terminations=",
         "assertion-violations=", "divergences=", "runtime-errors=",
-        "sleep-prunes=", "hash-prunes=", "(complete)"})
+        "sleep-prunes=", "(complete)"})
     EXPECT_NE(Text.find(Key), std::string::npos) << Key;
 }
 

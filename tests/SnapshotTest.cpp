@@ -24,25 +24,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
 
 using namespace closer;
 
 namespace {
-
-#ifndef CLOSER_SOURCE_DIR
-#define CLOSER_SOURCE_DIR "."
-#endif
-
-std::string readExample(const std::string &Name) {
-  std::string Path = std::string(CLOSER_SOURCE_DIR) + "/examples/minic/" + Name;
-  std::ifstream In(Path);
-  EXPECT_TRUE(In.good()) << "cannot open " << Path;
-  std::ostringstream Out;
-  Out << In.rdbuf();
-  return Out.str();
-}
 
 /// A workload whose execution pushes and pops frames (helper call per
 /// iteration) and mutates every communication-object kind (channel deque,

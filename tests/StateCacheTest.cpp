@@ -31,27 +31,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <fstream>
-#include <sstream>
 #include <thread>
 #include <vector>
 
 using namespace closer;
 
 namespace {
-
-#ifndef CLOSER_SOURCE_DIR
-#define CLOSER_SOURCE_DIR "."
-#endif
-
-std::string readExample(const std::string &Name) {
-  std::string Path = std::string(CLOSER_SOURCE_DIR) + "/examples/minic/" + Name;
-  std::ifstream In(Path);
-  EXPECT_TRUE(In.good()) << "cannot open " << Path;
-  std::ostringstream Out;
-  Out << In.rdbuf();
-  return Out.str();
-}
 
 // ---------------------------------------------------------------------------
 // StateCache unit tests.
@@ -228,7 +213,7 @@ TEST(StateCacheTest, ParallelCachedRunIsNotForcedSequential) {
   Opts.StateCacheBits = 18;
   SearchResult R = explore(*Mod, Opts);
   // Seeding pass + one entry per worker: the cached run really ran on the
-  // parallel backend (the old --hash behavior fell back to 1 entry).
+  // parallel backend (a sequential fallback would report 1 entry).
   EXPECT_EQ(R.Workers.size(), 5u);
   EXPECT_TRUE(R.Stats.Completed);
   EXPECT_GT(R.Stats.CacheInserts, 0u);

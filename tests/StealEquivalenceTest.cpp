@@ -32,27 +32,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 using namespace closer;
 
 namespace {
-
-#ifndef CLOSER_SOURCE_DIR
-#define CLOSER_SOURCE_DIR "."
-#endif
-
-std::string readExample(const std::string &Name) {
-  std::string Path = std::string(CLOSER_SOURCE_DIR) + "/examples/minic/" + Name;
-  std::ifstream In(Path);
-  EXPECT_TRUE(In.good()) << "cannot open " << Path;
-  std::ostringstream Out;
-  Out << In.rdbuf();
-  return Out.str();
-}
 
 /// The tree-shaped statistics (not replay effort, not the new scheduler
 /// counters — Steals/Wakeups/ArenaBytes/PoolFresh legitimately vary with

@@ -14,10 +14,23 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 
 namespace closer {
+
+/// Reads examples/minic/<Name> from the source tree (CLOSER_SOURCE_DIR is
+/// defined for every test binary by tests/CMakeLists.txt).
+inline std::string readExample(const std::string &Name) {
+  std::string Path = std::string(CLOSER_SOURCE_DIR) + "/examples/minic/" + Name;
+  std::ifstream In(Path);
+  EXPECT_TRUE(In.good()) << "cannot open " << Path;
+  std::ostringstream Out;
+  Out << In.rdbuf();
+  return Out.str();
+}
 
 /// Compiles MiniC source, failing the test with diagnostics on error.
 inline std::unique_ptr<Module> mustCompile(const std::string &Source) {

@@ -29,27 +29,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 using namespace closer;
 
 namespace {
-
-#ifndef CLOSER_SOURCE_DIR
-#define CLOSER_SOURCE_DIR "."
-#endif
-
-std::string readExample(const std::string &Name) {
-  std::string Path = std::string(CLOSER_SOURCE_DIR) + "/examples/minic/" + Name;
-  std::ifstream In(Path);
-  EXPECT_TRUE(In.good()) << "cannot open " << Path;
-  std::ostringstream Out;
-  Out << In.rdbuf();
-  return Out.str();
-}
 
 /// The engine-independent observables of a search: every tree-shaped
 /// statistic plus the raw transition count (identical across engines for a

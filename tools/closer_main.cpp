@@ -53,16 +53,16 @@ void usage() {
       Close the program with its most general environment; print MiniC.
       Runs the pass pipeline parse, sema, lower, verify, close by
       default. --partition inserts the section 7 input-domain
-      partitioning as a pre-pass, so partition -> close runs in one
-      process over one module (this replaces the old two-step
-      `closer partition | closer close` source round-trip). --passes
-      takes a comma-separated module-pass list (partition, close,
-      dedup-toss, naive-close, interface, verify) replacing the default
-      tail. --verify-each re-verifies the module after every pass and
-      names the offending pass on failure. --print-after PASS dumps the
-      module source to stderr after each run of PASS. --stats-json FILE
-      writes a closer-close-stats-v1 artifact: per-pass wall times,
-      analysis cache computed/reused counters and all transform stats.
+      partitioning (simplify range-classified inputs, close the rest)
+      as a pre-pass, so partition -> close runs in one process over one
+      module. --passes takes a comma-separated module-pass list
+      (partition, close, dedup-toss, naive-close, interface, verify)
+      replacing the default tail. --verify-each re-verifies the module
+      after every pass and names the offending pass on failure.
+      --print-after PASS dumps the module source to stderr after each
+      run of PASS. --stats-json FILE writes a closer-close-stats-v1
+      artifact: per-pass wall times, analysis cache computed/reused
+      counters and all transform stats.
       Several input files compile as one batch sharing the pass registry;
       --jobs N closes them on N worker threads. Output order and bytes
       are identical to closing each file in its own process, and
@@ -98,7 +98,6 @@ void usage() {
       search keeps going without inserting (sound; reported as
       cache-saturated). Sleep sets are disabled under caching (pruning
       by a path-local sleep set is unsound against a cross-path cache).
-      --hash is a deprecated alias for --state-cache.
       --stats-json FILE writes the full run statistics (per-worker
       breakdowns, wall clock, reports, resume prefixes) as JSON.
       --progress[=SECS] prints a progress line to stderr every SECS
@@ -108,10 +107,6 @@ void usage() {
       prefixes for the abandoned subtrees.
   closer naive <file.mc> -D <n>
       Close with the naive explicit environment over domain [0,n]; print.
-  closer partition <file.mc> [--max-reps N]
-      Deprecated alias for `closer close --partition`: simplify
-      range-classified inputs (section 7 analysis), close the rest,
-      print the result.
   closer replay <file.mc> "<choices>" [--open] [--env-domain N]
       Re-execute a recorded choice sequence (the `replay:` line of an
       explore report) and print the resulting trace.
@@ -140,7 +135,6 @@ const FlagSpec &closerFlagSpec() {
       {"--partition", FlagArity::Bool},
       {"--verify-each", FlagArity::Bool},
       {"--no-por", FlagArity::Bool},
-      {"--hash", FlagArity::Bool},
       {"--stop-on-error", FlagArity::Bool},
       {"--open", FlagArity::Bool},
       {"--bug", FlagArity::Bool},
@@ -231,7 +225,7 @@ PipelineOptions pipelineOptionsFromArgs(const Args &A) {
   Opts.Closing.Taint.CoarseMode = A.has("--coarse");
   Opts.Closing.DedupTosses = A.has("--dedup-toss");
   Opts.Partition.MaxRepresentatives =
-      static_cast<size_t>(A.intOf("--max-reps", 16));
+      static_cast<size_t>(A.countOf("--max-reps", 16));
   Opts.Naive.DomainBound = A.intOf("-D", 1);
   Opts.VerifyEach = A.has("--verify-each");
   Opts.PrintAfter = A.strOf("--print-after", "");
@@ -301,21 +295,20 @@ bool reportCloseResult(const CompileResult &R) {
   return true;
 }
 
-int cmdClose(const Args &A, bool ForcePartition = false) {
+int cmdClose(const Args &A) {
   if (A.Positional.empty()) {
     usage();
     return 1;
   }
   PipelineOptions Opts = pipelineOptionsFromArgs(A);
-  if (ForcePartition || A.has("--partition")) {
+  if (A.has("--partition")) {
     if (Opts.Passes.empty())
       Opts.Passes = {"partition", "close"};
     else if (std::find(Opts.Passes.begin(), Opts.Passes.end(),
                        "partition") == Opts.Passes.end())
       Opts.Passes.insert(Opts.Passes.begin(), "partition");
   }
-  long JobsArg = A.intOf("--jobs", 1);
-  size_t Jobs = JobsArg > 0 ? static_cast<size_t>(JobsArg) : 1;
+  size_t Jobs = static_cast<size_t>(std::max(A.countOf("--jobs", 1), 1L));
   std::string StatsJsonPath = A.strOf("--stats-json", "");
   if (!argsOk(A))
     return 1;
@@ -446,8 +439,8 @@ int cmdExplore(const Args &A) {
   }
 
   SearchOptions Opts;
-  Opts.MaxDepth = static_cast<size_t>(A.intOf("--depth", 60));
-  Opts.MaxRuns = static_cast<uint64_t>(A.intOf("--max-runs", 1000000));
+  Opts.MaxDepth = static_cast<size_t>(A.countOf("--depth", 60));
+  Opts.MaxRuns = static_cast<uint64_t>(A.countOf("--max-runs", 1000000));
   Opts.StopOnFirstError = A.has("--stop-on-error");
   Opts.Runtime.EnvDomainBound = A.intOf("--env-domain", 1);
   if (A.has("--no-por")) {
@@ -456,26 +449,13 @@ int cmdExplore(const Args &A) {
   }
   if (A.has("--state-cache")) {
     const std::string *V = A.value("--state-cache");
-    long Bits = (V && !V->empty()) ? A.intOf("--state-cache", 0)
+    long Bits = (V && !V->empty()) ? A.countOf("--state-cache", 0)
                                    : StateCache::DefaultBits;
-    Opts.StateCacheBits = Bits > 0 ? static_cast<unsigned>(Bits) : 0;
-  }
-  if (A.has("--hash")) {
-    std::fprintf(stderr, "warning: --hash is deprecated; use "
-                         "--state-cache[=BITS]\n");
-    Opts.UseStateHashing = true;
-  }
-  long Jobs = A.intOf("--jobs", 1);
-  if (Jobs < 0) {
-    std::fprintf(stderr,
-                 "error: --jobs must be >= 1, or 0 for one worker per "
-                 "hardware thread (got %ld)\n",
-                 Jobs);
-    return 1;
+    Opts.StateCacheBits = static_cast<unsigned>(Bits);
   }
   // 0 = auto: explore() resolves it to the hardware concurrency and the
   // resolved count is what the stats-json artifact records.
-  Opts.Jobs = static_cast<size_t>(Jobs);
+  Opts.Jobs = static_cast<size_t>(A.countOf("--jobs", 1));
   std::string Exec = A.strOf("--exec", "interp");
   if (Exec == "interp") {
     Opts.Exec = ExecMode::Interp;
@@ -493,8 +473,8 @@ int cmdExplore(const Args &A) {
   // The library defaults to the paper's pure stateless search; the CLI
   // defaults to checkpointing on, since the outcome is identical and the
   // restore path is strictly faster.
-  long Ckpt = A.intOf("--checkpoint-interval", 8);
-  Opts.CheckpointInterval = Ckpt > 0 ? static_cast<size_t>(Ckpt) : 0;
+  Opts.CheckpointInterval =
+      static_cast<size_t>(A.countOf("--checkpoint-interval", 8));
 
   // Observability & graceful degradation.
   Opts.TimeBudgetSeconds = A.secondsOf("--time-budget", 0);
@@ -649,8 +629,8 @@ int cmdReplay(const Args &A) {
 
 int cmdGenCorpus(const Args &A) {
   CorpusConfig Config;
-  Config.Procs = static_cast<int>(A.intOf("--procs", 8));
-  Config.StmtsPerProc = static_cast<int>(A.intOf("--stmts", 32));
+  Config.Procs = static_cast<int>(A.countOf("--procs", 8));
+  Config.StmtsPerProc = static_cast<int>(A.countOf("--stmts", 32));
   Config.Seed = static_cast<uint64_t>(A.intOf("--seed", 11));
   Config.TweakProc = static_cast<int>(A.intOf("--tweak", -1));
   if (!argsOk(A))
@@ -661,10 +641,10 @@ int cmdGenCorpus(const Args &A) {
 
 int cmdGenSwitchApp(const Args &A) {
   SwitchAppConfig Config;
-  Config.NumLines = static_cast<int>(A.intOf("--lines", 3));
-  Config.NumTrunks = static_cast<int>(A.intOf("--trunks", 2));
-  Config.EventsPerLine = static_cast<int>(A.intOf("--events", 2));
-  Config.HandlerVariants = static_cast<int>(A.intOf("--variants", 1));
+  Config.NumLines = static_cast<int>(A.countOf("--lines", 3));
+  Config.NumTrunks = static_cast<int>(A.countOf("--trunks", 2));
+  Config.EventsPerLine = static_cast<int>(A.countOf("--events", 2));
+  Config.HandlerVariants = static_cast<int>(A.countOf("--variants", 1));
   Config.SeedTrunkLeakBug = A.has("--bug");
   if (!argsOk(A))
     return 1;
@@ -696,8 +676,6 @@ int main(int argc, char **argv) {
     return cmdExplore(A);
   if (Cmd == "naive")
     return cmdNaive(A);
-  if (Cmd == "partition") // Deprecated alias for `close --partition`.
-    return cmdClose(A, /*ForcePartition=*/true);
   if (Cmd == "replay")
     return cmdReplay(A);
   if (Cmd == "interface")
@@ -706,6 +684,7 @@ int main(int argc, char **argv) {
     return cmdGenSwitchApp(A);
   if (Cmd == "gen-corpus")
     return cmdGenCorpus(A);
+  std::fprintf(stderr, "error: unknown command '%s'\n", Cmd.c_str());
   usage();
   return 1;
 }
