@@ -72,24 +72,24 @@ void printFigure(const char *Title, const char *Source) {
   std::printf("%s\n", Title);
   std::printf("==================================================\n");
   std::printf("--- original (open) ---\n%s\n", Source);
-  CloseResult R = closeSource(Source);
+  CompileResult R = compile(Source);
   if (!R.ok()) {
     std::printf("closing failed:\n%s\n", R.Diags.str().c_str());
     return;
   }
   const ProcCfg &Orig = R.Open->Procs[0];
-  const ProcCfg &Closed = R.Closed->Procs[0];
+  const ProcCfg &Closed = R.M->Procs[0];
   std::printf("--- original control-flow graph ---\n%s\n",
               printCfg(Orig).c_str());
   std::printf("--- closed control-flow graph ---\n%s\n",
               printCfg(Closed).c_str());
   std::printf("--- closed program (source form) ---\n%s\n",
-              emitModuleSource(*R.Closed).c_str());
+              emitModuleSource(*R.M).c_str());
   std::printf("statistics: nodes %zu -> %zu, toss nodes %zu, params "
               "removed %zu, statements eliminated %zu\n\n",
-              R.Stats.NodesBefore, R.Stats.NodesAfter,
-              R.Stats.TossNodesInserted, R.Stats.ParamsRemoved,
-              R.Stats.NodesEliminated);
+              R.Closing.NodesBefore, R.Closing.NodesAfter,
+              R.Closing.TossNodesInserted, R.Closing.ParamsRemoved,
+              R.Closing.NodesEliminated);
 }
 
 void BM_CloseFigure2(benchmark::State &State) {
@@ -112,14 +112,12 @@ BENCHMARK(BM_CloseFigure3);
 
 /// Exploration of the closed figure programs: 2^10 branch paths each.
 void BM_ExploreClosedFigure(benchmark::State &State) {
-  CloseResult R = closeSource(figure3());
+  CompileResult R = compile(figure3());
   uint64_t Runs = 0;
   for (auto _ : State) {
     SearchOptions Opts;
     Opts.MaxDepth = 25;
-    Explorer Ex(*R.Closed, Opts);
-    SearchStats Stats = Ex.run();
-    Runs = Stats.Runs;
+    Runs = explore(*R.M, Opts).Stats.Runs;
   }
   State.counters["paths"] = static_cast<double>(Runs);
 }
@@ -135,10 +133,10 @@ int main(int argc, char **argv) {
               figure3());
 
   // Verify the headline claim in-line for the record.
-  CloseResult Rp = closeSource(figure2());
-  CloseResult Rq = closeSource(figure3());
-  std::string Lp = printCfg(Rp.Closed->Procs[0]);
-  std::string Lq = printCfg(Rq.Closed->Procs[0]);
+  CompileResult Rp = compile(figure2());
+  CompileResult Rq = compile(figure3());
+  std::string Lp = printCfg(Rp.M->Procs[0]);
+  std::string Lq = printCfg(Rq.M->Procs[0]);
   Lp.erase(0, Lp.find('\n'));
   Lq.erase(0, Lq.find('\n'));
   std::printf("close(p) == close(q) (modulo name): %s\n\n",

@@ -56,8 +56,7 @@ SearchStats explore(const Module &Mod, uint64_t MaxRuns) {
   Opts.MaxRuns = MaxRuns;
   Opts.UsePersistentSets = false;
   Opts.UseSleepSets = false;
-  Explorer Ex(Mod, Opts);
-  return Ex.run();
+  return closer::explore(Mod, Opts).Stats;
 }
 
 CorpusResult runCorpus(unsigned Seeds, int64_t Domain) {
@@ -74,10 +73,10 @@ CorpusResult runCorpus(unsigned Seeds, int64_t Domain) {
     SearchStats NaiveStats = explore(Naive, 30000);
     Out.NaiveStates += NaiveStats.StatesVisited;
 
-    CloseResult R = closeSource(Src);
+    CompileResult R = compile(Src);
     if (!R.ok())
       continue;
-    SearchStats ClosedStats = explore(*R.Closed, 60000);
+    SearchStats ClosedStats = explore(*R.M, 60000);
     Out.ClosedStates += ClosedStats.StatesVisited;
 
     if (NaiveStats.Deadlocks) {
@@ -89,7 +88,7 @@ CorpusResult runCorpus(unsigned Seeds, int64_t Domain) {
       ++Out.NaiveViolating;
       if (ClosedStats.AssertionViolations)
         ++Out.ClosedCaughtViolation;
-      if (allAssertionsPreserved(*R.Closed)) {
+      if (allAssertionsPreserved(*R.M)) {
         ++Out.NaiveViolatingPreserved;
         if (ClosedStats.AssertionViolations)
           ++Out.ClosedCaughtViolationPreserved;

@@ -108,12 +108,12 @@ void BM_NaiveEnvironment(benchmark::State &State) {
 BENCHMARK(BM_NaiveEnvironment)->RangeMultiplier(4)->Range(2, 128);
 
 void BM_TransformedClosed(benchmark::State &State) {
-  CloseResult R = closeSource(filterProgram(FilterReads));
+  CompileResult R = compile(filterProgram(FilterReads));
   if (!R.ok())
     std::abort();
   SearchStats Stats;
   for (auto _ : State)
-    Stats = exploreStats(*R.Closed);
+    Stats = exploreStats(*R.M);
   State.counters["states"] = static_cast<double>(Stats.StatesVisited);
   State.counters["paths"] = static_cast<double>(Stats.Runs);
   State.counters["transitions"] = static_cast<double>(Stats.TreeTransitions);
@@ -258,9 +258,9 @@ int main(int argc, char **argv) {
     emitExploreRecord(Json, "naive_D" + std::to_string(Domain), Stats,
                       exploreOptions(), Seconds);
   }
-  CloseResult R = closeSource(filterProgram(FilterReads));
+  CompileResult R = compile(filterProgram(FilterReads));
   SearchStats Stats;
-  double Seconds = timedExplore(*R.Closed, exploreOptions(), Stats);
+  double Seconds = timedExplore(*R.M, exploreOptions(), Stats);
   std::printf("%-14s %12llu %12llu %14llu\n", "closed (ours)",
               static_cast<unsigned long long>(Stats.StatesVisited),
               static_cast<unsigned long long>(Stats.Runs),

@@ -54,7 +54,7 @@ void BM_ExploreClosedSwitchApp(benchmark::State &State) {
   Config.NumLines = static_cast<int>(State.range(0));
   Config.NumTrunks = 1;
   Config.EventsPerLine = 1;
-  CloseResult R = closeSource(generateSwitchAppSource(Config));
+  CompileResult R = compile(generateSwitchAppSource(Config));
   if (!R.ok())
     std::abort();
   SearchStats Stats;
@@ -62,8 +62,7 @@ void BM_ExploreClosedSwitchApp(benchmark::State &State) {
     SearchOptions Opts;
     Opts.MaxDepth = 30;
     Opts.MaxRuns = 20000;
-    Explorer Ex(*R.Closed, Opts);
-    Stats = Ex.run();
+    Stats = explore(*R.M, Opts).Stats;
   }
   State.counters["lines"] = Config.NumLines;
   State.counters["states"] = static_cast<double>(Stats.StatesVisited);
@@ -109,12 +108,11 @@ int main(int argc, char **argv) {
   Buggy.WithRegistration = false;
   Buggy.WithForwarding = false;
   Buggy.SeedTrunkLeakBug = true;
-  CloseResult R = closeSource(generateSwitchAppSource(Buggy));
+  CompileResult R = compile(generateSwitchAppSource(Buggy));
   SearchOptions Opts;
   Opts.MaxDepth = 60;
   Opts.StopOnFirstError = true;
-  Explorer Ex(*R.Closed, Opts);
-  SearchStats Stats = Ex.run();
+  SearchStats Stats = explore(*R.M, Opts).Stats;
   std::printf("search: %s\n", Stats.str().c_str());
   std::printf("defect %s\n\n", Stats.Deadlocks ? "FOUND (deadlock trace "
                                                  "recorded)"

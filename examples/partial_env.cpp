@@ -75,7 +75,7 @@ process reader = card_reader();
 
   std::string Combined = std::string(SystemUnderTest) + CardReaderStub;
 
-  CloseResult R = closeSource(Combined);
+  CompileResult R = compile(Combined);
   if (!R.ok()) {
     std::printf("closing failed:\n%s\n", R.Diags.str().c_str());
     return 1;
@@ -83,23 +83,22 @@ process reader = card_reader();
 
   std::printf("=== partial-environment methodology ===\n");
   std::printf("manual stub:   card_reader (kept verbatim — %s)\n",
-              R.Stats.ParamsRemoved == 0 ? "no parameters removed"
-                                         : "unexpected!");
+              R.Closing.ParamsRemoved == 0 ? "no parameters removed"
+                                           : "unexpected!");
   std::printf("auto-closed:   bank gateway (%zu env call(s) eliminated, "
               "%zu toss(es) inserted)\n\n",
-              R.Stats.EnvCallsRemoved, R.Stats.TossNodesInserted);
+              R.Closing.EnvCallsRemoved, R.Closing.TossNodesInserted);
 
   SearchOptions Opts;
   Opts.MaxDepth = 40;
-  Explorer Ex(*R.Closed, Opts);
-  SearchStats Stats = Ex.run();
-  std::printf("exploration: %s\n", Stats.str().c_str());
+  SearchResult Search = explore(*R.M, Opts);
+  std::printf("exploration: %s\n", Search.Stats.str().c_str());
 
-  if (Stats.AssertionViolations == 0)
+  if (Search.Stats.AssertionViolations == 0)
     std::printf("\nthe active-card invariant holds for every gateway "
                 "behavior,\ngiven the stubbed card-reader protocol.\n");
   else
-    std::printf("\nfinding:\n%s", Ex.reports()[0].str().c_str());
+    std::printf("\nfinding:\n%s", Search.Reports[0].str().c_str());
 
   // Contrast: with a fully most-general card reader (no stub) the
   // VS_assert(active == 1) would be violated by a remove-before-insert
@@ -132,20 +131,19 @@ proc terminal() {
 
 process term = terminal();
 )";
-  CloseResult R2 = closeSource(NoStub);
+  CompileResult R2 = compile(NoStub);
   if (!R2.ok()) {
     std::printf("closing failed:\n%s\n", R2.Diags.str().c_str());
     return 1;
   }
-  Explorer Ex2(*R2.Closed, Opts);
-  SearchStats Stats2 = Ex2.run();
+  SearchResult Search2 = explore(*R2.M, Opts);
   std::printf("\n=== same system, fully most-general environment ===\n");
-  std::printf("exploration: %s\n", Stats2.str().c_str());
+  std::printf("exploration: %s\n", Search2.Stats.str().c_str());
   std::printf("the unconstrained environment can remove a card that was "
               "never inserted —\nthe violation below is *possible* but the "
               "developer may deem it unrealistic;\nthat is exactly why the "
               "paper recommends partial manual stubs (§1, §3).\n");
-  if (!Ex2.reports().empty())
-    std::printf("\nfinding:\n%s", Ex2.reports()[0].str().c_str());
+  if (!Search2.Reports.empty())
+    std::printf("\nfinding:\n%s", Search2.Reports[0].str().c_str());
   return 0;
 }

@@ -89,21 +89,20 @@ process r = receiver();
   Plain.MaxDepth = 40;
   Plain.UsePersistentSets = false;
   Plain.UseSleepSets = false;
-  Explorer ExPlain(*Mod, Plain);
-  SearchStats S1 = ExPlain.run();
+  SearchStats S1 = explore(*Mod, Plain).Stats;
   std::printf("full interleaving search:   %s\n", S1.str().c_str());
 
   SearchOptions Por;
   Por.MaxDepth = 40;
-  Explorer ExPor(*Mod, Por);
-  SearchStats S2 = ExPor.run();
+  SearchResult Reduced = explore(*Mod, Por);
+  const SearchStats &S2 = Reduced.Stats;
   std::printf("with partial-order reduct.: %s\n", S2.str().c_str());
 
   if (S1.AssertionViolations == 0 && S2.AssertionViolations == 0)
     std::printf("\nprotocol verified: the receiver never sees an "
                 "out-of-order frame,\nunder every loss pattern and "
                 "interleaving (up to depth 40).\n");
-  for (const ErrorReport &Rep : ExPor.reports())
+  for (const ErrorReport &Rep : Reduced.Reports)
     std::printf("finding:\n%s", Rep.str().c_str());
 
   return 0;

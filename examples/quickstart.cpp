@@ -61,37 +61,36 @@ process mon = monitor();
 
   std::printf("=== open program (MiniC) ===\n%s\n", Source);
 
-  // Step 2: close it. closeSource runs parse -> sema -> CFG -> analysis ->
-  // transformation -> verification.
-  CloseResult R = closeSource(Source);
+  // Step 2: close it. The default compile() pipeline runs parse -> sema ->
+  // CFG -> verification -> analysis -> transformation.
+  CompileResult R = compile(Source);
   if (!R.ok()) {
     std::printf("closing failed:\n%s\n", R.Diags.str().c_str());
     return 1;
   }
 
   std::printf("=== closing statistics ===\n");
-  std::printf("  nodes: %zu -> %zu\n", R.Stats.NodesBefore,
-              R.Stats.NodesAfter);
+  std::printf("  nodes: %zu -> %zu\n", R.Closing.NodesBefore,
+              R.Closing.NodesAfter);
   std::printf("  env interface calls removed: %zu\n",
-              R.Stats.EnvCallsRemoved);
-  std::printf("  parameters removed:          %zu\n", R.Stats.ParamsRemoved);
+              R.Closing.EnvCallsRemoved);
+  std::printf("  parameters removed:          %zu\n", R.Closing.ParamsRemoved);
   std::printf("  VS_toss conditionals added:  %zu\n",
-              R.Stats.TossNodesInserted);
+              R.Closing.TossNodesInserted);
 
   std::printf("\n=== closed program (emitted source) ===\n%s\n",
-              emitModuleSource(*R.Closed).c_str());
+              emitModuleSource(*R.M).c_str());
 
   std::printf("=== closed controller CFG ===\n%s\n",
-              printCfg(*R.Closed->findProc("controller")).c_str());
+              printCfg(*R.M->findProc("controller")).c_str());
 
   // Step 4: systematic state-space exploration.
   SearchOptions Opts;
   Opts.MaxDepth = 30;
-  Explorer Ex(*R.Closed, Opts);
-  SearchStats Stats = Ex.run();
+  SearchResult Search = explore(*R.M, Opts);
 
-  std::printf("=== exploration ===\n%s\n", Stats.str().c_str());
-  for (const ErrorReport &Rep : Ex.reports())
+  std::printf("=== exploration ===\n%s\n", Search.Stats.str().c_str());
+  for (const ErrorReport &Rep : Search.Reports)
     std::printf("\nreport:\n%s", Rep.str().c_str());
 
   std::printf("\nThe closed system covers every behavior of the open system "

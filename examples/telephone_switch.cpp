@@ -30,26 +30,26 @@ static void analyze(const char *Label, const SwitchAppConfig &Config,
               Config.NumLines, Config.NumTrunks, Config.EventsPerLine,
               Source.size());
 
-  CloseResult R = closeSource(Source);
+  CompileResult R = compile(Source);
   if (!R.ok()) {
     std::printf("closing failed:\n%s\n", R.Diags.str().c_str());
     return;
   }
   std::printf("closed automatically: %zu env calls removed, %zu tosses "
               "inserted, %zu nodes -> %zu nodes\n",
-              R.Stats.EnvCallsRemoved, R.Stats.TossNodesInserted,
-              R.Stats.NodesBefore, R.Stats.NodesAfter);
+              R.Closing.EnvCallsRemoved, R.Closing.TossNodesInserted,
+              R.Closing.NodesBefore, R.Closing.NodesAfter);
 
   SearchOptions Opts;
   Opts.MaxDepth = Depth;
   Opts.MaxRuns = 200000;
   Opts.StopOnFirstError = StopOnFirstError;
-  Explorer Ex(*R.Closed, Opts);
-  SearchStats Stats = Ex.run();
+  SearchResult Search = explore(*R.M, Opts);
+  const SearchStats &Stats = Search.Stats;
   std::printf("exploration: %s\n", Stats.str().c_str());
 
   if (Stats.Deadlocks || Stats.AssertionViolations) {
-    std::printf("first finding:\n%s", Ex.reports()[0].str().c_str());
+    std::printf("first finding:\n%s", Search.Reports[0].str().c_str());
   } else if (Stats.Completed) {
     std::printf("no deadlocks or assertion violations up to depth %zu "
                 "(exhaustive)\n",

@@ -7,6 +7,8 @@
 #     equivalence; Asan+UBSan: pass pipeline, vm, analysis cache, domain
 #     partition) are re-run by name (the full ctest pass above includes
 #     them too; this step fails if one drops out of discovery);
+#   * the benchmark's own smoke mode (`perfbench/run.py --smoke`) builds
+#     perfbench/ against src/ and checks every workload's verdict;
 #   * the steal_grid bench series gates sequential throughput, parallel
 #     speedup (multi-core boxes only) and steady-state allocation;
 #   * any BENCH_*.json benchmark outputs lying around the build tree must
@@ -57,6 +59,13 @@ for filter in 'Tsan\.StateCache' \
   fi
   (cd "$BUILD" && ctest --output-on-failure -R "$filter")
 done
+
+echo "== perfbench smoke =="
+# perfbench/ compiles src/ on its own (Release, into $CARGO_TARGET_DIR or
+# .bench_build) and calls compile(), explore() and SearchResult::Workers,
+# so an src/ change that breaks the benchmark build or one of its verdict
+# oracles must fail here rather than only when the benchmark runs.
+python3 perfbench/run.py --smoke
 
 echo "== artifact schema checks =="
 PY=python3

@@ -77,20 +77,6 @@ CompileResult closer::compile(const std::string &Source,
   return R;
 }
 
-CloseResult closer::closeSource(const std::string &Source,
-                                const ClosingOptions &Options) {
-  PipelineOptions PO;
-  PO.Closing = Options;
-  CompileResult CR = compile(Source, PO);
-
-  CloseResult Result;
-  Result.Diags = std::move(CR.Diags);
-  Result.Stats = CR.Closing;
-  Result.Open = std::move(CR.Open);
-  Result.Closed = std::move(CR.M);
-  return Result;
-}
-
 json::Value closer::compileArtifactToJson(const CompileResult &R) {
   json::Value Root = json::Value::object();
   Root.add("schema", closeStatsJsonSchema());

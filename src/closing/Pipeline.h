@@ -22,15 +22,9 @@
 ///   json::writeJsonFile(Path, closer::compileArtifactToJson(R));
 /// \endcode
 ///
-/// closer::closeSource() is the historical single-purpose wrapper (parse,
-/// check, lower, analyze, close), now a thin shim over compile():
-///
-/// \code
-///   closer::CloseResult R = closer::closeSource(SourceText);
-///   if (!R.ok()) { report R.Diags; }
-///   run VeriSoft-style exploration on *R.Closed, or persist
-///   closer::emitModuleSource(*R.Closed).
-/// \endcode
+/// With the default options the pipeline parses, checks, lowers, analyzes
+/// and closes: explore the closed *R.M with closer::explore(), or persist
+/// closer::emitModuleSource(*R.M).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -94,20 +88,6 @@ inline const char *closeStatsJsonSchema() { return "closer-close-stats-v1"; }
 /// per-pass wall times, analysis cache counters and the per-transform
 /// stats blocks.
 json::Value compileArtifactToJson(const CompileResult &R);
-
-/// Everything produced by one closing run.
-struct CloseResult {
-  DiagnosticEngine Diags;
-  std::unique_ptr<Module> Open;   ///< The compiled open module.
-  std::unique_ptr<Module> Closed; ///< The transformed closed module.
-  ClosingStats Stats;
-
-  bool ok() const { return Closed != nullptr && !Diags.hasErrors(); }
-};
-
-/// Parses, checks, lowers, analyzes and closes \p Source.
-CloseResult closeSource(const std::string &Source,
-                        const ClosingOptions &Options = {});
 
 /// Compiles \p Source and returns the (possibly open) module, or nullptr
 /// with diagnostics in \p Diags. Verifies the lowered module.

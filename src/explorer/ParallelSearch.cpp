@@ -1,4 +1,4 @@
-//===- ParallelSearch.cpp - Work-sharing parallel stateless search ---------===//
+//===- ParallelSearch.cpp - The search behind explore() -------------------===//
 //
 // Part of the closer project: a reproduction of "Automatically Closing Open
 // Reactive Programs" (Colby, Godefroid, Jagadeesan, PLDI 1998).
@@ -15,10 +15,13 @@
 #include <condition_variable>
 #include <cstdio>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_set>
 
 using namespace closer;
+
+namespace {
 
 //===----------------------------------------------------------------------===//
 // Monitor
@@ -29,7 +32,7 @@ using namespace closer;
 /// cooperative stop flag when the wall-clock budget expires or an external
 /// stop flag (SIGINT) is set. Workers are never blocked by it — they only
 /// ever see relaxed atomic loads/stores.
-class ParallelExplorer::Monitor {
+class Monitor {
 public:
   Monitor(const SearchOptions &Opts, SharedSearchControl &Control,
           ExploreScheduler *Sched)
@@ -164,45 +167,6 @@ private:
   std::atomic<bool> Interrupted{false};
 };
 
-//===----------------------------------------------------------------------===//
-// ParallelExplorer
-//===----------------------------------------------------------------------===//
-
-ParallelExplorer::ParallelExplorer(const Module &Mod, SearchOptions Options)
-    : Mod(Mod), Options(std::move(Options)) {
-  // Soundness, not a preference: a sleep set summarizes what *this path*
-  // already covered, but a shared visited cache prunes across paths. A
-  // state skipped here because of the sleep set would be cache-pruned at
-  // its other arrivals and never explored at all.
-  if (this->Options.stateCacheEnabled())
-    this->Options.UseSleepSets = false;
-}
-
-ParallelExplorer::~ParallelExplorer() = default;
-
-/// The replay step that selects option \p Option of decision \p D.
-ReplayStep ParallelExplorer::stepFor(const Explorer::Decision &D,
-                                     size_t Option) {
-  ReplayStep S;
-  switch (D.K) {
-  case Explorer::Decision::Kind::Sched:
-    S.K = ReplayStep::Kind::Sched;
-    S.Value = D.Procs[Option];
-    break;
-  case Explorer::Decision::Kind::Toss:
-    S.K = ReplayStep::Kind::Toss;
-    S.Value = static_cast<int64_t>(Option);
-    break;
-  case Explorer::Decision::Kind::Env:
-    S.K = ReplayStep::Kind::Env;
-    S.Value = static_cast<int64_t>(Option);
-    break;
-  }
-  return S;
-}
-
-namespace {
-
 uint64_t reportKey(const ErrorReport &R) {
   uint64_t H = 1469598103934665603ull;
   auto Mix = [&H](uint64_t V) {
@@ -262,31 +226,32 @@ void accumulate(SearchStats &Into, const SearchStats &From) {
 
 } // namespace
 
-bool ParallelExplorer::donateOne(Explorer &Ex, ExploreScheduler &Sched,
-                                 int W) {
+//===----------------------------------------------------------------------===//
+// Explorer: the search loop and work sharing
+//===----------------------------------------------------------------------===//
+
+bool Explorer::donateOne(ExploreScheduler &Sched, int W) {
   // Donate from the highest (closest to the work-item root) decision with
   // untried siblings: that is the largest parcel of remaining work, which
   // is what keeps skewed trees balanced. The donated option is taken from
   // the tail of the sibling range so the donor's own left-to-right DFS
   // order is unaffected.
-  for (size_t I = Ex.Floor; I < Ex.Path.size(); ++I) {
-    Explorer::Decision &D = Ex.Path[I];
+  for (size_t I = Floor; I < Path.size(); ++I) {
+    Decision &D = Path[I];
     size_t End = D.ownedOptionEnd();
     if (D.Chosen + 1 >= End)
       continue;
     WorkItem Item;
     Item.FreshFrom = I;
-    Item.Prefix.reserve(I + 1);
-    for (size_t J = 0; J != I; ++J)
-      Item.Prefix.push_back(stepFor(Ex.Path[J], Ex.Path[J].Chosen));
-    Item.Prefix.push_back(stepFor(D, End - 1));
+    Item.Prefix = choicesUpTo(I);
+    Item.Prefix.push_back(D.step(End - 1));
     // Ship the deepest checkpoint at or below the donation point: its
     // snapshot is the state before Path[Cursor] with the current choices
     // [0, Cursor), which are exactly the prefix steps just serialized
     // (Cursor <= I, and backtracking can only have changed choices at or
     // above the checkpoint's own cursor, which pops it first). The
     // receiver then replays Prefix[Cursor..] instead of the whole prefix.
-    for (auto It = Ex.Ckpts.rbegin(); It != Ex.Ckpts.rend(); ++It) {
+    for (auto It = Ckpts.rbegin(); It != Ckpts.rend(); ++It) {
       if (It->Cursor > I)
         continue;
       if (It->Cursor > 0) {
@@ -296,7 +261,7 @@ bool ParallelExplorer::donateOne(Explorer &Ex, ExploreScheduler &Sched,
         // Checkpoints are trace-light; the receiver's trace is unrelated
         // to ours, so ship a full copy (valid here for the same reason the
         // checkpoint itself is: the prefix it covers is still in force).
-        Item.Snap = Ex.Sys.materializeTrace(It->Snap);
+        Item.Snap = Sys.materializeTrace(It->Snap);
       }
       break;
     }
@@ -312,316 +277,275 @@ bool ParallelExplorer::donateOne(Explorer &Ex, ExploreScheduler &Sched,
   return false;
 }
 
-void ParallelExplorer::driveExplorer(Explorer &Ex, ExploreScheduler *Sched,
-                                     int W) {
+void Explorer::drive(ExploreScheduler *Sched, int W) {
   // Donation throttling is demand-driven (Scheduler::wantDonation): a
   // parcel is shed only while more workers are parked than parcels are
-  // queued. This supersedes the fixed DonateBackoff counter the old shared
-  // work queue needed — that constant existed because every donation paid
-  // a mutex round-trip and a broadcast wakeup, so donors had to ration
-  // blindly. A donation now costs one lock-free deque push and at most one
-  // targeted unpark, and the throttle reacts to actual demand: zero
+  // queued. A donation costs one lock-free deque push and at most one
+  // targeted unpark, so the throttle reacts to actual demand: zero
   // donations while everyone is busy, immediate ones when a sibling
   // starves, with no tuning knob to mis-set.
   for (;;) {
-    bool Continue = Ex.runOnce();
-    ++Ex.Stats.Runs;
-    uint64_t TotalRuns = Control.Runs.fetch_add(1, std::memory_order_relaxed) + 1;
+    bool Continue = runOnce();
+    ++Stats.Runs;
+    uint64_t TotalRuns =
+        Shared ? Shared->Runs.fetch_add(1, std::memory_order_relaxed) + 1
+               : Stats.Runs;
     if (Options.MaxRuns && TotalRuns >= Options.MaxRuns)
-      Ex.requestStop();
-    if (!Continue || Ex.stopRequested()) {
-      // A cooperative stop cut this path short; remember the in-flight
-      // choice prefix so an interrupted run can name its abandoned
-      // subtrees (`replay:` resume lines).
-      if (Ex.stopRequested())
-        Ex.LastInFlight = Ex.currentChoices();
+      requestStop();
+    if (!Continue || stopRequested()) {
+      // runOnce() only gives up under a stop. Remember the in-flight
+      // choice prefix so a stopped run can name its abandoned subtrees
+      // (`replay:` resume lines).
+      LastInFlight = currentChoices();
       return;
     }
-    if (!Ex.backtrack())
+    if (!backtrack())
       return;
     if (Sched && Sched->wantDonation())
-      donateOne(Ex, *Sched, W);
+      donateOne(*Sched, W);
   }
 }
 
-void ParallelExplorer::workerMain(Explorer &Ex, ExploreScheduler &Sched,
-                                  int W) {
+void Explorer::work(ExploreScheduler &Sched, int W) {
   WorkItem Item;
   while (Sched.next(W, Item)) {
-    if (Item.HasSnap)
-      Ex.beginSubtree(std::move(Item.Prefix), Item.FreshFrom,
-                      std::move(Item.Snap), Item.SnapCursor,
-                      std::move(Item.SnapSleep));
-    else
-      Ex.beginSubtree(std::move(Item.Prefix), Item.FreshFrom);
-    driveExplorer(Ex, &Sched, W);
+    beginSubtree(std::move(Item));
+    drive(&Sched, W);
     // The parcel is retired whether its subtree was exhausted or abandoned
     // under a stop; the last retirement declares the run drained.
     Sched.finishItem();
-    if (Ex.stopRequested()) {
+    if (stopRequested()) {
       Sched.requestStop();
       break;
     }
   }
-  // Scheduler traffic and allocator counters become part of this worker's
-  // stats (and of the merged totals). Both are owner-written, so reading
-  // them on the worker's own thread is race-free.
+  // Scheduler traffic becomes part of this worker's stats (and of the
+  // merged totals). The counters are owner-written, so reading them on the
+  // worker's own thread is race-free.
   const sched::WorkerCounters &C = Sched.counters(W);
-  Ex.Stats.Steals = C.Steals;
-  Ex.Stats.Wakeups = C.Wakeups;
-  Ex.syncAllocStats();
-}
-
-void ParallelExplorer::mergeResults(const std::vector<Explorer *> &Parts) {
-  Stats = SearchStats();
-  Reports.clear();
-  Covered.clear();
-  PerWorker.clear();
-
-  // Under caching the same erroneous state can be freshly reached along
-  // different paths before its fingerprint lands in the table, so dedup by
-  // state identity; otherwise the choice sequence is the identity.
-  const bool ByState = Options.stateCacheEnabled();
-  std::unordered_set<uint64_t> SeenReports;
-  for (Explorer *Ex : Parts) {
-    PerWorker.push_back(Ex->Stats);
-    accumulate(Stats, Ex->Stats);
-    Covered.insert(Ex->CoveredOps.begin(), Ex->CoveredOps.end());
-    for (ErrorReport &R : Ex->Reports) {
-      uint64_t Key = ByState ? stateReportKey(R) : reportKey(R);
-      if (!SeenReports.insert(Key).second)
-        continue; // Same error reported twice — keep one.
-      Reports.push_back(std::move(R));
-    }
-  }
-
-  // Deterministic report order regardless of worker scheduling: shallow
-  // errors first, ties broken by the replayable choice sequence.
-  std::sort(Reports.begin(), Reports.end(),
-            [](const ErrorReport &A, const ErrorReport &B) {
-              if (A.Depth != B.Depth)
-                return A.Depth < B.Depth;
-              return replayToString(A.Choices) < replayToString(B.Choices);
-            });
-  if (Reports.size() > Options.MaxReports) {
-    Stats.ReportsDropped += Reports.size() - Options.MaxReports;
-    Reports.resize(Options.MaxReports);
-  }
-
-  if (Options.TrackCoverage) {
-    for (const ProcCfg &Proc : Mod.Procs)
-      for (const CfgNode &Node : Proc.Nodes)
-        Stats.VisibleOpsTotal += Node.isVisibleOp();
-    Stats.VisibleOpsCovered = Covered.size();
-  }
-}
-
-void ParallelExplorer::collectResume(
-    std::vector<std::vector<ReplayStep>> InFlight,
-    std::vector<WorkItem> Unclaimed) {
-  Resume.clear();
-  std::unordered_set<std::string> Seen;
-  auto Add = [&](std::vector<ReplayStep> P) {
-    if (P.empty())
-      return;
-    if (!Seen.insert(replayToString(P)).second)
-      return;
-    Resume.push_back(std::move(P));
-  };
-  for (std::vector<ReplayStep> &P : InFlight)
-    Add(std::move(P));
-  for (WorkItem &I : Unclaimed)
-    Add(std::move(I.Prefix));
-  // Deepest abandoned path first; ties broken by the replay string so the
-  // order is independent of worker scheduling.
-  std::sort(Resume.begin(), Resume.end(),
-            [](const std::vector<ReplayStep> &A,
-               const std::vector<ReplayStep> &B) {
-              if (A.size() != B.size())
-                return A.size() > B.size();
-              return replayToString(A) < replayToString(B);
-            });
-}
-
-SearchStats ParallelExplorer::run() {
-  const auto Begin = std::chrono::steady_clock::now();
-  auto Elapsed = [&Begin] {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         Begin)
-        .count();
-  };
-  Resume.clear();
-
-  // One shared fingerprint table per run: every explorer (the sequential
-  // one, the seeder, and all workers) consults the same cache, so a state
-  // expanded anywhere is pruned everywhere. Rebuilt fresh each run —
-  // stale fingerprints from a previous run would prune unsoundly.
-  Cache.reset();
-  if (Options.stateCacheEnabled())
-    Cache = std::make_unique<StateCache>(Options.StateCacheBits);
-
-  if (Options.Jobs <= 1) {
-    Explorer Ex(Mod, Options);
-    Ex.Cache = Cache.get();
-    // Observability (progress counters, budgets, SIGINT) rides on the
-    // shared-control atomics; attach them only when asked for, so an
-    // unobserved sequential run keeps its atomic-free hot path.
-    const bool Observed = Monitor::wanted(Options);
-    Monitor Mon(Options, Control, nullptr);
-    if (Observed) {
-      Control.resetCounters();
-      Ex.Shared = &Control;
-      Mon.start();
-    }
-    Ex.run();
-    Mon.stop();
-    std::vector<Explorer *> Parts{&Ex};
-    mergeResults(Parts);
-    Stats.Completed = Ex.stats().Completed;
-    // mergeResults re-derives coverage; keep the sequential run's numbers.
-    Stats.VisibleOpsTotal = Ex.stats().VisibleOpsTotal;
-    Stats.VisibleOpsCovered = Ex.stats().VisibleOpsCovered;
-    Stats.Interrupted = Mon.interrupted() && !Stats.Completed;
-    Stats.WallSeconds = Elapsed();
-    if (!Stats.Completed)
-      collectResume({Ex.LastInFlight}, {});
-    return Stats;
-  }
-
-  Control.resetCounters();
-
-  const int Jobs = static_cast<int>(Options.Jobs);
-  // The scheduler and monitor exist for the whole run — including the
-  // sequential seeding phase, which a time budget or Ctrl-C must also be
-  // able to interrupt.
-  ExploreScheduler Sched(Jobs);
-  Monitor Mon(Options, Control, &Sched);
-  Mon.start();
-
-  // Phase 1 — sequential seeding: expand the tree to the split depth,
-  // collecting the frontier prefixes. The seeder owns (counts, reports)
-  // everything strictly above the frontier; each frontier node and its
-  // subtree belong to the worker that claims the prefix.
-  size_t SplitDepth = Options.SplitDepth;
-  if (SplitDepth == 0) {
-    SplitDepth = 3;
-    for (size_t J = 1; J < Options.Jobs; J <<= 1)
-      ++SplitDepth;
-  }
-
-  std::vector<std::vector<ReplayStep>> Frontier;
-  Explorer Seeder(Mod, Options);
-  Seeder.Cache = Cache.get();
-  Seeder.Shared = &Control;
-  Seeder.FrontierSink = &Frontier;
-  Seeder.FrontierDepth = SplitDepth;
-  driveExplorer(Seeder, nullptr, 0);
-  Seeder.FrontierSink = nullptr;
-  Seeder.syncAllocStats();
-
-  // Phase 2 — parallel subtree exhaustion with work stealing. The frontier
-  // is dealt round-robin across the per-worker deques before any worker
-  // thread starts, so everyone begins with local work and stealing only
-  // kicks in once the initial shares go uneven.
-  {
-    int Target = 0;
-    for (std::vector<ReplayStep> &Prefix : Frontier) {
-      WorkItem Item;
-      Item.FreshFrom = Prefix.size(); // Replay of the prefix is never fresh.
-      Item.Prefix = std::move(Prefix);
-      Sched.seed(Target, std::move(Item));
-      Target = (Target + 1) % Jobs;
-    }
-  }
-
-  std::vector<std::unique_ptr<Explorer>> Workers;
-  Workers.reserve(static_cast<size_t>(Jobs));
-  for (int W = 0; W != Jobs; ++W) {
-    Workers.push_back(std::make_unique<Explorer>(Mod, Options));
-    Workers.back()->Cache = Cache.get();
-    Workers.back()->Shared = &Control;
-  }
-
-  if (Control.Stop.load(std::memory_order_acquire))
-    Sched.requestStop(); // Budget/first error already hit while seeding.
-
-  {
-    std::vector<std::thread> Threads;
-    Threads.reserve(static_cast<size_t>(Jobs));
-    for (int W = 0; W != Jobs; ++W)
-      Threads.emplace_back(
-          [this, &Sched, W, Ex = Workers[static_cast<size_t>(W)].get()] {
-            workerMain(*Ex, Sched, W);
-          });
-    for (std::thread &T : Threads)
-      T.join();
-  }
-
-  Mon.stop();
-
-  std::vector<Explorer *> Parts;
-  Parts.push_back(&Seeder);
-  for (std::unique_ptr<Explorer> &W : Workers)
-    Parts.push_back(W.get());
-  mergeResults(Parts);
-  Stats.Completed = !Control.Stop.load(std::memory_order_acquire);
-  Stats.Interrupted = Mon.interrupted() && !Stats.Completed;
-  Stats.WallSeconds = Elapsed();
-  if (!Stats.Completed) {
-    std::vector<std::vector<ReplayStep>> InFlight;
-    for (Explorer *Ex : Parts)
-      InFlight.push_back(std::move(Ex->LastInFlight));
-    collectResume(std::move(InFlight), Sched.drainRemaining());
-  }
-  return Stats;
+  Stats.Steals = C.Steals;
+  Stats.Wakeups = C.Wakeups;
+  finish();
 }
 
 //===----------------------------------------------------------------------===//
 // closer::explore — the one search entry point
 //===----------------------------------------------------------------------===//
 
-SearchResult closer::explore(const Module &Mod, const SearchOptions &Options) {
-  SearchOptions Opts = Options;
-  // Normalize before constructing the backend so the options recorded in
-  // the result describe the search that actually ran. Jobs == 0 means one
-  // worker per hardware thread; the resolved count lands in
-  // SearchResult::Options (and from there in the stats-json artifact).
+namespace {
+
+/// Folds the explorers' results into \p R: stats summed (one Workers entry
+/// per explorer), reports deduplicated and put in an order independent of
+/// worker scheduling, coverage unioned.
+void mergeResults(const Module &Mod, const std::vector<Explorer *> &Parts,
+                  SearchResult &R) {
+  // Under caching the same erroneous state can be freshly reached along
+  // different paths before its fingerprint lands in the table, so dedup by
+  // state identity; otherwise the choice sequence is the identity.
+  const bool ByState = R.Options.stateCacheEnabled();
+  std::unordered_set<uint64_t> SeenReports;
+  std::unordered_set<uint64_t> Covered;
+  for (Explorer *Ex : Parts) {
+    R.Workers.push_back(Ex->Stats);
+    accumulate(R.Stats, Ex->Stats);
+    Covered.insert(Ex->CoveredOps.begin(), Ex->CoveredOps.end());
+    for (ErrorReport &Rep : Ex->Reports) {
+      uint64_t Key = ByState ? stateReportKey(Rep) : reportKey(Rep);
+      if (SeenReports.insert(Key).second) // Same error twice — keep one.
+        R.Reports.push_back(std::move(Rep));
+    }
+  }
+
+  // Shallow errors first, ties broken by the replayable choice sequence.
+  std::sort(R.Reports.begin(), R.Reports.end(),
+            [](const ErrorReport &A, const ErrorReport &B) {
+              if (A.Depth != B.Depth)
+                return A.Depth < B.Depth;
+              return replayToString(A.Choices) < replayToString(B.Choices);
+            });
+  if (R.Reports.size() > R.Options.MaxReports) {
+    R.Stats.ReportsDropped += R.Reports.size() - R.Options.MaxReports;
+    R.Reports.resize(R.Options.MaxReports);
+  }
+
+  for (size_t P = 0, E = Mod.Procs.size(); P != E; ++P) {
+    const ProcCfg &Proc = Mod.Procs[P];
+    for (size_t I = 0, N = Proc.Nodes.size(); I != N; ++I)
+      if (Proc.Nodes[I].isVisibleOp() &&
+          !Covered.count((static_cast<uint64_t>(P) << 32) | I))
+        R.Uncovered.push_back({Proc.Name, static_cast<NodeId>(I)});
+  }
+  R.Stats.VisibleOpsCovered = Covered.size();
+  R.Stats.VisibleOpsTotal = Parts.front()->Stats.VisibleOpsTotal;
+}
+
+/// The resume prefixes of a stopped run: the nonempty \p Abandoned
+/// prefixes, deduplicated, deepest first with ties broken by the replay
+/// string so the order is independent of worker scheduling.
+std::vector<std::vector<ReplayStep>>
+resumePrefixes(std::vector<std::vector<ReplayStep>> Abandoned) {
+  std::vector<std::vector<ReplayStep>> Out;
+  std::unordered_set<std::string> Seen;
+  for (std::vector<ReplayStep> &P : Abandoned)
+    if (!P.empty() && Seen.insert(replayToString(P)).second)
+      Out.push_back(std::move(P));
+  std::sort(Out.begin(), Out.end(),
+            [](const std::vector<ReplayStep> &A,
+               const std::vector<ReplayStep> &B) {
+              if (A.size() != B.size())
+                return A.size() > B.size();
+              return replayToString(A) < replayToString(B);
+            });
+  return Out;
+}
+
+/// The search behind explore() and collectTraces(): a seeding pass, then
+/// (Jobs > 1) the workers, all running Explorer::drive(). Leaf traces go
+/// to \p TraceSink when it is set (single-job runs only).
+SearchResult runSearch(const Module &Mod, const SearchOptions &Options,
+                       std::vector<Trace> *TraceSink, size_t TraceSinkCap) {
+  const auto Begin = std::chrono::steady_clock::now();
+  SearchResult R;
+  // Normalize first, so the options recorded in the result describe the
+  // search that actually ran. Jobs == 0 means one worker per hardware
+  // thread; the resolved count lands in the stats-json artifact.
+  R.Options = Options;
+  SearchOptions &Opts = R.Options;
   if (Opts.Jobs == 0) {
     unsigned HW = std::thread::hardware_concurrency();
     Opts.Jobs = HW ? HW : 1;
     if (Opts.Jobs > 1024)
       Opts.Jobs = 1024; // validate()'s ceiling; absurd HW reports exist.
   }
+  // Soundness, not a preference: a sleep set summarizes what *this path*
+  // already covered, but a shared visited cache prunes across paths. A
+  // state skipped here because of the sleep set would be cache-pruned at
+  // its other arrivals and never explored at all.
   if (Opts.stateCacheEnabled())
-    Opts.UseSleepSets = false; // Unsound with a cross-path visited cache.
+    Opts.UseSleepSets = false;
   // Compile the bytecode once; the seeder and every worker share the
   // immutable module while owning their own register files.
   if (Opts.Exec != ExecMode::Interp && !Opts.VmCode)
     Opts.VmCode = vm::compileModule(Mod);
 
-  ParallelExplorer Ex(Mod, Opts);
-  SearchResult R;
-  R.Options = std::move(Opts);
-  R.Stats = Ex.run();
-  R.Reports = Ex.reports();
-  R.Workers = Ex.workerStats();
-  R.Resume = Ex.resumePrefixes();
-  R.Uncovered = Ex.uncoveredVisibleOps();
+  // One shared fingerprint table per run: every explorer (the seeder and
+  // all workers) consults the same cache, so a state expanded anywhere is
+  // pruned everywhere.
+  std::unique_ptr<StateCache> Cache;
+  if (Opts.stateCacheEnabled())
+    Cache = std::make_unique<StateCache>(Opts.StateCacheBits);
+
+  // A multi-job run has a scheduler; the monitor (progress, budgets,
+  // SIGINT) watches the whole run, including the seeding pass, which a
+  // time budget or Ctrl-C must also be able to interrupt. The shared
+  // atomics are attached only when something reads them — other workers
+  // or the monitor — so an unobserved single-job run keeps its
+  // atomic-free hot path.
+  const int Jobs = static_cast<int>(Opts.Jobs);
+  std::optional<ExploreScheduler> Sched;
+  if (Jobs > 1)
+    Sched.emplace(Jobs);
+  SharedSearchControl Control;
+  SharedSearchControl *Shared =
+      Sched || Monitor::wanted(Opts) ? &Control : nullptr;
+  Monitor Mon(Opts, Control, Sched ? &*Sched : nullptr);
+  Mon.start();
+
+  // Phase 1 — sequential seeding: expand the tree to the split depth,
+  // collecting the frontier prefixes. The seeder owns (counts, reports)
+  // everything strictly above the frontier; each frontier node and its
+  // subtree belong to the worker that claims the prefix. With one job
+  // there is no split depth: the seeding pass is the whole search.
+  std::vector<std::vector<ReplayStep>> Frontier;
+  Explorer Seeder(Mod, Opts, Cache.get(), Shared);
+  Seeder.TraceSink = TraceSink;
+  Seeder.TraceSinkCap = TraceSinkCap;
+  if (Sched) {
+    size_t SplitDepth = Opts.SplitDepth;
+    if (SplitDepth == 0) {
+      SplitDepth = 3;
+      for (size_t J = 1; J < Opts.Jobs; J <<= 1)
+        ++SplitDepth;
+    }
+    Seeder.FrontierSink = &Frontier;
+    Seeder.FrontierDepth = SplitDepth;
+  }
+  Seeder.drive(nullptr, 0);
+  Seeder.finish();
+
+  // Phase 2 — parallel subtree exhaustion with work stealing. The frontier
+  // is dealt round-robin across the per-worker deques before any worker
+  // thread starts, so everyone begins with local work and stealing only
+  // kicks in once the initial shares go uneven.
+  std::vector<std::unique_ptr<Explorer>> Workers;
+  if (Sched) {
+    int Target = 0;
+    for (std::vector<ReplayStep> &Prefix : Frontier) {
+      WorkItem Item;
+      Item.FreshFrom = Prefix.size(); // Replay of the prefix is never fresh.
+      Item.Prefix = std::move(Prefix);
+      Sched->seed(Target, std::move(Item));
+      Target = (Target + 1) % Jobs;
+    }
+    for (int W = 0; W != Jobs; ++W)
+      Workers.push_back(
+          std::make_unique<Explorer>(Mod, Opts, Cache.get(), Shared));
+    if (Control.Stop.load(std::memory_order_acquire))
+      Sched->requestStop(); // Budget/first error already hit while seeding.
+
+    std::vector<std::thread> Threads;
+    for (int W = 0; W != Jobs; ++W)
+      Threads.emplace_back([&Sched, W, Ex = Workers[W].get()] {
+        Ex->work(*Sched, W);
+      });
+    for (std::thread &T : Threads)
+      T.join();
+  }
+  Mon.stop();
+
+  std::vector<Explorer *> Parts{&Seeder};
+  for (std::unique_ptr<Explorer> &W : Workers)
+    Parts.push_back(W.get());
+  mergeResults(Mod, Parts, R);
+  R.Stats.Completed = !Seeder.stopRequested();
+  R.Stats.Interrupted = Mon.interrupted() && !R.Stats.Completed;
+  R.Stats.WallSeconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - Begin)
+          .count();
+  if (!R.Stats.Completed) {
+    std::vector<std::vector<ReplayStep>> Abandoned;
+    for (Explorer *Ex : Parts)
+      Abandoned.push_back(std::move(Ex->LastInFlight));
+    if (Sched)
+      for (WorkItem &I : Sched->drainRemaining())
+        Abandoned.push_back(std::move(I.Prefix));
+    R.Resume = resumePrefixes(std::move(Abandoned));
+  }
   return R;
 }
 
-std::vector<std::pair<std::string, NodeId>>
-ParallelExplorer::uncoveredVisibleOps() const {
-  std::vector<std::pair<std::string, NodeId>> Out;
-  for (size_t P = 0, E = Mod.Procs.size(); P != E; ++P) {
-    const ProcCfg &Proc = Mod.Procs[P];
-    for (size_t I = 0, N = Proc.Nodes.size(); I != N; ++I) {
-      if (!Proc.Nodes[I].isVisibleOp())
-        continue;
-      uint64_t Key = (static_cast<uint64_t>(P) << 32) | I;
-      if (!Covered.count(Key))
-        Out.push_back({Proc.Name, static_cast<NodeId>(I)});
-    }
+} // namespace
+
+SearchResult closer::explore(const Module &Mod, const SearchOptions &Options) {
+  return runSearch(Mod, Options, nullptr, 0);
+}
+
+TraceSet closer::collectTraces(const Module &Mod, const SearchOptions &Options,
+                               size_t MaxTraces) {
+  SearchOptions Opts = Options;
+  Opts.Jobs = 1;
+  std::vector<Trace> Sink;
+  // Collect with headroom: many leaves share a trace.
+  SearchResult R = runSearch(Mod, Opts, &Sink, MaxTraces * 4);
+
+  TraceSet Out;
+  Out.Stats = R.Stats;
+  std::unordered_set<std::string> Seen;
+  for (Trace &T : Sink) {
+    if (Out.Traces.size() >= MaxTraces)
+      break;
+    if (Seen.insert(traceToString(T)).second)
+      Out.Traces.push_back(std::move(T));
   }
   return Out;
 }

@@ -1,4 +1,4 @@
-//===- ParallelSearch.h - Work-sharing parallel stateless search -*- C++ -*-===//
+//===- ParallelSearch.h - The search behind explore() -----------*- C++ -*-===//
 //
 // Part of the closer project: a reproduction of "Automatically Closing Open
 // Reactive Programs" (Colby, Godefroid, Jagadeesan, PLDI 1998).
@@ -6,24 +6,28 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Parallel VeriSoft-style search. Stateless exploration is embarrassingly
-/// parallel: a recorded choice prefix fully determines the subtree below
-/// it, so disjoint prefixes can be exhausted by independent workers, each
-/// owning a private System replaying from the initial state.
+/// Internal to closer::explore() (explorer/Search.h): the depth-first
+/// search worker and the work-sharing search that runs it. Stateless
+/// exploration is embarrassingly parallel: a recorded choice prefix fully
+/// determines the subtree below it, so disjoint prefixes can be exhausted
+/// by independent workers, each owning a private System.
 ///
 ///  * a sequential seeding pass expands the search tree to a split depth
 ///    and seeds the frontier prefixes round-robin across per-worker
-///    work-stealing deques (sched/Scheduler.h);
+///    work-stealing deques (sched/Scheduler.h). With one job there is no
+///    split depth, no scheduler and no thread: the seeding pass is the
+///    whole search;
 ///  * N workers claim prefixes — own deque first, then stealing — and run
-///    the ordinary bounded DFS below them, pinned so backtracking never
-///    escapes the claimed subtree;
+///    the same runOnce/backtrack loop below them, pinned so backtracking
+///    never escapes the claimed subtree;
 ///  * an idle worker parks on a wait node after its steal sweep fails;
 ///    busy workers donate the highest unexplored sibling prefix of their
 ///    current path whenever more workers are parked than parcels are
 ///    queued, each donation waking exactly one sleeper, so load stays
 ///    balanced on skewed trees without broadcast wakeups;
 ///  * the MaxRuns/MaxStates budgets and the StopOnFirstError stop flag
-///    live in shared atomics consulted at every replay step;
+///    live in shared atomics consulted at every replay step (a single
+///    unobserved worker keeps them in its own counters instead);
 ///  * per-worker SearchStats are merged at exit, and ErrorReports are
 ///    deduplicated by a hash of their choice sequence (by the erroneous
 ///    state's fingerprint under state caching, where distinct paths can
@@ -32,121 +36,282 @@
 ///    table (explorer/StateCache.h), so a state expanded by any worker is
 ///    pruned everywhere else.
 ///
-/// Without caching, the result is bit-identical to the sequential
-/// Explorer's on every tree-shaped statistic (states, tree transitions,
-/// leaf classification) and reports the same error set, independent of
-/// worker scheduling, because the work items partition the search tree
-/// exactly. Under caching, the *report set* stays deterministic for
-/// truncation-free runs while visit order and replay-effort stats may
-/// vary; see docs/ALGORITHM.md "Concurrent state caching".
-///
-/// This class is an implementation detail of closer::explore() (Search.h):
-/// construct it directly only in tests that exercise the backend itself.
+/// Without caching, the result is bit-identical to the single-job run's on
+/// every tree-shaped statistic (states, tree transitions, leaf
+/// classification) and reports the same error set, independent of worker
+/// scheduling, because the work items partition the search tree exactly.
+/// Under caching, the *report set* stays deterministic for truncation-free
+/// runs while visit order and replay-effort stats may vary; see
+/// docs/ALGORITHM.md "Concurrent state caching".
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CLOSER_EXPLORER_PARALLELSEARCH_H
 #define CLOSER_EXPLORER_PARALLELSEARCH_H
 
+#include "explorer/Footprints.h"
 #include "explorer/Search.h"
 #include "sched/Scheduler.h"
+#include "support/Arena.h"
 
+#include <algorithm>
+#include <atomic>
 #include <memory>
+#include <unordered_set>
 #include <vector>
 
 namespace closer {
 
-class ParallelExplorer {
+/// State shared between the explorers of one run: the global
+/// MaxRuns/MaxStates budgets and the StopOnFirstError stop flag keep their
+/// sequential meaning by living in atomics every worker consults.
+struct SharedSearchControl {
+  std::atomic<uint64_t> StatesVisited{0};
+  std::atomic<uint64_t> Runs{0};
+  std::atomic<bool> Stop{false};
+  // Observability counters, maintained with relaxed increments on the
+  // worker hot path and snapshotted (racily, by design) by the progress
+  // monitor; they steer nothing, so staleness is harmless.
+  std::atomic<uint64_t> Transitions{0};
+  /// Reports retained by any worker; duplicates are not yet deduplicated
+  /// here, so this may exceed the final merged report count.
+  std::atomic<uint64_t> Reports{0};
+  /// Deepest global state reached by any worker so far.
+  std::atomic<uint64_t> MaxDepthSeen{0};
+  // State-cache traffic (zero when caching is off); progress-only, like
+  // Transitions/Reports above.
+  std::atomic<uint64_t> CacheHits{0};
+  std::atomic<uint64_t> CacheInserts{0};
+  std::atomic<uint64_t> CacheSaturated{0};
+};
+
+/// A claimed unit of work: explore the whole subtree under Prefix.
+/// Decisions at index >= FreshFrom have not been executed by any other
+/// worker and count as fresh for stats/report purposes.
+///
+/// When the donor held a checkpoint at or below the donation point, a copy
+/// rides along (HasSnap): the receiver restores Snap and replays only
+/// Prefix[SnapCursor..] instead of re-executing the whole prefix from the
+/// initial state. Without it, a work item donated at depth d costs d
+/// replayed transitions before any fresh exploration starts, which
+/// dominates the wall clock of deep, donation-heavy runs.
+struct WorkItem {
+  std::vector<ReplayStep> Prefix;
+  size_t FreshFrom = 0;
+  bool HasSnap = false;
+  /// Number of leading Prefix steps Snap already covers; Snap is the state
+  /// *before* Prefix[SnapCursor] executes, with SnapSleep the sleep set in
+  /// force there (empty when sleep sets are off).
+  size_t SnapCursor = 0;
+  std::vector<int> SnapSleep;
+  SystemSnapshot Snap;
+};
+
+/// The scheduler a multi-job run works on: per-worker Chase–Lev deques of
+/// WorkItems plus a parking lot for idle workers.
+using ExploreScheduler = sched::Scheduler<WorkItem>;
+
+/// One depth-first search worker: a private System, the current DFS path
+/// and its checkpoints, and the statistics, reports and coverage of
+/// everything it explored. explore() runs one as the seeding pass and one
+/// per worker thread, then merges their results.
+class Explorer {
 public:
-  ParallelExplorer(const Module &Mod, SearchOptions Options = {});
-  ~ParallelExplorer();
+  /// \p Options must already be normalized by explore() (VmCode compiled
+  /// for Vm/Both). \p Cache and \p Shared are null when caching is off and
+  /// for an unobserved single-job run, respectively.
+  Explorer(const Module &Mod, const SearchOptions &Options, StateCache *Cache,
+           SharedSearchControl *Shared);
 
-  /// Runs the exploration to completion (or budget exhaustion) on
-  /// Options.Jobs worker threads. Jobs <= 1 runs the sequential Explorer.
-  /// State caching is legal with any job count: the workers share one
-  /// concurrent fingerprint table.
-  SearchStats run();
+  /// Exhausts the current (sub)tree — the whole tree unless a work item
+  /// pins a prefix or a frontier cuts it — with the one runOnce/backtrack
+  /// loop every job count shares. A budget or cooperative stop records the
+  /// in-flight prefix in LastInFlight. \p Sched is null for the seeding
+  /// pass; otherwise \p W is the calling worker's index, and a sibling
+  /// subtree is donated whenever the scheduler wants one.
+  void drive(ExploreScheduler *Sched, int W);
 
-  const std::vector<ErrorReport> &reports() const { return Reports; }
-  const SearchStats &stats() const { return Stats; }
+  /// Worker-thread body: claims work items (own deque, then stealing) and
+  /// drives each until the scheduler drains or the run stops.
+  void work(ExploreScheduler &Sched, int W);
 
-  /// Per-part statistics of the last run: element 0 is the seeding pass
-  /// (or the single explorer of a sequential run), then one entry per
-  /// worker thread. Summing them reproduces stats() up to the
-  /// merge-derived fields (coverage, Completed/Interrupted/WallSeconds).
-  const std::vector<SearchStats> &workerStats() const { return PerWorker; }
+  /// Completes Stats once this explorer is done: allocator counters, the
+  /// visible operations it covered, and whether its part of the tree was
+  /// exhausted. With one job that part is the whole search.
+  void finish();
 
-  /// When the last run was stopped cooperatively (time budget, SIGINT, or
-  /// a hard budget), the choice prefixes of the abandoned subtrees:
-  /// every worker's deepest in-flight path plus the unclaimed work items,
-  /// deepest first. Each is replayable (`closer replay`) and names a
-  /// subtree a by-hand resumption would still have to explore. Empty for
-  /// completed runs.
-  const std::vector<std::vector<ReplayStep>> &resumePrefixes() const {
-    return Resume;
+  bool stopRequested() const {
+    return StopFlag ||
+           (Shared && Shared->Stop.load(std::memory_order_acquire));
   }
 
-  /// Visible-operation call sites never exercised by the last run, merged
-  /// over all workers.
-  std::vector<std::pair<std::string, NodeId>> uncoveredVisibleOps() const;
+  /// Seeding mode: instead of descending past FrontierDepth decisions,
+  /// emit the choice prefix here and treat the node as an artificial leaf.
+  /// The frontier node itself is left uncounted for its future owner.
+  std::vector<std::vector<ReplayStep>> *FrontierSink = nullptr;
+  size_t FrontierDepth = 0;
+  /// Leaf traces are appended here (up to TraceSinkCap) when set.
+  std::vector<Trace> *TraceSink = nullptr;
+  size_t TraceSinkCap = 0;
+
+  // Results, accumulated across every subtree this explorer drove.
+  SearchStats Stats;
+  std::vector<ErrorReport> Reports;
+  /// Covered visible sites, packed as ProcIdx * 2^32 + NodeId.
+  std::unordered_set<uint64_t> CoveredOps;
+  /// The choice prefix that was in flight when a stop cut the search
+  /// short — the deepest abandoned path, replayable by hand to resume the
+  /// search (empty when the search ended normally).
+  std::vector<ReplayStep> LastInFlight;
 
 private:
-  /// A claimed unit of work: explore the whole subtree under Prefix.
-  /// Decisions at index >= FreshFrom have not been executed by any other
-  /// worker and count as fresh for stats/report purposes.
-  ///
-  /// When the donor held a checkpoint at or below the donation point, a
-  /// copy rides along (HasSnap): the receiver restores Snap and replays
-  /// only Prefix[SnapCursor..] instead of re-executing the whole prefix
-  /// from the initial state. Without it, a work item donated at depth d
-  /// costs d replayed transitions before any fresh exploration starts,
-  /// which dominates the wall clock of deep, donation-heavy runs.
-  struct WorkItem {
-    std::vector<ReplayStep> Prefix;
-    size_t FreshFrom = 0;
-    bool HasSnap = false;
-    /// Number of leading Prefix steps Snap already covers; Snap is the
-    /// state *before* Prefix[SnapCursor] executes, with SnapSleep the
-    /// sleep set in force there (empty when sleep sets are off).
-    size_t SnapCursor = 0;
-    std::vector<int> SnapSleep;
+  struct Decision {
+    enum class Kind { Sched, Toss, Env };
+    Kind K = Kind::Sched;
+    // Sched:
+    std::vector<int> Procs; ///< Candidate processes, in exploration order.
+    std::vector<int> Sleep; ///< Sleep set on entry (process indices).
+    // Toss/Env:
+    int64_t Bound = 0;
+    size_t Chosen = 0;
+    /// Trailing options handed to another worker by work sharing;
+    /// backtrack() must not re-explore them.
+    uint32_t DonatedTail = 0;
+
+    size_t optionCount() const {
+      if (K == Kind::Sched)
+        return Procs.size();
+      // A negative bound is a runtime error (the System reports it before
+      // any choice is recorded); never let it wrap into a huge count.
+      return Bound < 0 ? 1 : static_cast<size_t>(Bound) + 1;
+    }
+    /// Options still owned by this explorer (donated ones excluded).
+    size_t ownedOptionEnd() const { return optionCount() - DonatedTail; }
+    /// The replay step that selects option \p Option of this decision.
+    ReplayStep step(size_t Option) const;
+  };
+
+  class PathProvider;
+
+  /// A snapshot of the System just before executing decision Path[Cursor],
+  /// with the sleep set in force at that point. Stays valid while the
+  /// decision survives backtracking (Cursor < Path.size()) — the decision's
+  /// Chosen branch may change underneath it, since the snapshot captures
+  /// the state *before* the choice is acted on.
+  struct Checkpoint {
+    size_t Cursor = 0;
+    std::vector<int> Sleep;
     SystemSnapshot Snap;
   };
 
-  /// The scheduler instantiation this explorer runs on: per-worker
-  /// Chase–Lev deques of WorkItems plus a parking lot for idle workers.
-  using ExploreScheduler = sched::Scheduler<WorkItem>;
-
-  class Monitor;
-
-  /// Exhausts the explorer's current (sub)tree: runOnce/backtrack loop
-  /// with shared-budget accounting, donating work while workers starve.
-  /// \p Sched is null for the sequential seeding pass; \p W is the calling
-  /// worker's scheduler index.
-  void driveExplorer(Explorer &Ex, ExploreScheduler *Sched, int W);
-  void workerMain(Explorer &Ex, ExploreScheduler &Sched, int W);
-  /// Moves one unexplored sibling subtree from Ex's path to worker \p W's
-  /// deque (whence an idle worker steals it).
-  static bool donateOne(Explorer &Ex, ExploreScheduler &Sched, int W);
-  /// The replay step selecting option \p Option of decision \p D.
-  static ReplayStep stepFor(const Explorer::Decision &D, size_t Option);
-  void mergeResults(const std::vector<Explorer *> &Parts);
-
-  /// Gathers the abandoned-subtree prefixes of a cooperatively stopped
-  /// run into Resume (deepest first, deduplicated).
-  void collectResume(std::vector<std::vector<ReplayStep>> InFlight,
-                     std::vector<WorkItem> Unclaimed);
+  /// Executes one full path following (and extending) Path. Returns false
+  /// when the global stop condition triggered.
+  bool runOnce();
+  bool backtrack();
+  /// Snapshots the state before executing Path[Cursor] when the checkpoint
+  /// interval (or a worker's pinned prefix) calls for it.
+  void maybeCheckpoint(const std::vector<int> &CurSleep);
+  /// Decisions Path[0, N) in replayable form, each at its chosen option.
+  std::vector<ReplayStep> choicesUpTo(size_t N) const;
+  /// The choices consumed so far in the current run.
+  std::vector<ReplayStep> currentChoices() const {
+    return choicesUpTo(std::min(Cursor, Path.size()));
+  }
+  /// Persistent-set candidate selection; overwrites \p Out (which is pool
+  /// or scratch storage on the hot path).
+  void schedCandidatesInto(const std::vector<int> &Enabled,
+                           const std::vector<int> &Sleep,
+                           std::vector<int> &Out);
+  // Pool recycling for path/checkpoint storage; popping without releasing
+  // is only a missed reuse, never a leak.
+  void releaseDecision(Decision &D);
+  void releaseCheckpoint(Checkpoint &C);
+  void clearPath();
+  void clearCkpts();
+  void report(ErrorReport R);
+  /// Stops this explorer and, when coordinated, every sibling worker.
+  void requestStop() {
+    StopFlag = true;
+    if (Shared)
+      Shared->Stop.store(true, std::memory_order_release);
+  }
+  /// Prepares this explorer to exhaust the subtree under \p Item's prefix.
+  /// The prefix decisions are reconstructed (candidates and sleep sets
+  /// recomputed) during the first runOnce() without recounting stats;
+  /// decisions at index >= Item.FreshFrom count as fresh. backtrack() then
+  /// never pops below the prefix. When the item ships the donor's
+  /// checkpoint, the first runOnce() restores it and replays only the
+  /// prefix tail; the covered head is materialized as placeholder
+  /// decisions (single-option, never executed) so currentChoices() and
+  /// donation prefixes still serialize the full path from the root.
+  void beginSubtree(WorkItem Item);
+  /// Moves one unexplored sibling subtree from the current path to worker
+  /// \p W's deque (whence an idle worker steals it).
+  bool donateOne(ExploreScheduler &Sched, int W);
 
   const Module &Mod;
   SearchOptions Options;
-  SharedSearchControl Control;
-  SearchStats Stats;
-  std::vector<ErrorReport> Reports;
-  std::vector<SearchStats> PerWorker;
-  std::vector<std::vector<ReplayStep>> Resume;
-  std::unordered_set<uint64_t> Covered; ///< Union of worker coverage sets.
-  /// The shared visited-state table when caching is on (rebuilt per run).
-  std::unique_ptr<StateCache> Cache;
+  FootprintAnalysis Footprints;
+  System Sys;
+  /// The engine installed into Sys for Vm/Both modes (null for Interp).
+  /// Owned here: each explorer needs its own register file even when the
+  /// compiled code is shared.
+  std::unique_ptr<ExecEngine> Engine;
+  std::vector<Decision> Path;
+  size_t Cursor = 0;
+  /// Checkpoints along the current path, shallowest first (strictly
+  /// increasing Cursor). Empty when CheckpointInterval is 0.
+  std::vector<Checkpoint> Ckpts;
+  /// The run's visited-state fingerprint table, consulted at fresh
+  /// arrivals and shared by every explorer of the run (null when caching
+  /// is off).
+  StateCache *Cache;
+  /// Shared budgets/stop flag and progress counters (null for an
+  /// unobserved single-job run, whose hot path then touches no atomics).
+  SharedSearchControl *Shared;
+  bool StopFlag = false;
+
+  // Work-item state (see beginSubtree).
+  /// Decisions [0, Floor) are a pinned work-item prefix; backtrack() stops
+  /// there instead of at the root.
+  size_t Floor = 0;
+  /// Choice prefix still to be reconstructed into Path on the next
+  /// runOnce(), and the cursor walking it.
+  std::vector<ReplayStep> SeedPrefix;
+  size_t SeedCursor = 0;
+  /// First prefix index whose execution counts as fresh (seeded items:
+  /// prefix length — nothing; donated items: the donated sibling step).
+  size_t SeedFresh = 0;
+  /// Work-item snapshot: restored whenever no regular checkpoint survives,
+  /// so with CheckpointInterval 0 every path of the item still starts at
+  /// SeedSnap.Cursor instead of the initial state. Cursor/Sleep/Snap reuse
+  /// the Checkpoint layout.
+  bool SeedSnapValid = false;
+  Checkpoint SeedSnap;
+
+  // Hot-path allocation recycling (support/Arena.h). All per-explorer and
+  // single-threaded: in a parallel run each worker's Explorer owns its own
+  // arena and pools, so the steady state touches no shared allocator at
+  // all. Pool misses are bounded by the DFS-stack high-water mark; the
+  // arena stops growing once the deepest path has been visited.
+  /// Recycles Decision::Procs/Sleep and Checkpoint::Sleep.
+  support::VectorPool<int> IntPool;
+  /// Recycles checkpoint snapshots: restoring content into a pooled
+  /// snapshot reuses its process/comm/trace buffers.
+  support::ObjectPool<SystemSnapshot> SnapPool;
+  /// Backs the per-transition footprint scratch bitsets (FpBuf).
+  support::Arena FpArena;
+  // Per-transition scratch, reused across every state expansion.
+  std::vector<int> EnabledBuf;
+  std::vector<std::pair<int, NodeId>> FrameBuf;
+  /// One footprint per process, words on FpArena; sized once per run.
+  std::vector<ObjSet> FpBuf;
+  /// Union-find scratch for schedCandidatesInto.
+  std::vector<int> CompBuf;
+  /// Current/next sleep-set scratch for the runOnce descent loop.
+  std::vector<int> SleepCurBuf;
+  std::vector<int> SleepNextBuf;
+  std::vector<int> CandBuf;
 };
 
 } // namespace closer

@@ -5,16 +5,14 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "explorer/Search.h"
+#include "explorer/ParallelSearch.h"
 
 #include "vm/Differential.h"
 #include "vm/Vm.h"
 
 #include <algorithm>
 #include <cassert>
-#include <functional>
 #include <numeric>
-#include <unordered_set>
 
 using namespace closer;
 
@@ -131,9 +129,9 @@ std::string ErrorReport::str() const {
 
 /// Feeds recorded toss/env decisions back during replay and appends fresh
 /// ones (always choosing 0 first) when execution passes the recorded
-/// frontier. When the explorer carries a work-item seed prefix
-/// (ParallelExplorer), decisions past the recorded path follow that prefix
-/// instead of defaulting to 0, rebuilding the donor's Decision records.
+/// frontier. When the explorer carries a work-item seed prefix, decisions
+/// past the recorded path follow that prefix instead of defaulting to 0,
+/// rebuilding the donor's Decision records.
 class Explorer::PathProvider : public ChoiceProvider {
 public:
   PathProvider(Explorer &E, size_t FreshFrom, bool &FreshMode)
@@ -186,19 +184,16 @@ private:
 // Explorer
 //===----------------------------------------------------------------------===//
 
-Explorer::Explorer(const Module &Mod, SearchOptions Options)
-    : Mod(Mod), Options(Options), Footprints(Mod),
-      Sys(Mod, Options.Runtime) {
-  if (this->Options.Exec != ExecMode::Interp) {
-    // explore() normally pre-compiles once for all workers; a directly
-    // constructed Explorer compiles its own copy so correctness never
-    // depends on the caller (or the optional lower-bytecode pass).
-    if (!this->Options.VmCode)
-      this->Options.VmCode = vm::compileModule(Mod);
-    if (this->Options.Exec == ExecMode::Vm)
-      Engine = std::make_unique<vm::Vm>(this->Options.VmCode);
+Explorer::Explorer(const Module &Mod, const SearchOptions &Options,
+                   StateCache *Cache, SharedSearchControl *Shared)
+    : Mod(Mod), Options(Options), Footprints(Mod), Sys(Mod, Options.Runtime),
+      Cache(Cache), Shared(Shared) {
+  if (Options.Exec != ExecMode::Interp) {
+    assert(Options.VmCode && "explore() compiles the bytecode");
+    if (Options.Exec == ExecMode::Vm)
+      Engine = std::make_unique<vm::Vm>(Options.VmCode);
     else
-      Engine = std::make_unique<vm::DifferentialEngine>(this->Options.VmCode);
+      Engine = std::make_unique<vm::DifferentialEngine>(Options.VmCode);
     Sys.setEngine(Engine.get());
   }
 }
@@ -213,28 +208,23 @@ void Explorer::report(ErrorReport R) {
   }
 }
 
-/// The choices consumed so far in the current run, in replayable form.
-std::vector<ReplayStep> Explorer::currentChoices() const {
-  std::vector<ReplayStep> Out;
-  for (size_t I = 0; I < Cursor && I < Path.size(); ++I) {
-    const Decision &D = Path[I];
-    ReplayStep S;
-    switch (D.K) {
-    case Decision::Kind::Sched:
-      S.K = ReplayStep::Kind::Sched;
-      S.Value = D.Procs[D.Chosen];
-      break;
-    case Decision::Kind::Toss:
-      S.K = ReplayStep::Kind::Toss;
-      S.Value = static_cast<int64_t>(D.Chosen);
-      break;
-    case Decision::Kind::Env:
-      S.K = ReplayStep::Kind::Env;
-      S.Value = static_cast<int64_t>(D.Chosen);
-      break;
-    }
-    Out.push_back(S);
+ReplayStep Explorer::Decision::step(size_t Option) const {
+  switch (K) {
+  case Kind::Sched:
+    return {ReplayStep::Kind::Sched, Procs[Option]};
+  case Kind::Toss:
+    return {ReplayStep::Kind::Toss, static_cast<int64_t>(Option)};
+  case Kind::Env:
+    return {ReplayStep::Kind::Env, static_cast<int64_t>(Option)};
   }
+  return {};
+}
+
+std::vector<ReplayStep> Explorer::choicesUpTo(size_t N) const {
+  std::vector<ReplayStep> Out;
+  Out.reserve(N);
+  for (size_t I = 0; I != N; ++I)
+    Out.push_back(Path[I].step(Path[I].Chosen));
   return Out;
 }
 
@@ -247,7 +237,6 @@ std::vector<ReplayStep> Explorer::currentChoices() const {
 /// across calls, so the steady state allocates nothing here.
 void Explorer::schedCandidatesInto(const std::vector<int> &Enabled,
                                    const std::vector<int> &Sleep,
-                                   const std::vector<int> & /*SleepObjs*/,
                                    std::vector<int> &Out) {
   Out.clear();
   if (Options.UsePersistentSets && Sys.processCount() > 1) {
@@ -321,22 +310,37 @@ void Explorer::schedCandidatesInto(const std::vector<int> &Enabled,
               Out.end());
 }
 
-void Explorer::syncAllocStats() {
+void Explorer::finish() {
   Stats.ArenaBytes = FpArena.bytesFromUpstream();
   Stats.PoolFresh = IntPool.fresh() + SnapPool.fresh();
+  Stats.VisibleOpsCovered = CoveredOps.size();
+  Stats.VisibleOpsTotal = 0;
+  for (const ProcCfg &Proc : Mod.Procs)
+    for (const CfgNode &Node : Proc.Nodes)
+      Stats.VisibleOpsTotal += Node.isVisibleOp();
+  Stats.Completed = !stopRequested();
 }
 
-void Explorer::beginSubtree(std::vector<ReplayStep> Prefix, size_t FreshFrom,
-                            SystemSnapshot Snap, size_t SnapCursor,
-                            std::vector<int> SnapSleep) {
-  assert(SnapCursor < Prefix.size() &&
+void Explorer::beginSubtree(WorkItem Item) {
+  clearPath();
+  Cursor = 0;
+  clearCkpts(); // Snapshots index into the abandoned path.
+  LastInFlight.clear();
+  Floor = Item.Prefix.size();
+  SeedPrefix = std::move(Item.Prefix);
+  SeedCursor = 0;
+  SeedFresh = Item.FreshFrom;
+  SeedSnapValid = Item.HasSnap;
+  SeedSnap = Checkpoint();
+  if (!Item.HasSnap)
+    return;
+  assert(Item.SnapCursor < SeedPrefix.size() &&
          "snapshot must sit strictly inside the work-item prefix");
-  beginSubtree(std::move(Prefix), FreshFrom);
   // Placeholder decisions for the snapshot-covered head: Cursor starts at
   // SnapCursor on every run of this item, so these are never executed or
   // backtracked (they sit below Floor) — they only have to serialize
   // correctly, which needs exactly one option carrying the seed value.
-  for (size_t I = 0; I < SnapCursor; ++I) {
+  for (size_t I = 0; I < Item.SnapCursor; ++I) {
     const ReplayStep &S = SeedPrefix[I];
     Decision D;
     switch (S.K) {
@@ -358,11 +362,10 @@ void Explorer::beginSubtree(std::vector<ReplayStep> Prefix, size_t FreshFrom,
     }
     Path.push_back(std::move(D));
   }
-  SeedCursor = SnapCursor;
-  SeedSnap.Cursor = SnapCursor;
-  SeedSnap.Sleep = std::move(SnapSleep);
-  SeedSnap.Snap = std::move(Snap);
-  SeedSnapValid = true;
+  SeedCursor = Item.SnapCursor;
+  SeedSnap.Cursor = Item.SnapCursor;
+  SeedSnap.Sleep = std::move(Item.SnapSleep);
+  SeedSnap.Snap = std::move(Item.Snap);
 }
 
 bool Explorer::runOnce() {
@@ -485,7 +488,7 @@ bool Explorer::runOnce() {
       Decision D;
       D.K = Decision::Kind::Sched;
       D.Procs = IntPool.acquire();
-      schedCandidatesInto(Enabled, CurSleep, {}, D.Procs);
+      schedCandidatesInto(Enabled, CurSleep, D.Procs);
       D.Sleep = IntPool.acquire();
       D.Sleep.assign(CurSleep.begin(), CurSleep.end());
       auto It = std::find(D.Procs.begin(), D.Procs.end(),
@@ -558,7 +561,7 @@ bool Explorer::runOnce() {
           Rep.Choices = currentChoices();
           Rep.StateFp = Sys.fingerprint();
           report(std::move(Rep));
-          if (Options.StopOnFirstError && Options.DeadlockIsError)
+          if (Options.StopOnFirstError)
             requestStop();
         } else {
           ++Stats.Terminations;
@@ -571,7 +574,7 @@ bool Explorer::runOnce() {
         RecordLeafTrace();
         return true;
       }
-      schedCandidatesInto(Enabled, CurSleep, {}, CandBuf);
+      schedCandidatesInto(Enabled, CurSleep, CandBuf);
       if (CandBuf.empty()) {
         ++Stats.SleepSetPrunes;
         RecordLeafTrace();
@@ -620,13 +623,10 @@ bool Explorer::runOnce() {
         NewSleep.push_back(Q);
     }
 
-    if (Options.TrackCoverage) {
-      Sys.frameStackInto(Chosen, FrameBuf);
-      if (!FrameBuf.empty())
-        CoveredOps.insert(
-            (static_cast<uint64_t>(FrameBuf.back().first) << 32) |
-            FrameBuf.back().second);
-    }
+    Sys.frameStackInto(Chosen, FrameBuf);
+    if (!FrameBuf.empty())
+      CoveredOps.insert((static_cast<uint64_t>(FrameBuf.back().first) << 32) |
+                        FrameBuf.back().second);
     ExecResult R = Sys.executeTransition(Chosen, Provider);
     ++Stats.Transitions;
     if (Shared)
@@ -695,8 +695,8 @@ void Explorer::clearCkpts() {
 
 bool Explorer::backtrack() {
   // Decisions below Floor belong to the work item's pinned prefix (Floor
-  // is 0 for a plain sequential search); options donated to other workers
-  // are excluded from re-exploration.
+  // is 0 for the seeding pass); options donated to other workers are
+  // excluded from re-exploration.
   while (Path.size() > Floor) {
     Decision &D = Path.back();
     if (D.Chosen + 1 < D.ownedOptionEnd()) {
@@ -707,95 +707,4 @@ bool Explorer::backtrack() {
     Path.pop_back();
   }
   return false;
-}
-
-SearchStats Explorer::run() {
-  // Re-invocation starts from a clean slate: stats, reports, caches, and
-  // any parallel work-item state left by a previous use of this explorer.
-  // An externally attached cache (ParallelExplorer's shared table) is the
-  // attacher's to manage; only a privately owned one is rebuilt here.
-  Stats = SearchStats();
-  Reports.clear();
-  if (Cache == OwnedCache.get()) {
-    if (Options.stateCacheEnabled()) {
-      OwnedCache = std::make_unique<StateCache>(Options.StateCacheBits);
-      Cache = OwnedCache.get();
-    } else {
-      OwnedCache.reset();
-      Cache = nullptr;
-    }
-  }
-  CoveredOps.clear();
-  clearPath();
-  Cursor = 0;
-  clearCkpts();
-  StopFlag = false;
-  LastInFlight.clear();
-  Floor = 0;
-  SeedPrefix.clear();
-  SeedCursor = 0;
-  SeedFresh = 0;
-  SeedSnapValid = false;
-  SeedSnap = Checkpoint();
-
-  for (;;) {
-    bool Continue = runOnce();
-    ++Stats.Runs;
-    if (!Continue || StopFlag) {
-      if (stopRequested())
-        LastInFlight = currentChoices();
-      break;
-    }
-    if (Options.MaxRuns && Stats.Runs >= Options.MaxRuns)
-      break;
-    if (!backtrack()) {
-      Stats.Completed = true;
-      break;
-    }
-  }
-
-  if (Options.TrackCoverage) {
-    for (const ProcCfg &Proc : Mod.Procs)
-      for (const CfgNode &Node : Proc.Nodes)
-        Stats.VisibleOpsTotal += Node.isVisibleOp();
-    Stats.VisibleOpsCovered = CoveredOps.size();
-  }
-  syncAllocStats();
-  return Stats;
-}
-
-std::vector<std::pair<std::string, NodeId>>
-Explorer::uncoveredVisibleOps() const {
-  std::vector<std::pair<std::string, NodeId>> Out;
-  for (size_t P = 0, E = Mod.Procs.size(); P != E; ++P) {
-    const ProcCfg &Proc = Mod.Procs[P];
-    for (size_t I = 0, N = Proc.Nodes.size(); I != N; ++I) {
-      if (!Proc.Nodes[I].isVisibleOp())
-        continue;
-      uint64_t Key = (static_cast<uint64_t>(P) << 32) | I;
-      if (!CoveredOps.count(Key))
-        Out.push_back({Proc.Name, static_cast<NodeId>(I)});
-    }
-  }
-  return Out;
-}
-
-std::vector<Trace> Explorer::collectTraces(size_t MaxTraces) {
-  std::vector<Trace> Sink;
-  TraceSink = &Sink;
-  TraceSinkCap = MaxTraces * 4; // Collect with headroom, dedup below.
-  run();
-  TraceSink = nullptr;
-
-  std::vector<Trace> Unique;
-  std::unordered_set<std::string> Seen;
-  for (Trace &T : Sink) {
-    std::string Key = traceToString(T);
-    if (Seen.insert(std::move(Key)).second) {
-      Unique.push_back(std::move(T));
-      if (Unique.size() >= MaxTraces)
-        break;
-    }
-  }
-  return Unique;
 }

@@ -26,7 +26,7 @@ size_t countKind(const ProcCfg &Proc, CfgNodeKind Kind) {
 }
 
 TEST(ClosingEdgeTest, TaintedSwitchBecomesTossOverArms) {
-  CloseResult R = closeSource(R"(
+  CompileResult R = compile(R"(
 chan c[4];
 
 proc main() {
@@ -45,7 +45,7 @@ proc main() {
 process m = main();
 )");
   ASSERT_TRUE(R.ok()) << R.Diags.str();
-  const ProcCfg &P = R.Closed->Procs[0];
+  const ProcCfg &P = R.M->Procs[0];
   EXPECT_EQ(countKind(P, CfgNodeKind::Switch), 0u);
   ASSERT_EQ(countKind(P, CfgNodeKind::TossBranch), 1u);
   for (const CfgNode &Node : P.Nodes)
@@ -57,7 +57,7 @@ process m = main();
 TEST(ClosingEdgeTest, NestedTaintedBranchesCollapseToOneWideToss) {
   // Two nested eliminated tests with four distinct marked leaves: the
   // single control arc entering the region needs a 4-way toss.
-  CloseResult R = closeSource(R"(
+  CompileResult R = compile(R"(
 chan c[8];
 
 proc main() {
@@ -81,7 +81,7 @@ proc main() {
 process m = main();
 )");
   ASSERT_TRUE(R.ok()) << R.Diags.str();
-  const ProcCfg &P = R.Closed->Procs[0];
+  const ProcCfg &P = R.M->Procs[0];
   ASSERT_EQ(countKind(P, CfgNodeKind::TossBranch), 1u);
   for (const CfgNode &Node : P.Nodes)
     if (Node.Kind == CfgNodeKind::TossBranch) {
@@ -90,7 +90,7 @@ process m = main();
 }
 
 TEST(ClosingEdgeTest, TaintedArrayIndexEliminatesAccess) {
-  CloseResult R = closeSource(R"(
+  CompileResult R = compile(R"(
 chan c[4];
 
 proc main() {
@@ -109,7 +109,7 @@ proc main() {
 process m = main();
 )");
   ASSERT_TRUE(R.ok()) << R.Diags.str();
-  const ProcCfg &P = R.Closed->Procs[0];
+  const ProcCfg &P = R.M->Procs[0];
   // The read through the tainted index and the branch on it are gone.
   EXPECT_EQ(countKind(P, CfgNodeKind::Branch), 0u);
   EXPECT_EQ(countKind(P, CfgNodeKind::TossBranch), 1u);
@@ -123,7 +123,7 @@ process m = main();
 }
 
 TEST(ClosingEdgeTest, TaintedTossBoundIsEliminated) {
-  CloseResult R = closeSource(R"(
+  CompileResult R = compile(R"(
 chan c[4];
 
 proc main() {
@@ -140,7 +140,7 @@ proc main() {
 process m = main();
 )");
   ASSERT_TRUE(R.ok()) << R.Diags.str();
-  const ProcCfg &P = R.Closed->Procs[0];
+  const ProcCfg &P = R.M->Procs[0];
   // The env-bounded toss call is gone; the downstream branch became a
   // two-way toss node.
   for (const CfgNode &Node : P.Nodes)
@@ -150,7 +150,7 @@ process m = main();
 }
 
 TEST(ClosingEdgeTest, UncalledDeadProcedureClosesWithoutProcesses) {
-  CloseResult R = closeSource(R"(
+  CompileResult R = compile(R"(
 chan c[2];
 
 proc unused(x) {
@@ -169,14 +169,14 @@ process m = main();
   ASSERT_TRUE(R.ok()) << R.Diags.str();
   // `unused` has no environment-bound parameters (never instantiated or
   // called), so it survives untouched.
-  const ProcCfg *Unused = R.Closed->findProc("unused");
+  const ProcCfg *Unused = R.M->findProc("unused");
   ASSERT_NE(Unused, nullptr);
   EXPECT_EQ(Unused->Params.size(), 1u);
   EXPECT_EQ(countKind(*Unused, CfgNodeKind::Branch), 1u);
 }
 
 TEST(ClosingEdgeTest, RecursiveTaintedProcedure) {
-  CloseResult R = closeSource(R"(
+  CompileResult R = compile(R"(
 chan c[8];
 
 proc walk(n, depth) {
@@ -199,7 +199,7 @@ proc main() {
 process m = main();
 )");
   ASSERT_TRUE(R.ok()) << R.Diags.str();
-  const ProcCfg *Walk = R.Closed->findProc("walk");
+  const ProcCfg *Walk = R.M->findProc("walk");
   ASSERT_NE(Walk, nullptr);
   // n is env-bound (via main) and recursively re-bound: removed. depth is
   // internal (constants 0, depth+1): kept.
@@ -210,16 +210,14 @@ process m = main();
   EXPECT_EQ(countKind(*Walk, CfgNodeKind::Branch), 1u);
 
   // Executable and bounded.
-  SearchOptions Opts;
-  Explorer Ex(*R.Closed, Opts);
-  SearchStats Stats = Ex.run();
+  SearchStats Stats = explore(*R.M, {}).Stats;
   EXPECT_TRUE(Stats.Completed);
   EXPECT_EQ(Stats.RuntimeErrors, 0u);
   EXPECT_GT(Stats.Terminations, 0u);
 }
 
 TEST(ClosingEdgeTest, EnvOutputOfUntaintedValueStillRemoved) {
-  CloseResult R = closeSource(R"(
+  CompileResult R = compile(R"(
 chan c[2];
 
 proc main() {
@@ -231,13 +229,13 @@ proc main() {
 process m = main();
 )");
   ASSERT_TRUE(R.ok()) << R.Diags.str();
-  EXPECT_EQ(R.Stats.EnvCallsRemoved, 1u);
-  for (const ProcCfg &Proc : R.Closed->Procs)
+  EXPECT_EQ(R.Closing.EnvCallsRemoved, 1u);
+  for (const ProcCfg &Proc : R.M->Procs)
     for (const CfgNode &Node : Proc.Nodes)
       EXPECT_FALSE(Node.Kind == CfgNodeKind::Call &&
                    Node.Builtin == BuiltinKind::EnvOutput);
   // The untainted send payload is intact.
-  const ProcCfg &P = R.Closed->Procs[0];
+  const ProcCfg &P = R.M->Procs[0];
   for (const CfgNode &Node : P.Nodes)
     if (Node.Kind == CfgNodeKind::Call && Node.Builtin == BuiltinKind::Send) {
       EXPECT_EQ(Node.Args[1]->Kind, ExprKind::VarRef);
@@ -245,7 +243,7 @@ process m = main();
 }
 
 TEST(ClosingEdgeTest, WholeBodyEliminatedYieldsStartToReturn) {
-  CloseResult R = closeSource(R"(
+  CompileResult R = compile(R"(
 proc main() {
   var a;
   var b;
@@ -257,7 +255,7 @@ proc main() {
 process m = main();
 )");
   ASSERT_TRUE(R.ok()) << R.Diags.str();
-  const ProcCfg &P = R.Closed->Procs[0];
+  const ProcCfg &P = R.M->Procs[0];
   // Everything was environment-dependent: only Start and Return remain.
   ASSERT_EQ(P.Nodes.size(), 2u);
   EXPECT_EQ(P.Nodes[0].Kind, CfgNodeKind::Start);
@@ -268,7 +266,7 @@ TEST(ClosingEdgeTest, MixedConstAndEnvInstantiationsRemoveParamEverywhere) {
   // One env instantiation taints the parameter for every instance; the
   // constant instantiation loses its (now meaningless) argument too —
   // exactly the conservatism the paper describes for Step 5.
-  CloseResult R = closeSource(R"(
+  CompileResult R = compile(R"(
 chan c[4];
 
 proc worker(id) {
@@ -282,11 +280,11 @@ process w1 = worker(7);
 process w2 = worker(env);
 )");
   ASSERT_TRUE(R.ok()) << R.Diags.str();
-  EXPECT_TRUE(R.Closed->findProc("worker")->Params.empty());
-  for (const ProcessDecl &Inst : R.Closed->Processes)
+  EXPECT_TRUE(R.M->findProc("worker")->Params.empty());
+  for (const ProcessDecl &Inst : R.M->Processes)
     EXPECT_TRUE(Inst.Args.empty());
   // Both processes now behave most-generally (toss).
-  const ProcCfg &P = *R.Closed->findProc("worker");
+  const ProcCfg &P = *R.M->findProc("worker");
   EXPECT_EQ(countKind(P, CfgNodeKind::TossBranch), 1u);
 }
 

@@ -57,15 +57,15 @@ bool procReferencesVar(const ProcCfg &Proc, const std::string &Name) {
 //===----------------------------------------------------------------------===//
 
 TEST(ClosingTransformTest, Figure2Shape) {
-  CloseResult R = closeSource(figure2Source());
+  CompileResult R = compile(figure2Source());
   ASSERT_TRUE(R.ok()) << R.Diags.str();
 
-  const ProcCfg *P = R.Closed->findProc("p");
+  const ProcCfg *P = R.M->findProc("p");
   ASSERT_NE(P, nullptr);
 
   // Step 5: the environment-defined parameter x is removed.
   EXPECT_TRUE(P->Params.empty());
-  EXPECT_EQ(R.Stats.ParamsRemoved, 1u);
+  EXPECT_EQ(R.Closing.ParamsRemoved, 1u);
 
   // The statements that depended on x are gone: y = x % 2 and the y == 0
   // test are eliminated; x is never referenced.
@@ -101,14 +101,14 @@ TEST(ClosingTransformTest, Figure2Shape) {
   EXPECT_EQ(Sends, 2u);
 
   // The process instantiation no longer mentions env.
-  ASSERT_EQ(R.Closed->Processes.size(), 1u);
-  EXPECT_TRUE(R.Closed->Processes[0].Args.empty());
+  ASSERT_EQ(R.M->Processes.size(), 1u);
+  EXPECT_TRUE(R.M->Processes[0].Args.empty());
 }
 
 TEST(ClosingTransformTest, Figure2IsClosed) {
-  CloseResult R = closeSource(figure2Source());
+  CompileResult R = compile(figure2Source());
   ASSERT_TRUE(R.ok()) << R.Diags.str();
-  EnvAnalysis Analysis(*R.Closed);
+  EnvAnalysis Analysis(*R.M);
   EXPECT_TRUE(Analysis.moduleIsClosed());
 }
 
@@ -117,13 +117,13 @@ TEST(ClosingTransformTest, Figure2IsClosed) {
 //===----------------------------------------------------------------------===//
 
 TEST(ClosingTransformTest, Figure3SameClosedProgramAsFigure2) {
-  CloseResult Rp = closeSource(figure2Source());
-  CloseResult Rq = closeSource(figure3Source());
+  CompileResult Rp = compile(figure2Source());
+  CompileResult Rq = compile(figure3Source());
   ASSERT_TRUE(Rp.ok()) << Rp.Diags.str();
   ASSERT_TRUE(Rq.ok()) << Rq.Diags.str();
 
-  const ProcCfg *P = Rp.Closed->findProc("p");
-  const ProcCfg *Q = Rq.Closed->findProc("q");
+  const ProcCfg *P = Rp.M->findProc("p");
+  const ProcCfg *Q = Rq.M->findProc("q");
   ASSERT_NE(P, nullptr);
   ASSERT_NE(Q, nullptr);
 
@@ -200,22 +200,22 @@ process m = main(env);
 //===----------------------------------------------------------------------===//
 
 TEST(ClosingTransformTest, ClosingIsIdempotent) {
-  CloseResult R = closeSource(figure3Source());
+  CompileResult R = compile(figure3Source());
   ASSERT_TRUE(R.ok()) << R.Diags.str();
 
   ClosingStats Stats2;
-  Module Again = closeModule(*R.Closed, {}, &Stats2);
+  Module Again = closeModule(*R.M, {}, &Stats2);
   EXPECT_EQ(Stats2.ParamsRemoved, 0u);
   EXPECT_EQ(Stats2.EnvCallsRemoved, 0u);
-  EXPECT_EQ(printModule(Again), printModule(*R.Closed));
+  EXPECT_EQ(printModule(Again), printModule(*R.M));
 }
 
 TEST(ClosingTransformTest, StatsAccounting) {
-  CloseResult R = closeSource(figure2Source());
+  CompileResult R = compile(figure2Source());
   ASSERT_TRUE(R.ok()) << R.Diags.str();
-  EXPECT_GT(R.Stats.NodesBefore, R.Stats.NodesAfter);
-  EXPECT_EQ(R.Stats.TossNodesInserted, 1u);
-  EXPECT_GE(R.Stats.NodesEliminated, 2u); // y = x % 2 and the y test.
+  EXPECT_GT(R.Closing.NodesBefore, R.Closing.NodesAfter);
+  EXPECT_EQ(R.Closing.TossNodesInserted, 1u);
+  EXPECT_GE(R.Closing.NodesEliminated, 2u); // y = x % 2 and the y test.
 }
 
 //===----------------------------------------------------------------------===//
@@ -353,12 +353,12 @@ proc main() {
 
 process m = main();
 )";
-  CloseResult R = closeSource(Src);
+  CompileResult R = compile(Src);
   ASSERT_TRUE(R.ok()) << R.Diags.str();
-  EXPECT_EQ(R.Stats.ParamsRemoved, 0u);
-  EXPECT_EQ(R.Stats.TossNodesInserted, 0u);
-  EXPECT_EQ(R.Stats.NodesEliminated, 0u);
-  EXPECT_EQ(printModule(*R.Closed), printModule(*R.Open));
+  EXPECT_EQ(R.Closing.ParamsRemoved, 0u);
+  EXPECT_EQ(R.Closing.TossNodesInserted, 0u);
+  EXPECT_EQ(R.Closing.NodesEliminated, 0u);
+  EXPECT_EQ(printModule(*R.M), printModule(*R.Open));
 }
 
 TEST(ClosingTransformTest, AssertionPayloadNotPreservedWhenTainted) {

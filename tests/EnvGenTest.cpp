@@ -85,15 +85,14 @@ process m = main();
     SearchOptions Opts;
     Opts.UsePersistentSets = false;
     Opts.UseSleepSets = false;
-    Explorer Ex(Naive, Opts);
-    return Ex.run().Runs;
+    return explore(Naive, Opts).Stats.Runs;
   };
   EXPECT_EQ(CountRuns(1), 2u);
   EXPECT_EQ(CountRuns(7), 8u);
   EXPECT_EQ(CountRuns(31), 32u);
 
   // The paper's transformation is domain-independent: one toss, two runs.
-  CloseResult R = closeSource(R"(
+  CompileResult R = compile(R"(
 chan c[4];
 
 proc main() {
@@ -111,8 +110,7 @@ process m = main();
   SearchOptions Opts;
   Opts.UsePersistentSets = false;
   Opts.UseSleepSets = false;
-  Explorer Ex(*R.Closed, Opts);
-  EXPECT_EQ(Ex.run().Runs, 2u);
+  EXPECT_EQ(explore(*R.M, Opts).Stats.Runs, 2u);
 }
 
 TEST(EnvGenTest, NaiveAndTransformedAgreeOnVisibleBehaviors) {
@@ -125,14 +123,12 @@ TEST(EnvGenTest, NaiveAndTransformedAgreeOnVisibleBehaviors) {
 
   SearchOptions Opts;
   Opts.MaxDepth = 30;
-  Explorer NaiveEx(Naive, Opts);
-  std::vector<Trace> NaiveTraces = NaiveEx.collectTraces(256);
+  std::vector<Trace> NaiveTraces = collectTraces(Naive, Opts, 256).Traces;
   ASSERT_FALSE(NaiveTraces.empty());
 
-  CloseResult R = closeSource(figure3Source());
+  CompileResult R = compile(figure3Source());
   ASSERT_TRUE(R.ok());
-  Explorer ClosedEx(*R.Closed, Opts);
-  std::vector<Trace> ClosedTraces = ClosedEx.collectTraces(4096);
+  std::vector<Trace> ClosedTraces = collectTraces(*R.M, Opts, 4096).Traces;
   ASSERT_FALSE(ClosedTraces.empty());
 
   for (const Trace &NT : NaiveTraces) {

@@ -34,8 +34,7 @@ proc main() {
 
 process m = main();
 )");
-  Explorer Ex(*Mod, plainOptions());
-  SearchStats Stats = Ex.run();
+  SearchStats Stats = explore(*Mod, plainOptions()).Stats;
   EXPECT_TRUE(Stats.Completed);
   EXPECT_EQ(Stats.Runs, 1u);
   EXPECT_EQ(Stats.Terminations, 1u);
@@ -55,15 +54,14 @@ proc main() {
 
 process m = main();
 )");
-  Explorer Ex(*Mod, plainOptions());
-  SearchStats Stats = Ex.run();
+  SearchStats Stats = explore(*Mod, plainOptions()).Stats;
   EXPECT_TRUE(Stats.Completed);
   EXPECT_EQ(Stats.Runs, 3u); // Outcomes 0, 1, 2.
   EXPECT_EQ(Stats.Terminations, 3u);
 
-  Explorer Ex2(*Mod, plainOptions());
-  std::vector<Trace> Traces = Ex2.collectTraces(10);
-  ASSERT_EQ(Traces.size(), 3u);
+  TraceSet Traces = collectTraces(*Mod, plainOptions(), 10);
+  ASSERT_EQ(Traces.Traces.size(), 3u);
+  EXPECT_EQ(Traces.Stats.str(), Stats.str());
 }
 
 TEST(ExplorerTest, InterleavingsWithoutReduction) {
@@ -86,8 +84,7 @@ proc pb() {
 process x = pa();
 process y = pb();
 )");
-  Explorer Ex(*Mod, plainOptions());
-  SearchStats Stats = Ex.run();
+  SearchStats Stats = explore(*Mod, plainOptions()).Stats;
   EXPECT_TRUE(Stats.Completed);
   EXPECT_EQ(Stats.Terminations, 6u);
 
@@ -95,8 +92,7 @@ process y = pb();
   SearchOptions Por;
   Por.UsePersistentSets = true;
   Por.UseSleepSets = true;
-  Explorer ExPor(*Mod, Por);
-  SearchStats StatsPor = ExPor.run();
+  SearchStats StatsPor = explore(*Mod, Por).Stats;
   EXPECT_TRUE(StatsPor.Completed);
   EXPECT_EQ(StatsPor.Terminations, 1u);
   EXPECT_LT(StatsPor.StatesVisited, Stats.StatesVisited);
@@ -122,14 +118,12 @@ proc pb() {
 process x = pa();
 process y = pb();
 )");
-  Explorer Plain(*Mod, plainOptions());
-  SearchStats S1 = Plain.run();
+  SearchStats S1 = explore(*Mod, plainOptions()).Stats;
   EXPECT_EQ(S1.Terminations, 2u); // A-then-B and B-then-A.
 
   SearchOptions WithSleep = plainOptions();
   WithSleep.UseSleepSets = true;
-  Explorer Slept(*Mod, WithSleep);
-  SearchStats S2 = Slept.run();
+  SearchStats S2 = explore(*Mod, WithSleep).Stats;
   // Dependent transitions: both orders must still be explored.
   EXPECT_EQ(S2.Terminations, 2u);
 }
@@ -159,19 +153,17 @@ proc right() {
 process l = left();
 process r = right();
 )");
-  Explorer Ex(*Mod, plainOptions());
-  SearchStats Stats = Ex.run();
-  EXPECT_TRUE(Stats.Completed);
-  EXPECT_GE(Stats.Deadlocks, 1u);
-  EXPECT_GE(Stats.Terminations, 1u);
-  ASSERT_FALSE(Ex.reports().empty());
-  EXPECT_EQ(Ex.reports()[0].Kind, ErrorReport::Type::Deadlock);
+  SearchResult R = explore(*Mod, plainOptions());
+  EXPECT_TRUE(R.Stats.Completed);
+  EXPECT_GE(R.Stats.Deadlocks, 1u);
+  EXPECT_GE(R.Stats.Terminations, 1u);
+  ASSERT_FALSE(R.Reports.empty());
+  EXPECT_EQ(R.Reports[0].Kind, ErrorReport::Type::Deadlock);
 
   // Partial-order reduction must preserve deadlock detection (Theorem in
   // [God96]; experiment E7's correctness side).
   SearchOptions Por;
-  Explorer ExPor(*Mod, Por);
-  SearchStats StatsPor = ExPor.run();
+  SearchStats StatsPor = explore(*Mod, Por).Stats;
   EXPECT_TRUE(StatsPor.Completed);
   EXPECT_GE(StatsPor.Deadlocks, 1u);
 }
@@ -186,12 +178,11 @@ proc main() {
 
 process m = main();
 )");
-  Explorer Ex(*Mod, plainOptions());
-  SearchStats Stats = Ex.run();
-  EXPECT_TRUE(Stats.Completed);
-  EXPECT_EQ(Stats.AssertionViolations, 1u);
-  ASSERT_EQ(Ex.reports().size(), 1u);
-  EXPECT_EQ(Ex.reports()[0].Kind, ErrorReport::Type::AssertionViolation);
+  SearchResult R = explore(*Mod, plainOptions());
+  EXPECT_TRUE(R.Stats.Completed);
+  EXPECT_EQ(R.Stats.AssertionViolations, 1u);
+  ASSERT_EQ(R.Reports.size(), 1u);
+  EXPECT_EQ(R.Reports[0].Kind, ErrorReport::Type::AssertionViolation);
 }
 
 TEST(ExplorerTest, StopOnFirstError) {
@@ -206,8 +197,7 @@ process m = main();
 )");
   SearchOptions Opts = plainOptions();
   Opts.StopOnFirstError = true;
-  Explorer Ex(*Mod, Opts);
-  SearchStats Stats = Ex.run();
+  SearchStats Stats = explore(*Mod, Opts).Stats;
   EXPECT_FALSE(Stats.Completed);
   EXPECT_EQ(Stats.AssertionViolations, 1u);
   EXPECT_EQ(Stats.Runs, 1u);
@@ -236,8 +226,7 @@ process b = ponger();
 )");
   SearchOptions Opts = plainOptions();
   Opts.MaxDepth = 10;
-  Explorer Ex(*Mod, Opts);
-  SearchStats Stats = Ex.run();
+  SearchStats Stats = explore(*Mod, Opts).Stats;
   EXPECT_TRUE(Stats.Completed);
   EXPECT_GT(Stats.DepthLimitHits, 0u);
   EXPECT_EQ(Stats.Deadlocks, 0u);
@@ -264,14 +253,11 @@ proc pb() {
 process x = pa();
 process y = pb();
 )");
-  SearchOptions Plain = plainOptions();
-  Explorer Ex(*Mod, Plain);
-  SearchStats S1 = Ex.run();
+  SearchStats S1 = explore(*Mod, plainOptions()).Stats;
 
   SearchOptions Hashed = plainOptions();
   Hashed.StateCacheBits = StateCache::DefaultBits;
-  Explorer ExH(*Mod, Hashed);
-  SearchStats S2 = ExH.run();
+  SearchStats S2 = explore(*Mod, Hashed).Stats;
   EXPECT_GT(S2.CacheHits, 0u);
   EXPECT_LT(S2.StatesVisited, S1.StatesVisited);
 }
@@ -292,8 +278,7 @@ process m = main();
 )");
   SearchOptions Opts = plainOptions();
   Opts.Runtime.EnvDomainBound = 4;
-  Explorer Ex(*Mod, Opts);
-  SearchStats Stats = Ex.run();
+  SearchStats Stats = explore(*Mod, Opts).Stats;
   EXPECT_TRUE(Stats.Completed);
   EXPECT_EQ(Stats.Terminations, 5u); // Domain {0..4}.
 }
@@ -311,16 +296,16 @@ proc main() {
 
 process m = main();
 )");
-  Explorer Ex(*Mod, plainOptions());
-  SearchStats Stats = Ex.run();
-  EXPECT_TRUE(Stats.Completed);
-  EXPECT_EQ(Stats.RuntimeErrors, 1u); // Only the x == 0 branch divides by 0.
-  ASSERT_FALSE(Ex.reports().empty());
-  const ErrorReport &R = Ex.reports()[0];
-  EXPECT_EQ(R.Kind, ErrorReport::Type::RuntimeError);
-  EXPECT_EQ(R.Error.Kind, RunErrorKind::DivisionByZero);
-  ASSERT_EQ(R.TraceToError.size(), 1u);
-  EXPECT_EQ(R.TraceToError[0].Object, "c");
+  SearchResult R = explore(*Mod, plainOptions());
+  EXPECT_TRUE(R.Stats.Completed);
+  // Only the x == 0 branch divides by 0.
+  EXPECT_EQ(R.Stats.RuntimeErrors, 1u);
+  ASSERT_FALSE(R.Reports.empty());
+  const ErrorReport &Rep = R.Reports[0];
+  EXPECT_EQ(Rep.Kind, ErrorReport::Type::RuntimeError);
+  EXPECT_EQ(Rep.Error.Kind, RunErrorKind::DivisionByZero);
+  ASSERT_EQ(Rep.TraceToError.size(), 1u);
+  EXPECT_EQ(Rep.TraceToError[0].Object, "c");
 }
 
 TEST(ExplorerTest, PersistentSetsSplitComponentsDynamically) {
@@ -350,12 +335,10 @@ proc pb() {
 process x = pa();
 process y = pb();
 )");
-  Explorer Plain(*Mod, plainOptions());
-  SearchStats Full = Plain.run();
+  SearchStats Full = explore(*Mod, plainOptions()).Stats;
 
   SearchOptions Por;
-  Explorer Reduced(*Mod, Por);
-  SearchStats WithPor = Reduced.run();
+  SearchStats WithPor = explore(*Mod, Por).Stats;
 
   EXPECT_TRUE(Full.Completed);
   EXPECT_TRUE(WithPor.Completed);
@@ -387,8 +370,7 @@ process w = worker();
 process k = checker();
 )");
   SearchOptions Por;
-  Explorer Ex(*Mod, Por);
-  SearchStats Stats = Ex.run();
+  SearchStats Stats = explore(*Mod, Por).Stats;
   EXPECT_TRUE(Stats.Completed);
   EXPECT_EQ(Stats.AssertionViolations, 1u);
 }
@@ -404,17 +386,27 @@ process m = main();
 )");
   SearchOptions Opts = plainOptions();
   Opts.MaxRuns = 10;
-  Explorer Ex(*Mod, Opts);
-  SearchStats Stats = Ex.run();
+  SearchStats Stats = explore(*Mod, Opts).Stats;
   EXPECT_FALSE(Stats.Completed);
   EXPECT_EQ(Stats.Runs, 10u);
 }
 
-TEST(ExplorerTest, SecondRunStartsFromCleanSlate) {
-  // run() must fully re-initialize the traversal state: a second run on
-  // the same Explorer reports exactly the same statistics and errors as
-  // the first, not a continuation (or corruption) of the previous walk.
-  auto Mod = mustCompile(R"(
+TEST(ExplorerTest, SequentialSearchIsDeterministic) {
+  // Two explore() calls over the same module and options must agree on
+  // every statistic and report: the search order is a pure function of
+  // the module, checkpointing included, and no state survives a call.
+  SearchOptions Ckpt;
+  Ckpt.MaxDepth = 10;
+  Ckpt.CheckpointInterval = 3;
+  SearchOptions Random;
+  Random.MaxDepth = 10;
+  struct Input {
+    std::string Label;
+    std::string Source;
+    SearchOptions Opts;
+  };
+  std::vector<Input> Inputs = {
+      {"toss/assert", R"(
 proc main() {
   var x;
   x = VS_toss(3);
@@ -422,32 +414,21 @@ proc main() {
 }
 
 process m = main();
-)");
-  Explorer Ex(*Mod, plainOptions());
-  SearchStats First = Ex.run();
-  std::string FirstStr = First.str();
-  size_t FirstReports = Ex.reports().size();
-  EXPECT_EQ(FirstReports, 1u);
-
-  SearchStats Second = Ex.run();
-  EXPECT_EQ(FirstStr, Second.str());
-  EXPECT_EQ(FirstReports, Ex.reports().size());
-}
-
-TEST(ExplorerTest, SequentialSearchIsDeterministic) {
-  // Two independent explorers over the same module must agree on every
-  // statistic — the search order is a pure function of the module.
-  for (uint64_t Seed : {3u, 1009u}) {
-    auto Mod = mustCompile(randomOpenProgram(Seed));
-    ASSERT_TRUE(Mod) << "seed " << Seed;
-    SearchOptions Opts;
-    Opts.MaxDepth = 10;
-    Explorer A(*Mod, Opts);
-    Explorer B(*Mod, Opts);
-    std::string SA = A.run().str();
-    std::string SB = B.run().str();
-    EXPECT_EQ(SA, SB) << "seed " << Seed;
-    EXPECT_EQ(A.reports().size(), B.reports().size()) << "seed " << Seed;
+)",
+       plainOptions()},
+      {"figure2.mc ckpt 3", readExample("figure2.mc"), Ckpt},
+      {"seed 3", randomOpenProgram(3), Random},
+      {"seed 1009", randomOpenProgram(1009), Random},
+  };
+  for (const Input &In : Inputs) {
+    auto Mod = mustCompile(In.Source);
+    ASSERT_TRUE(Mod) << In.Label;
+    SearchResult A = explore(*Mod, In.Opts);
+    SearchResult B = explore(*Mod, In.Opts);
+    EXPECT_EQ(A.Stats.str(), B.Stats.str()) << In.Label;
+    ASSERT_EQ(A.Reports.size(), B.Reports.size()) << In.Label;
+    for (size_t I = 0; I != A.Reports.size(); ++I)
+      EXPECT_EQ(A.Reports[I].str(), B.Reports[I].str()) << In.Label;
   }
 }
 

@@ -144,22 +144,22 @@ process log = auditor();
 
 void expectClosedAndExplorable(const char *Source, size_t Depth,
                                uint64_t ExpectAssertViolations = 0) {
-  CloseResult R = closeSource(Source);
+  CompileResult R = compile(Source);
   ASSERT_TRUE(R.ok()) << R.Diags.str();
 
-  EnvAnalysis Analysis(*R.Closed);
+  EnvAnalysis Analysis(*R.M);
   EXPECT_TRUE(Analysis.moduleIsClosed());
 
   SearchOptions Opts;
   Opts.MaxDepth = Depth;
   Opts.MaxRuns = 400000;
-  Explorer Ex(*R.Closed, Opts);
-  SearchStats Stats = Ex.run();
+  SearchResult Search = explore(*R.M, Opts);
+  const SearchStats &Stats = Search.Stats;
+  std::string First =
+      Search.Reports.empty() ? Stats.str() : Search.Reports[0].str();
   EXPECT_TRUE(Stats.Completed) << Stats.str();
-  EXPECT_EQ(Stats.AssertionViolations, ExpectAssertViolations)
-      << (Ex.reports().empty() ? Stats.str() : Ex.reports()[0].str());
-  EXPECT_EQ(Stats.RuntimeErrors, 0u)
-      << (Ex.reports().empty() ? Stats.str() : Ex.reports()[0].str());
+  EXPECT_EQ(Stats.AssertionViolations, ExpectAssertViolations) << First;
+  EXPECT_EQ(Stats.RuntimeErrors, 0u) << First;
   EXPECT_GT(Stats.Terminations, 0u);
 }
 
@@ -174,22 +174,20 @@ TEST(IntegrationTest, ElevatorTraceInclusion) {
   SearchOptions Opts;
   Opts.MaxDepth = 18;
   Opts.MaxRuns = 60000;
-  Explorer NaiveEx(Naive, Opts);
-  std::vector<Trace> NaiveTraces = NaiveEx.collectTraces(48);
+  std::vector<Trace> NaiveTraces = collectTraces(Naive, Opts, 48).Traces;
   ASSERT_FALSE(NaiveTraces.empty());
 
-  CloseResult R = closeSource(elevatorSource());
+  CompileResult R = compile(elevatorSource());
   ASSERT_TRUE(R.ok());
   SearchOptions ClosedOpts = Opts;
   ClosedOpts.MaxRuns = 400000;
-  Explorer ClosedEx(*R.Closed, ClosedOpts);
-  std::vector<Trace> ClosedTraces = ClosedEx.collectTraces(60000);
-  if (!ClosedEx.stats().Completed)
+  TraceSet Closed = collectTraces(*R.M, ClosedOpts, 60000);
+  if (!Closed.Stats.Completed)
     GTEST_SKIP() << "closed-side search budget exhausted";
 
   for (const Trace &NT : NaiveTraces) {
     bool Covered = false;
-    for (const Trace &CT : ClosedTraces)
+    for (const Trace &CT : Closed.Traces)
       if (traceSubsumes(CT, NT)) {
         Covered = true;
         break;
@@ -203,9 +201,9 @@ TEST(IntegrationTest, AtmClosesAndVerifies) {
 }
 
 TEST(IntegrationTest, AtmPinCheckBecomesToss) {
-  CloseResult R = closeSource(atmSource());
+  CompileResult R = compile(atmSource());
   ASSERT_TRUE(R.ok()) << R.Diags.str();
-  const ProcCfg *Atm = R.Closed->findProc("atm");
+  const ProcCfg *Atm = R.M->findProc("atm");
   ASSERT_NE(Atm, nullptr);
   size_t Tosses = 0;
   for (const CfgNode &Node : Atm->Nodes)
@@ -227,19 +225,17 @@ TEST(IntegrationTest, AtmAuditorInvariantViolableUnderFreeEnvironment) {
   ASSERT_NE(Pos, std::string::npos);
   Strict.replace(Pos, std::string("deposits <= 2").size(), "deposits <= 1");
 
-  CloseResult R = closeSource(Strict);
+  CompileResult R = compile(Strict);
   ASSERT_TRUE(R.ok()) << R.Diags.str();
   SearchOptions Opts;
   Opts.MaxDepth = 40;
-  Explorer Ex(*R.Closed, Opts);
-  SearchStats Stats = Ex.run();
-  EXPECT_GT(Stats.AssertionViolations, 0u);
+  EXPECT_GT(explore(*R.M, Opts).Stats.AssertionViolations, 0u);
 }
 
 TEST(IntegrationTest, EmittedElevatorBehavesIdentically) {
-  CloseResult R = closeSource(elevatorSource());
+  CompileResult R = compile(elevatorSource());
   ASSERT_TRUE(R.ok()) << R.Diags.str();
-  std::string Emitted = emitModuleSource(*R.Closed);
+  std::string Emitted = emitModuleSource(*R.M);
 
   DiagnosticEngine Diags;
   auto Reparsed = compileAndVerify(Emitted, Diags);
@@ -247,10 +243,8 @@ TEST(IntegrationTest, EmittedElevatorBehavesIdentically) {
 
   SearchOptions Opts;
   Opts.MaxDepth = 16;
-  Explorer ExA(*R.Closed, Opts);
-  Explorer ExB(*Reparsed, Opts);
-  std::vector<Trace> A = ExA.collectTraces(4096);
-  std::vector<Trace> B = ExB.collectTraces(4096);
+  std::vector<Trace> A = collectTraces(*R.M, Opts, 4096).Traces;
+  std::vector<Trace> B = collectTraces(*Reparsed, Opts, 4096).Traces;
   std::set<std::string> SA, SB;
   for (const Trace &T : A)
     SA.insert(traceToString(T));
@@ -293,13 +287,11 @@ proc driver() {
 process dev = device();
 process drv = driver();
 )";
-  CloseResult R = closeSource(Stubbed);
+  CompileResult R = compile(Stubbed);
   ASSERT_TRUE(R.ok()) << R.Diags.str();
   SearchOptions Opts;
   Opts.MaxDepth = 20;
-  Explorer Ex(*R.Closed, Opts);
-  SearchStats Stats = Ex.run();
-  EXPECT_EQ(Stats.AssertionViolations, 0u)
+  EXPECT_EQ(explore(*R.M, Opts).Stats.AssertionViolations, 0u)
       << "the stubbed driver issues at most one step";
 
   const char *Unstubbed = R"(
@@ -321,19 +313,17 @@ proc device() {
 
 process dev = device();
 )";
-  CloseResult R2 = closeSource(Unstubbed);
+  CompileResult R2 = compile(Unstubbed);
   ASSERT_TRUE(R2.ok()) << R2.Diags.str();
   // The counter is untainted (only constants flow into it), so the
   // assertion is preserved even though the branch became a toss.
-  const ProcCfg *Dev = R2.Closed->findProc("device");
+  const ProcCfg *Dev = R2.M->findProc("device");
   for (const CfgNode &Node : Dev->Nodes)
     if (Node.Kind == CfgNodeKind::Call &&
         Node.Builtin == BuiltinKind::VsAssert) {
       EXPECT_NE(Node.Args[0]->Kind, ExprKind::Unknown);
     }
-  Explorer Ex2(*R2.Closed, Opts);
-  SearchStats Stats2 = Ex2.run();
-  EXPECT_GT(Stats2.AssertionViolations, 0u)
+  EXPECT_GT(explore(*R2.M, Opts).Stats.AssertionViolations, 0u)
       << "the most general environment can step repeatedly";
 }
 

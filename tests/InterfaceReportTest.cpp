@@ -52,9 +52,9 @@ process p = producer(env);
 }
 
 TEST(InterfaceReportTest, ClosedProgramReportsClean) {
-  CloseResult R = closeSource(figure2Source());
+  CompileResult R = compile(figure2Source());
   ASSERT_TRUE(R.ok());
-  InterfaceReport Report = buildInterfaceReport(*R.Closed);
+  InterfaceReport Report = buildInterfaceReport(*R.M);
   EXPECT_TRUE(Report.isClosed());
   EXPECT_EQ(Report.NodesDependentOnEnv, 0u);
   EXPECT_NE(Report.str().find("(none: the program is closed)"),

@@ -5,13 +5,13 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The parallel explorer partitions the search tree into disjoint subtrees,
+// The parallel search partitions the search tree into disjoint subtrees,
 // so every tree-shaped statistic and the error-report set must be identical
-// to the sequential explorer's, for any worker count and any scheduling.
+// to the one-job search's, for any worker count and any scheduling.
 //
 //===----------------------------------------------------------------------===//
 
-#include "explorer/ParallelSearch.h"
+#include "explorer/Search.h"
 
 #include "RandomProgram.h"
 #include "TestUtil.h"
@@ -61,13 +61,12 @@ void expectParallelMatchesSequential(const Module &Mod, SearchOptions Opts,
 
   SearchOptions Seq = Opts;
   Seq.Jobs = 1;
-  Explorer Sequential(Mod, Seq);
-  SearchStats SeqStats = Sequential.run();
+  SearchResult Sequential = explore(Mod, Seq);
 
   SearchResult Parallel = explore(Mod, Opts);
 
-  EXPECT_EQ(treeShape(SeqStats), treeShape(Parallel.Stats)) << Label;
-  EXPECT_EQ(errorSet(Sequential.reports()), errorSet(Parallel.Reports))
+  EXPECT_EQ(treeShape(Sequential.Stats), treeShape(Parallel.Stats)) << Label;
+  EXPECT_EQ(errorSet(Sequential.Reports), errorSet(Parallel.Reports))
       << Label;
 }
 
@@ -160,9 +159,9 @@ TEST(ParallelSearchTest, NegativeTossBranchBoundIsReportedNotEnumerated) {
   // A malformed closed program: corrupt a TossBranch bound to a negative
   // value. Decision::optionCount() used to cast it straight to size_t,
   // wrapping into ~2^64 siblings; now the runtime reports it.
-  CloseResult R = closeSource(figure2Source());
+  CompileResult R = compile(figure2Source());
   ASSERT_TRUE(R.ok()) << R.Diags.str();
-  Module &Mod = *R.Closed;
+  Module &Mod = *R.M;
   bool Corrupted = false;
   for (ProcCfg &Proc : Mod.Procs) {
     for (CfgNode &Node : Proc.Nodes) {
@@ -179,17 +178,16 @@ TEST(ParallelSearchTest, NegativeTossBranchBoundIsReportedNotEnumerated) {
 
   SearchOptions Opts;
   Opts.MaxDepth = 30;
-  Explorer Ex(Mod, Opts);
-  SearchStats Stats = Ex.run();
-  EXPECT_GE(Stats.RuntimeErrors, 1u);
+  SearchResult Seq = explore(Mod, Opts);
+  EXPECT_GE(Seq.Stats.RuntimeErrors, 1u);
   bool SawBadBound = false;
-  for (const ErrorReport &Rep : Ex.reports())
+  for (const ErrorReport &Rep : Seq.Reports)
     if (Rep.Kind == ErrorReport::Type::RuntimeError &&
         Rep.Error.Kind == RunErrorKind::BadTossBound)
       SawBadBound = true;
   EXPECT_TRUE(SawBadBound);
 
-  // And the parallel explorer agrees.
+  // And the parallel search agrees.
   SearchOptions Par = Opts;
   Par.Jobs = 2;
   expectParallelMatchesSequential(Mod, Par, "corrupted toss bound");
@@ -201,8 +199,7 @@ TEST(ParallelSearchTest, NegativeEnvDomainIsReportedNotEnumerated) {
   SearchOptions Opts;
   Opts.MaxDepth = 20;
   Opts.Runtime.EnvDomainBound = -3;
-  Explorer Ex(*Mod, Opts);
-  SearchStats Stats = Ex.run();
+  SearchStats Stats = explore(*Mod, Opts).Stats;
   EXPECT_TRUE(Stats.Completed);
   EXPECT_GE(Stats.RuntimeErrors, 1u);
   // The bogus domain must not multiply the search: one run, one report.
@@ -226,12 +223,11 @@ process m = main();
   ASSERT_TRUE(Mod);
   SearchOptions Opts;
   Opts.MaxReports = 2;
-  Explorer Ex(*Mod, Opts);
-  SearchStats Stats = Ex.run();
-  EXPECT_EQ(Stats.AssertionViolations, 4u);
-  EXPECT_EQ(Ex.reports().size(), 2u);
-  EXPECT_EQ(Stats.ReportsDropped, 2u);
-  EXPECT_NE(Stats.str().find("reports-dropped=2"), std::string::npos);
+  SearchResult R = explore(*Mod, Opts);
+  EXPECT_EQ(R.Stats.AssertionViolations, 4u);
+  EXPECT_EQ(R.Reports.size(), 2u);
+  EXPECT_EQ(R.Stats.ReportsDropped, 2u);
+  EXPECT_NE(R.Stats.str().find("reports-dropped=2"), std::string::npos);
 }
 
 } // namespace

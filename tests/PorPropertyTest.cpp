@@ -34,21 +34,20 @@ SearchStats explore(const Module &Mod, bool Persistent, bool Sleep,
   Opts.UsePersistentSets = Persistent;
   Opts.UseSleepSets = Sleep;
   Opts.StateCacheBits = StateCacheBits;
-  Explorer Ex(Mod, Opts);
-  return Ex.run();
+  return closer::explore(Mod, Opts).Stats;
 }
 
 /// Closes the seed's program; null when the full search cannot finish in
 /// budget (those seeds cannot give a reliable ground truth).
 std::unique_ptr<Module> closedSystemForSeed(uint64_t Seed,
                                             SearchStats &FullStats) {
-  CloseResult R = closeSource(randomOpenProgram(Seed));
+  CompileResult R = compile(randomOpenProgram(Seed));
   if (!R.ok())
     return nullptr;
-  FullStats = explore(*R.Closed, false, false);
+  FullStats = explore(*R.M, false, false);
   if (!FullStats.Completed)
     return nullptr;
-  return std::move(R.Closed);
+  return std::move(R.M);
 }
 
 TEST_P(PorPropertyTest, PersistentSleepPreservesDeadlockExistence) {

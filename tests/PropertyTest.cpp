@@ -48,25 +48,25 @@ SearchOptions boundedSearch(size_t Depth, uint64_t MaxRuns) {
 }
 
 TEST_P(PropertyTest, ClosedModuleHasNoEnvironmentInterface) {
-  CloseResult R = closeSource(randomOpenProgram(GetParam()));
+  CompileResult R = compile(randomOpenProgram(GetParam()));
   ASSERT_TRUE(R.ok()) << R.Diags.str();
-  EnvAnalysis Analysis(*R.Closed);
+  EnvAnalysis Analysis(*R.M);
   EXPECT_TRUE(Analysis.moduleIsClosed())
-      << printModule(*R.Closed);
+      << printModule(*R.M);
 }
 
 TEST_P(PropertyTest, ClosingIsStable) {
-  CloseResult R = closeSource(randomOpenProgram(GetParam()));
+  CompileResult R = compile(randomOpenProgram(GetParam()));
   ASSERT_TRUE(R.ok()) << R.Diags.str();
-  Module Again = closeModule(*R.Closed);
-  EXPECT_EQ(printModule(Again), printModule(*R.Closed));
+  Module Again = closeModule(*R.M);
+  EXPECT_EQ(printModule(Again), printModule(*R.M));
 }
 
 TEST_P(PropertyTest, TransformationNeverGrowsBeyondTossNodes) {
-  CloseResult R = closeSource(randomOpenProgram(GetParam()));
+  CompileResult R = compile(randomOpenProgram(GetParam()));
   ASSERT_TRUE(R.ok()) << R.Diags.str();
-  EXPECT_LE(R.Stats.NodesAfter,
-            R.Stats.NodesBefore + R.Stats.TossNodesInserted);
+  EXPECT_LE(R.Closing.NodesAfter,
+            R.Closing.NodesBefore + R.Closing.TossNodesInserted);
 }
 
 TEST_P(PropertyTest, TraceInclusionTheorem6) {
@@ -77,19 +77,18 @@ TEST_P(PropertyTest, TraceInclusionTheorem6) {
 
   // S x E_S over the domain {0,1,2}.
   Module Naive = naiveCloseModule(*Open, {2});
-  Explorer NaiveEx(Naive, boundedSearch(8, 300));
-  std::vector<Trace> NaiveTraces = NaiveEx.collectTraces(64);
+  std::vector<Trace> NaiveTraces =
+      collectTraces(Naive, boundedSearch(8, 300), 64).Traces;
 
-  CloseResult R = closeSource(Src);
+  CompileResult R = compile(Src);
   ASSERT_TRUE(R.ok()) << R.Diags.str();
-  Explorer ClosedEx(*R.Closed, boundedSearch(8, 60000));
-  std::vector<Trace> ClosedTraces = ClosedEx.collectTraces(30000);
-  if (!ClosedEx.stats().Completed)
+  TraceSet Closed = collectTraces(*R.M, boundedSearch(8, 60000), 30000);
+  if (!Closed.Stats.Completed)
     GTEST_SKIP() << "closed-side search budget exhausted for this seed";
 
   for (const Trace &NT : NaiveTraces) {
     bool Covered = false;
-    for (const Trace &CT : ClosedTraces)
+    for (const Trace &CT : Closed.Traces)
       if (traceSubsumes(CT, NT)) {
         Covered = true;
         break;
@@ -108,15 +107,13 @@ TEST_P(PropertyTest, DeadlockPreservationTheorem7) {
   ASSERT_TRUE(Open) << Diags.str();
 
   Module Naive = naiveCloseModule(*Open, {2});
-  Explorer NaiveEx(Naive, boundedSearch(10, 500));
-  SearchStats NaiveStats = NaiveEx.run();
+  SearchStats NaiveStats = explore(Naive, boundedSearch(10, 500)).Stats;
   if (NaiveStats.Deadlocks == 0)
     return; // Nothing to preserve for this seed.
 
-  CloseResult R = closeSource(Src);
+  CompileResult R = compile(Src);
   ASSERT_TRUE(R.ok()) << R.Diags.str();
-  Explorer ClosedEx(*R.Closed, boundedSearch(10, 100000));
-  SearchStats ClosedStats = ClosedEx.run();
+  SearchStats ClosedStats = explore(*R.M, boundedSearch(10, 100000)).Stats;
   if (!ClosedStats.Completed)
     GTEST_SKIP() << "closed-side search budget exhausted for this seed";
   EXPECT_GE(ClosedStats.Deadlocks, 1u)
@@ -131,12 +128,12 @@ TEST_P(PropertyTest, AssertionPreservationTheorem7) {
   auto Open = compileAndVerify(Src, Diags);
   ASSERT_TRUE(Open) << Diags.str();
 
-  CloseResult R = closeSource(Src);
+  CompileResult R = compile(Src);
   ASSERT_TRUE(R.ok()) << R.Diags.str();
 
   // The theorem only covers assertions the transformation preserved; skip
   // seeds where some assertion payload was eliminated.
-  for (const ProcCfg &Proc : R.Closed->Procs)
+  for (const ProcCfg &Proc : R.M->Procs)
     for (const CfgNode &Node : Proc.Nodes)
       if (Node.Kind == CfgNodeKind::Call &&
           Node.Builtin == BuiltinKind::VsAssert &&
@@ -144,13 +141,11 @@ TEST_P(PropertyTest, AssertionPreservationTheorem7) {
         return;
 
   Module Naive = naiveCloseModule(*Open, {2});
-  Explorer NaiveEx(Naive, boundedSearch(10, 500));
-  SearchStats NaiveStats = NaiveEx.run();
+  SearchStats NaiveStats = explore(Naive, boundedSearch(10, 500)).Stats;
   if (NaiveStats.AssertionViolations == 0)
     return;
 
-  Explorer ClosedEx(*R.Closed, boundedSearch(10, 100000));
-  SearchStats ClosedStats = ClosedEx.run();
+  SearchStats ClosedStats = explore(*R.M, boundedSearch(10, 100000)).Stats;
   if (!ClosedStats.Completed)
     GTEST_SKIP() << "closed-side search budget exhausted for this seed";
   EXPECT_GE(ClosedStats.AssertionViolations, 1u)
@@ -160,19 +155,19 @@ TEST_P(PropertyTest, AssertionPreservationTheorem7) {
 }
 
 TEST_P(PropertyTest, EmittedClosedSourceRoundTrips) {
-  CloseResult R = closeSource(randomOpenProgram(GetParam()));
+  CompileResult R = compile(randomOpenProgram(GetParam()));
   ASSERT_TRUE(R.ok()) << R.Diags.str();
 
-  std::string Emitted = emitModuleSource(*R.Closed);
+  std::string Emitted = emitModuleSource(*R.M);
   DiagnosticEngine Diags;
   auto Reparsed = compileAndVerify(Emitted, Diags);
   ASSERT_TRUE(Reparsed) << Diags.str() << "\nemitted source:\n" << Emitted;
 
   // The reparsed program must show the same visible behaviors.
-  Explorer ExA(*R.Closed, boundedSearch(6, 4000));
-  Explorer ExB(*Reparsed, boundedSearch(6, 4000));
-  std::vector<Trace> TracesA = ExA.collectTraces(2000);
-  std::vector<Trace> TracesB = ExB.collectTraces(2000);
+  std::vector<Trace> TracesA =
+      collectTraces(*R.M, boundedSearch(6, 4000), 2000).Traces;
+  std::vector<Trace> TracesB =
+      collectTraces(*Reparsed, boundedSearch(6, 4000), 2000).Traces;
 
   auto Key = [](const Trace &T) { return traceToString(T); };
   std::set<std::string> SetA, SetB;

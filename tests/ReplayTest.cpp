@@ -73,10 +73,9 @@ process r = right();
   SearchOptions Opts;
   Opts.UsePersistentSets = false;
   Opts.UseSleepSets = false;
-  Explorer Ex(*Mod, Opts);
-  Ex.run();
-  ASSERT_FALSE(Ex.reports().empty());
-  const ErrorReport &Rep = Ex.reports()[0];
+  SearchResult Search = explore(*Mod, Opts);
+  ASSERT_FALSE(Search.Reports.empty());
+  const ErrorReport &Rep = Search.Reports[0];
   ASSERT_EQ(Rep.Kind, ErrorReport::Type::Deadlock);
   ASSERT_FALSE(Rep.Choices.empty());
 
@@ -102,10 +101,9 @@ process m = main();
   SearchOptions Opts;
   Opts.UsePersistentSets = false;
   Opts.UseSleepSets = false;
-  Explorer Ex(*Mod, Opts);
-  Ex.run();
-  ASSERT_EQ(Ex.reports().size(), 1u);
-  const ErrorReport &Rep = Ex.reports()[0];
+  SearchResult Search = explore(*Mod, Opts);
+  ASSERT_EQ(Search.Reports.size(), 1u);
+  const ErrorReport &Rep = Search.Reports[0];
 
   ReplayResult R = replayChoices(*Mod, Rep.Choices);
   EXPECT_TRUE(R.Faithful);
@@ -132,13 +130,12 @@ process m = main();
   Opts.UsePersistentSets = false;
   Opts.UseSleepSets = false;
   Opts.Runtime.EnvDomainBound = 3;
-  Explorer Ex(*Mod, Opts);
-  Ex.run();
-  ASSERT_EQ(Ex.reports().size(), 1u);
+  SearchResult Search = explore(*Mod, Opts);
+  ASSERT_EQ(Search.Reports.size(), 1u);
 
   SystemOptions SysOpts;
   SysOpts.EnvDomainBound = 3;
-  ReplayResult R = replayChoices(*Mod, Ex.reports()[0].Choices, SysOpts);
+  ReplayResult R = replayChoices(*Mod, Search.Reports[0].Choices, SysOpts);
   EXPECT_TRUE(R.Faithful);
   EXPECT_EQ(R.Violations.size(), 1u);
   EXPECT_EQ(R.TraceOut[0].Payload, Value::makeInt(1));
@@ -246,10 +243,9 @@ proc main() {
 
 process m = main();
 )");
-  Explorer Ex(*Mod, {});
-  Ex.run();
-  ASSERT_FALSE(Ex.reports().empty());
-  std::string Text = Ex.reports()[0].str();
+  SearchResult Search = explore(*Mod, {});
+  ASSERT_FALSE(Search.Reports.empty());
+  std::string Text = Search.Reports[0].str();
   EXPECT_NE(Text.find("replay: "), std::string::npos) << Text;
 }
 

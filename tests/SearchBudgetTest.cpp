@@ -1,4 +1,4 @@
-//===- SearchBudgetTest.cpp - Explorer budgets, replay, reports --------------===//
+//===- SearchBudgetTest.cpp - Search budgets, replay, reports -------------===//
 //
 // Part of the closer project: a reproduction of "Automatically Closing Open
 // Reactive Programs" (Colby, Godefroid, Jagadeesan, PLDI 1998).
@@ -41,10 +41,35 @@ TEST(SearchBudgetTest, MaxStatesStopsSearch) {
   Opts.UsePersistentSets = false;
   Opts.UseSleepSets = false;
   Opts.MaxStates = 20;
-  Explorer Ex(*Mod, Opts);
-  SearchStats Stats = Ex.run();
+  SearchStats Stats = explore(*Mod, Opts).Stats;
   EXPECT_FALSE(Stats.Completed);
   EXPECT_LE(Stats.StatesVisited, 20u);
+}
+
+TEST(SearchBudgetTest, MaxRunsStopLeavesReplayableResume) {
+  // A MaxRuns stop is a budget stop at every job count: neither complete
+  // nor interrupted, and the abandoned prefixes are recorded for a resume,
+  // as for MaxStates and the time budget.
+  auto Mod = mustCompile(tossTree(9));
+  for (size_t Jobs : {size_t{1}, size_t{4}}) {
+    std::string Label = "jobs " + std::to_string(Jobs);
+    SearchOptions Opts;
+    Opts.UsePersistentSets = false;
+    Opts.UseSleepSets = false;
+    Opts.MaxRuns = 10;
+    Opts.Jobs = Jobs;
+    SearchResult R = explore(*Mod, Opts);
+    EXPECT_FALSE(R.Stats.Completed) << Label;
+    EXPECT_FALSE(R.Stats.Interrupted) << Label;
+    ASSERT_FALSE(R.Resume.empty()) << Label;
+    for (const std::vector<ReplayStep> &Prefix : R.Resume) {
+      std::string Text = replayToString(Prefix);
+      std::vector<ReplayStep> Steps;
+      ASSERT_TRUE(parseReplay(Text, Steps)) << Label << ": " << Text;
+      EXPECT_TRUE(replayChoices(*Mod, Steps).Faithful)
+          << Label << ": " << Text;
+    }
+  }
 }
 
 TEST(SearchBudgetTest, ReportCapLimitsStoredReportsNotCounts) {
@@ -61,29 +86,20 @@ process m = main();
   Opts.UsePersistentSets = false;
   Opts.UseSleepSets = false;
   Opts.MaxReports = 3;
-  Explorer Ex(*Mod, Opts);
-  SearchStats Stats = Ex.run();
-  EXPECT_EQ(Stats.AssertionViolations, 9u); // Outcomes 1..9 violate.
-  EXPECT_EQ(Ex.reports().size(), 3u);       // Storage capped.
+  SearchResult R = explore(*Mod, Opts);
+  EXPECT_EQ(R.Stats.AssertionViolations, 9u); // Outcomes 1..9 violate.
+  EXPECT_EQ(R.Reports.size(), 3u);            // Storage capped.
 }
 
 TEST(SearchBudgetTest, RunIsDeterministicAcrossInvocations) {
   auto Mod = mustCompile(tossTree(3));
   SearchOptions Opts;
-  Explorer Ex1(*Mod, Opts);
-  Explorer Ex2(*Mod, Opts);
-  SearchStats A = Ex1.run();
-  SearchStats B = Ex2.run();
+  SearchStats A = explore(*Mod, Opts).Stats;
+  SearchStats B = explore(*Mod, Opts).Stats;
   EXPECT_EQ(A.Runs, B.Runs);
   EXPECT_EQ(A.StatesVisited, B.StatesVisited);
   EXPECT_EQ(A.TreeTransitions, B.TreeTransitions);
   EXPECT_EQ(A.Transitions, B.Transitions);
-
-  // Re-running on the same Explorer also reproduces the numbers (full
-  // reset semantics).
-  SearchStats C = Ex1.run();
-  EXPECT_EQ(A.Runs, C.Runs);
-  EXPECT_EQ(A.StatesVisited, C.StatesVisited);
 }
 
 TEST(SearchBudgetTest, StatsStringMentionsEveryCounter) {
@@ -120,12 +136,11 @@ process m = main();
   Opts.UsePersistentSets = false;
   Opts.UseSleepSets = false;
   Opts.Runtime.InvisibleStepLimit = 200;
-  Explorer Ex(*Mod, Opts);
-  SearchStats Stats = Ex.run();
-  EXPECT_EQ(Stats.Divergences, 1u);
+  SearchResult R = explore(*Mod, Opts);
+  EXPECT_EQ(R.Stats.Divergences, 1u);
   bool Found = false;
-  for (const ErrorReport &R : Ex.reports())
-    Found |= R.Kind == ErrorReport::Type::Divergence;
+  for (const ErrorReport &Rep : R.Reports)
+    Found |= Rep.Kind == ErrorReport::Type::Divergence;
   EXPECT_TRUE(Found);
 }
 
@@ -145,14 +160,13 @@ proc main() {
 
 process m = main();
 )");
-  SearchOptions Opts;
-  Explorer Ex(*Mod, Opts);
-  SearchStats Stats = Ex.run();
+  SearchResult R = explore(*Mod, {});
   // Both sends and the assert are reachable and covered.
-  EXPECT_EQ(Stats.VisibleOpsTotal, 3u);
-  EXPECT_EQ(Stats.VisibleOpsCovered, 3u);
-  EXPECT_TRUE(Ex.uncoveredVisibleOps().empty());
-  EXPECT_NE(Stats.str().find("visible-op-coverage=3/3"), std::string::npos);
+  EXPECT_EQ(R.Stats.VisibleOpsTotal, 3u);
+  EXPECT_EQ(R.Stats.VisibleOpsCovered, 3u);
+  EXPECT_TRUE(R.Uncovered.empty());
+  EXPECT_NE(R.Stats.str().find("visible-op-coverage=3/3"),
+            std::string::npos);
 }
 
 TEST(SearchBudgetTest, CoverageExposesUnreachableOps) {
@@ -169,13 +183,11 @@ proc main() {
 
 process m = main();
 )");
-  Explorer Ex(*Mod, {});
-  SearchStats Stats = Ex.run();
-  EXPECT_EQ(Stats.VisibleOpsTotal, 2u);
-  EXPECT_EQ(Stats.VisibleOpsCovered, 1u);
-  auto Uncovered = Ex.uncoveredVisibleOps();
-  ASSERT_EQ(Uncovered.size(), 1u);
-  EXPECT_EQ(Uncovered[0].first, "main");
+  SearchResult R = explore(*Mod, {});
+  EXPECT_EQ(R.Stats.VisibleOpsTotal, 2u);
+  EXPECT_EQ(R.Stats.VisibleOpsCovered, 1u);
+  ASSERT_EQ(R.Uncovered.size(), 1u);
+  EXPECT_EQ(R.Uncovered[0].first, "main");
 }
 
 TEST(SearchBudgetTest, DepthBoundLimitsCoverage) {
@@ -192,10 +204,9 @@ process m = main();
 )");
   SearchOptions Shallow;
   Shallow.MaxDepth = 1;
-  Explorer Ex(*Mod, Shallow);
-  SearchStats Stats = Ex.run();
-  EXPECT_EQ(Stats.VisibleOpsCovered, 1u);
-  EXPECT_EQ(Ex.uncoveredVisibleOps().size(), 2u);
+  SearchResult R = explore(*Mod, Shallow);
+  EXPECT_EQ(R.Stats.VisibleOpsCovered, 1u);
+  EXPECT_EQ(R.Uncovered.size(), 2u);
 }
 
 TEST(SearchBudgetTest, ErrorReportRenderingIsInformative) {
@@ -222,10 +233,9 @@ process r = right();
   SearchOptions Opts;
   Opts.UsePersistentSets = false;
   Opts.UseSleepSets = false;
-  Explorer Ex(*Mod, Opts);
-  Ex.run();
-  ASSERT_FALSE(Ex.reports().empty());
-  std::string Text = Ex.reports()[0].str();
+  SearchResult R = explore(*Mod, Opts);
+  ASSERT_FALSE(R.Reports.empty());
+  std::string Text = R.Reports[0].str();
   EXPECT_NE(Text.find("deadlock"), std::string::npos) << Text;
   EXPECT_NE(Text.find("sem_wait"), std::string::npos) << Text;
   EXPECT_NE(Text.find("depth"), std::string::npos) << Text;

@@ -10,12 +10,12 @@
 // initial state. These tests pin that down at the runtime level
 // (fingerprint and trace equality across frame push/pop and
 // communication-object mutation) and at the search level (tree-shaped
-// statistics bit-identical between stateless and checkpointed modes, for
-// the sequential and the parallel explorer).
+// statistics bit-identical between stateless and checkpointed modes, at
+// one job and at four).
 //
 //===----------------------------------------------------------------------===//
 
-#include "explorer/ParallelSearch.h"
+#include "explorer/Search.h"
 #include "runtime/System.h"
 
 #include "RandomProgram.h"
@@ -189,32 +189,32 @@ void expectCheckpointedMatchesStateless(const Module &Mod,
                                         const std::string &Label) {
   Opts.MaxReports = 4096;
   Opts.CheckpointInterval = 0;
-  Explorer Stateless(Mod, Opts);
-  SearchStats Base = Stateless.run();
+  SearchResult Stateless = explore(Mod, Opts);
+  const SearchStats &Base = Stateless.Stats;
 
   for (size_t K : {size_t{1}, size_t{2}, size_t{3}, size_t{7}}) {
     SearchOptions CkptOpts = Opts;
     CkptOpts.CheckpointInterval = K;
-    Explorer Ckpt(Mod, CkptOpts);
-    SearchStats S = Ckpt.run();
+    SearchResult Ckpt = explore(Mod, CkptOpts);
+    const SearchStats &S = Ckpt.Stats;
     std::string Tag = Label + " K=" + std::to_string(K);
     EXPECT_EQ(treeShape(Base), treeShape(S)) << Tag;
-    EXPECT_EQ(errorSet(Stateless.reports()), errorSet(Ckpt.reports())) << Tag;
+    EXPECT_EQ(errorSet(Stateless.Reports), errorSet(Ckpt.Reports)) << Tag;
     EXPECT_EQ(Base.Runs, S.Runs) << Tag;
     // Executed-transition accounting stays exact in both modes.
     EXPECT_EQ(S.Transitions, S.TreeTransitions + S.TransitionsReplayed)
         << Tag;
   }
 
-  // And the parallel explorer under checkpointing still partitions the
-  // tree exactly.
+  // And the parallel search under checkpointing still partitions the tree
+  // exactly.
   SearchOptions Par = Opts;
   Par.Jobs = 4;
   Par.CheckpointInterval = 2;
   SearchResult Parallel = explore(Mod, Par);
   EXPECT_EQ(treeShape(Base), treeShape(Parallel.Stats))
       << Label << " jobs=4 K=2";
-  EXPECT_EQ(errorSet(Stateless.reports()), errorSet(Parallel.Reports))
+  EXPECT_EQ(errorSet(Stateless.Reports), errorSet(Parallel.Reports))
       << Label << " jobs=4 K=2";
 }
 
@@ -262,14 +262,12 @@ TEST(SnapshotTest, CheckpointingSkipsReplayWorkOnDeepTrees) {
   Opts.UsePersistentSets = false;
   Opts.UseSleepSets = false;
 
-  Explorer Stateless(*Mod, Opts);
-  SearchStats Base = Stateless.run();
+  SearchStats Base = explore(*Mod, Opts).Stats;
   EXPECT_EQ(Base.TransitionsRestored, 0u);
 
   SearchOptions Ckpt = Opts;
   Ckpt.CheckpointInterval = 2;
-  Explorer Checkpointed(*Mod, Ckpt);
-  SearchStats S = Checkpointed.run();
+  SearchStats S = explore(*Mod, Ckpt).Stats;
 
   EXPECT_EQ(treeShape(Base), treeShape(S));
   EXPECT_GT(S.TransitionsRestored, 0u);
@@ -279,22 +277,6 @@ TEST(SnapshotTest, CheckpointingSkipsReplayWorkOnDeepTrees) {
   // stateless search had to re-execute.
   EXPECT_EQ(S.TransitionsReplayed + S.TransitionsRestored,
             Base.TransitionsReplayed);
-}
-
-TEST(SnapshotTest, ExplorerRunIsRepeatableWithCheckpointing) {
-  // run() must clear checkpoint state between invocations: a second run on
-  // the same Explorer instance sees the same tree.
-  auto Mod = mustCompile(readExample("figure2.mc"));
-  ASSERT_TRUE(Mod);
-  SearchOptions Opts;
-  Opts.MaxDepth = 10;
-  Opts.CheckpointInterval = 3;
-  Explorer Ex(*Mod, Opts);
-  SearchStats First = Ex.run();
-  SearchStats Second = Ex.run();
-  EXPECT_EQ(treeShape(First), treeShape(Second));
-  EXPECT_EQ(First.Transitions, Second.Transitions);
-  EXPECT_EQ(First.TransitionsRestored, Second.TransitionsRestored);
 }
 
 } // namespace

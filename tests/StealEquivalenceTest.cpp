@@ -8,7 +8,7 @@
 // The scheduler-layer contract: moving exploration onto per-worker
 // Chase–Lev deques with targeted wakeups must not change which tree gets
 // explored. Every tree-shaped statistic and the error-report set must be
-// bit-identical to the sequential explorer's across the full configuration
+// bit-identical to the one-job search's across the full configuration
 // matrix — job count x checkpoint interval x state cache x execution
 // engine — because the work items partition the search tree exactly and
 // none of those knobs may interact with the partition.
@@ -24,7 +24,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "explorer/ParallelSearch.h"
+#include "explorer/Search.h"
 
 #include "RandomProgram.h"
 #include "TestUtil.h"
@@ -106,7 +106,7 @@ std::vector<MatrixProgram> matrixPrograms() {
   return Out;
 }
 
-/// One cell of the matrix: run sequentially and with \p Jobs workers,
+/// One cell of the matrix: run with one job and with \p Jobs workers,
 /// demand identical tree shape and report set.
 void checkCell(const MatrixProgram &P, size_t Jobs, size_t Ckpt,
                bool Cached, ExecMode Exec) {
@@ -124,8 +124,8 @@ void checkCell(const MatrixProgram &P, size_t Jobs, size_t Ckpt,
 
   SearchOptions Seq = Opts;
   Seq.Jobs = 1;
-  Explorer Sequential(*P.Mod, Seq);
-  SearchStats SeqStats = Sequential.run();
+  SearchResult Sequential = explore(*P.Mod, Seq);
+  const SearchStats &SeqStats = Sequential.Stats;
 
   if (Cached) {
     // The determinism precondition for cached runs (see file comment). If
@@ -141,11 +141,11 @@ void checkCell(const MatrixProgram &P, size_t Jobs, size_t Ckpt,
 
   EXPECT_EQ(treeShape(SeqStats), treeShape(Parallel.Stats)) << Label;
   if (Cached)
-    EXPECT_EQ(stateErrorSet(Sequential.reports()),
+    EXPECT_EQ(stateErrorSet(Sequential.Reports),
               stateErrorSet(Parallel.Reports))
         << Label;
   else
-    EXPECT_EQ(errorSet(Sequential.reports()), errorSet(Parallel.Reports))
+    EXPECT_EQ(errorSet(Sequential.Reports), errorSet(Parallel.Reports))
         << Label;
 }
 
@@ -174,9 +174,8 @@ TEST(StealEquivalenceTest, TerminationUnderHeavyDonation) {
   Seq.MaxDepth = 10;
   Seq.MaxReports = 4096;
   Seq.Jobs = 1;
-  Explorer Sequential(*Mod, Seq);
-  SearchStats SeqStats = Sequential.run();
-  std::string Want = treeShape(SeqStats);
+  SearchResult Sequential = explore(*Mod, Seq);
+  std::string Want = treeShape(Sequential.Stats);
 
   for (int Round = 0; Round != 20; ++Round) {
     SearchOptions Opts = Seq;
@@ -184,7 +183,7 @@ TEST(StealEquivalenceTest, TerminationUnderHeavyDonation) {
     Opts.SplitDepth = 1;
     SearchResult R = explore(*Mod, Opts);
     ASSERT_EQ(Want, treeShape(R.Stats)) << "round " << Round;
-    ASSERT_EQ(errorSet(Sequential.reports()), errorSet(R.Reports))
+    ASSERT_EQ(errorSet(Sequential.Reports), errorSet(R.Reports))
         << "round " << Round;
   }
 }

@@ -51,22 +51,22 @@ TEST(SwitchAppTest, FeatureTogglesChangeTopology) {
 TEST(SwitchAppTest, ClosesAutomatically) {
   SwitchAppConfig C;
   C.NumLines = 2;
-  CloseResult R = closeSource(generateSwitchAppSource(C));
+  CompileResult R = compile(generateSwitchAppSource(C));
   ASSERT_TRUE(R.ok()) << R.Diags.str();
-  EXPECT_GT(R.Stats.EnvCallsRemoved, 0u);
-  EXPECT_GT(R.Stats.TossNodesInserted, 0u);
+  EXPECT_GT(R.Closing.EnvCallsRemoved, 0u);
+  EXPECT_GT(R.Closing.TossNodesInserted, 0u);
 
-  EnvAnalysis Analysis(*R.Closed);
+  EnvAnalysis Analysis(*R.M);
   EXPECT_TRUE(Analysis.moduleIsClosed());
 
   // The line handler's event switch is gone; preserved logic remains in
   // the router (untainted message dispatch).
-  const ProcCfg *Handler = R.Closed->findProc("line_handler");
+  const ProcCfg *Handler = R.M->findProc("line_handler");
   ASSERT_NE(Handler, nullptr);
   for (const CfgNode &Node : Handler->Nodes)
     EXPECT_NE(Node.Kind, CfgNodeKind::Switch)
         << "tainted event dispatch should be eliminated";
-  const ProcCfg *Router = R.Closed->findProc("router");
+  const ProcCfg *Router = R.M->findProc("router");
   ASSERT_NE(Router, nullptr);
   bool RouterKeepsSwitch = false;
   for (const CfgNode &Node : Router->Nodes)
@@ -77,17 +77,16 @@ TEST(SwitchAppTest, ClosesAutomatically) {
 
 TEST(SwitchAppTest, BugFreeVariantHasNoDeadlocksUpToDepth) {
   SwitchAppConfig C = tinyConfig();
-  CloseResult R = closeSource(generateSwitchAppSource(C));
+  CompileResult R = compile(generateSwitchAppSource(C));
   ASSERT_TRUE(R.ok()) << R.Diags.str();
 
   SearchOptions Opts;
   Opts.MaxDepth = 40;
-  Explorer Ex(*R.Closed, Opts);
-  SearchStats Stats = Ex.run();
+  SearchResult Search = explore(*R.M, Opts);
+  const SearchStats &Stats = Search.Stats;
   EXPECT_TRUE(Stats.Completed);
-  EXPECT_EQ(Stats.Deadlocks, 0u) << (Ex.reports().empty()
-                                         ? ""
-                                         : Ex.reports()[0].str());
+  EXPECT_EQ(Stats.Deadlocks, 0u)
+      << (Search.Reports.empty() ? "" : Search.Reports[0].str());
   EXPECT_EQ(Stats.AssertionViolations, 0u);
   EXPECT_GT(Stats.Terminations, 0u);
 }
@@ -100,29 +99,29 @@ TEST(SwitchAppTest, SeededTrunkLeakIsFoundAfterClosing) {
   C.WithRegistration = false;
   C.WithForwarding = false;
   C.SeedTrunkLeakBug = true;
-  CloseResult R = closeSource(generateSwitchAppSource(C));
+  CompileResult R = compile(generateSwitchAppSource(C));
   ASSERT_TRUE(R.ok()) << R.Diags.str();
 
   SearchOptions Opts;
   Opts.MaxDepth = 60;
   Opts.StopOnFirstError = true;
-  Explorer Ex(*R.Closed, Opts);
-  SearchStats Stats = Ex.run();
-  EXPECT_GE(Stats.Deadlocks, 1u)
-      << "the trunk leak must surface as a deadlock; stats: " << Stats.str();
-  ASSERT_FALSE(Ex.reports().empty());
-  EXPECT_EQ(Ex.reports()[0].Kind, ErrorReport::Type::Deadlock);
+  SearchResult Search = explore(*R.M, Opts);
+  EXPECT_GE(Search.Stats.Deadlocks, 1u)
+      << "the trunk leak must surface as a deadlock; stats: "
+      << Search.Stats.str();
+  ASSERT_FALSE(Search.Reports.empty());
+  EXPECT_EQ(Search.Reports[0].Kind, ErrorReport::Type::Deadlock);
 }
 
 TEST(SwitchAppTest, PreservedAssertionsSurviveClosing) {
   SwitchAppConfig C = tinyConfig();
-  CloseResult R = closeSource(generateSwitchAppSource(C));
+  CompileResult R = compile(generateSwitchAppSource(C));
   ASSERT_TRUE(R.ok()) << R.Diags.str();
 
   // The router and registration counters are environment-independent, so
   // their assertions must keep their real arguments.
   size_t PreservedAsserts = 0;
-  for (const ProcCfg &Proc : R.Closed->Procs)
+  for (const ProcCfg &Proc : R.M->Procs)
     for (const CfgNode &Node : Proc.Nodes)
       if (Node.Kind == CfgNodeKind::Call &&
           Node.Builtin == BuiltinKind::VsAssert &&
@@ -148,9 +147,9 @@ TEST(SwitchAppTest, HandlerVariantsScaleCodeSize) {
   EXPECT_NE(ModFour->Processes[0].ProcName, ModFour->Processes[1].ProcName);
 
   // Every variant closes fully.
-  CloseResult R = closeSource(generateSwitchAppSource(Four));
+  CompileResult R = compile(generateSwitchAppSource(Four));
   ASSERT_TRUE(R.ok()) << R.Diags.str();
-  EnvAnalysis Analysis(*R.Closed);
+  EnvAnalysis Analysis(*R.M);
   EXPECT_TRUE(Analysis.moduleIsClosed());
 }
 
@@ -158,11 +157,11 @@ TEST(SwitchAppTest, VariantUsageAssertionsPreserved) {
   SwitchAppConfig C = tinyConfig();
   C.NumLines = 2;
   C.HandlerVariants = 2;
-  CloseResult R = closeSource(generateSwitchAppSource(C));
+  CompileResult R = compile(generateSwitchAppSource(C));
   ASSERT_TRUE(R.ok()) << R.Diags.str();
   // The per-class usage accounting is untainted, so its assertion keeps
   // its real argument in every handler variant.
-  for (const ProcCfg &Proc : R.Closed->Procs) {
+  for (const ProcCfg &Proc : R.M->Procs) {
     if (Proc.Name.rfind("line_handler", 0) != 0)
       continue;
     bool SawRealAssert = false;
@@ -178,11 +177,11 @@ TEST(SwitchAppTest, ScalesToLargerConfigurations) {
   SwitchAppConfig C;
   C.NumLines = 12;
   C.EventsPerLine = 6;
-  CloseResult R = closeSource(generateSwitchAppSource(C));
+  CompileResult R = compile(generateSwitchAppSource(C));
   ASSERT_TRUE(R.ok()) << R.Diags.str();
-  EXPECT_EQ(R.Closed->Processes.size(), 16u);
+  EXPECT_EQ(R.M->Processes.size(), 16u);
   // Interface fully eliminated even at scale.
-  EnvAnalysis Analysis(*R.Closed);
+  EnvAnalysis Analysis(*R.M);
   EXPECT_TRUE(Analysis.moduleIsClosed());
 }
 

@@ -115,9 +115,9 @@ TEST(VmTest, CompilesEveryBundledExample) {
     auto Open = mustCompile(Source);
     ASSERT_TRUE(Open);
     EXPECT_GT(vm::compileModule(*Open)->instructionCount(), 0u);
-    CloseResult R = closeSource(Source);
+    CompileResult R = compile(Source);
     ASSERT_TRUE(R.ok()) << R.Diags.str();
-    EXPECT_GT(vm::compileModule(*R.Closed)->instructionCount(), 0u);
+    EXPECT_GT(vm::compileModule(*R.M)->instructionCount(), 0u);
   }
 }
 
@@ -186,14 +186,14 @@ TEST(VmTest, EnginesAgreeOnExamples) {
 }
 
 TEST(VmTest, EnginesAgreeOnClosedFigure2UnderPorAblations) {
-  CloseResult R = closeSource(figure2Source());
+  CompileResult R = compile(figure2Source());
   ASSERT_TRUE(R.ok()) << R.Diags.str();
   for (bool Por : {true, false}) {
     SearchOptions Opts;
     Opts.MaxDepth = 60;
     Opts.UsePersistentSets = Por;
     Opts.UseSleepSets = Por;
-    expectEnginesAgree(*R.Closed, Opts,
+    expectEnginesAgree(*R.M, Opts,
                        std::string("figure2 por=") + (Por ? "on" : "off"));
   }
 }
@@ -223,11 +223,11 @@ TEST(VmTest, DifferentialFuzzGateOnClosedRandomPrograms) {
   // Seeds >= 1000 use the wider three-process shape.
   for (uint64_t Seed : {3u, 17u, 99u, 1003u, 1500u}) {
     std::string Label = "seed " + std::to_string(Seed);
-    CloseResult R = closeSource(randomOpenProgram(Seed));
+    CompileResult R = compile(randomOpenProgram(Seed));
     ASSERT_TRUE(R.ok()) << Label << "\n" << R.Diags.str();
     SearchOptions Opts;
     Opts.MaxDepth = 60;
-    expectEnginesAgree(*R.Closed, Opts, Label);
+    expectEnginesAgree(*R.M, Opts, Label);
   }
 }
 

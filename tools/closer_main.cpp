@@ -189,11 +189,13 @@ std::string readFile(const char *Path) {
   return Out.str();
 }
 
-CloseResult closeFileOrDie(const std::string &Path, const Args &A) {
-  ClosingOptions Options;
-  Options.Taint.CoarseMode = A.has("--coarse");
-  Options.DedupTosses = A.has("--dedup-toss");
-  CloseResult R = closeSource(readFile(Path.c_str()), Options);
+/// Closes \p Path with the default pipeline; exits on failure. Writes no
+/// artifact: `explore --stats-json` names the explore artifact.
+CompileResult closeFileOrDie(const std::string &Path, const Args &A) {
+  PipelineOptions Options;
+  Options.Closing.Taint.CoarseMode = A.has("--coarse");
+  Options.Closing.DedupTosses = A.has("--dedup-toss");
+  CompileResult R = compile(readFile(Path.c_str()), Options);
   if (!R.ok()) {
     std::fprintf(stderr, "%s", R.Diags.str().c_str());
     std::exit(1);
@@ -375,9 +377,9 @@ int cmdCfg(const Args &A) {
     usage();
     return 1;
   }
-  CloseResult R = closeFileOrDie(A.Positional[0], A);
+  CompileResult R = closeFileOrDie(A.Positional[0], A);
   if (A.Positional.size() > 1) {
-    const ProcCfg *Proc = R.Closed->findProc(A.Positional[1]);
+    const ProcCfg *Proc = R.M->findProc(A.Positional[1]);
     if (!Proc) {
       std::fprintf(stderr, "error: no procedure '%s'\n",
                    A.Positional[1].c_str());
@@ -386,7 +388,7 @@ int cmdCfg(const Args &A) {
     std::printf("%s", printCfg(*Proc).c_str());
     return 0;
   }
-  std::printf("%s", printModule(*R.Closed).c_str());
+  std::printf("%s", printModule(*R.M).c_str());
   return 0;
 }
 
@@ -395,8 +397,8 @@ int cmdDot(const Args &A) {
     usage();
     return 1;
   }
-  CloseResult R = closeFileOrDie(A.Positional[0], A);
-  const ProcCfg *Proc = R.Closed->findProc(A.Positional[1]);
+  CompileResult R = closeFileOrDie(A.Positional[0], A);
+  const ProcCfg *Proc = R.M->findProc(A.Positional[1]);
   if (!Proc) {
     std::fprintf(stderr, "error: no procedure '%s'\n",
                  A.Positional[1].c_str());
@@ -432,9 +434,9 @@ int cmdExplore(const Args &A) {
       return 1;
     }
   } else {
-    CloseResult R = closeFileOrDie(A.Positional[0], A);
-    ToExplore = std::move(R.Closed);
-    if (R.Stats.EnvCallsRemoved || R.Stats.ParamsRemoved)
+    CompileResult R = closeFileOrDie(A.Positional[0], A);
+    ToExplore = std::move(R.M);
+    if (R.Closing.EnvCallsRemoved || R.Closing.ParamsRemoved)
       std::fprintf(stderr, "note: program was open; closed automatically\n");
   }
 
@@ -500,8 +502,6 @@ int cmdExplore(const Args &A) {
   Opts.ExternalStop = &GInterruptRequested;
   std::signal(SIGINT, closerOnSigint);
 
-  // explore() selects the backend (sequential, parallel, cached) from the
-  // options; with the defaults it runs the plain sequential search.
   SearchResult Result = explore(*ToExplore, Opts);
   const SearchStats &Stats = Result.Stats;
   std::signal(SIGINT, SIG_DFL);
@@ -596,8 +596,8 @@ int cmdReplay(const Args &A) {
       return 1;
     }
   } else {
-    CloseResult R = closeFileOrDie(A.Positional[0], A);
-    Mod = std::move(R.Closed);
+    CompileResult R = closeFileOrDie(A.Positional[0], A);
+    Mod = std::move(R.M);
   }
 
   SystemOptions SysOpts;
