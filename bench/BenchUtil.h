@@ -219,11 +219,11 @@ inline std::string vmComputeProgram(int Iters, int Rounds) {
 }
 
 /// Two processes looping Iters times over wait/signal on one shared
-/// semaphore: a deep "grid" state space of Iters^2 distinct states (the
-/// loop-counter pair), every one reachable along combinatorially many
-/// interleavings. Without a visited-state cache the search tree is
-/// exponential in Iters; with one it collapses to the grid — the cached
-/// deep-series workload.
+/// semaphore: a deep "grid" state space of (2 * Iters + 1)^2 distinct
+/// states (the pair of loop positions, two steps per iteration), every one
+/// reachable along combinatorially many interleavings. Without a
+/// visited-state cache the search tree is exponential in Iters; with one
+/// it collapses to the grid — the cached deep-series workload.
 inline std::string semGridProgram(int Iters) {
   std::string S;
   std::string N = std::to_string(Iters);

@@ -53,6 +53,8 @@ json::Value closer::statsToJson(const SearchStats &S) {
   O.add("completed", S.Completed);
   O.add("interrupted", S.Interrupted);
   O.add("wall_seconds", S.WallSeconds);
+  O.add("busy_s", S.BusySeconds);
+  O.add("parked_s", S.ParkedSeconds);
   return O;
 }
 

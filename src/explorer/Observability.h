@@ -37,7 +37,8 @@ namespace closer {
 /// Current value of the artifact's "schema" discriminator field.
 inline const char *statsJsonSchema() { return "closer-explore-stats-v1"; }
 
-/// Every SearchStats field as an ordered JSON object (snake_case keys).
+/// Every SearchStats field as an ordered JSON object (snake_case keys;
+/// BusySeconds and ParkedSeconds appear as busy_s and parked_s).
 json::Value statsToJson(const SearchStats &S);
 
 /// The search options that shaped a run, for artifact self-description.

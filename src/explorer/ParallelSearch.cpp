@@ -27,11 +27,11 @@ namespace {
 // Monitor
 //===----------------------------------------------------------------------===//
 
-/// Observability sidecar thread: periodically snapshots the lock-free
-/// counters in SharedSearchControl for `--progress` lines, and raises the
+/// Observability sidecar thread: periodically sums the explorers' progress
+/// slots in SharedSearchControl for `--progress` lines, and raises the
 /// cooperative stop flag when the wall-clock budget expires or an external
-/// stop flag (SIGINT) is set. Workers are never blocked by it — they only
-/// ever see relaxed atomic loads/stores.
+/// stop flag (SIGINT) is set. Workers are never blocked by it: it only
+/// loads the slots they store to, and stores the stop flag once.
 class Monitor {
 public:
   Monitor(const SearchOptions &Opts, SharedSearchControl &Control,
@@ -80,8 +80,33 @@ private:
       Sched->requestStop(); // Targeted unparks; workers observe Stop.
   }
 
-  void emitProgress(double Elapsed, double Dt, uint64_t States,
-                    uint64_t Trans, uint64_t LastStates, uint64_t LastTrans) {
+  /// The explorers' progress slots, summed (MaxDepth: maximized).
+  struct Totals {
+    uint64_t States = 0, Transitions = 0, Runs = 0, Reports = 0,
+             MaxDepth = 0, CacheHits = 0, CacheInserts = 0,
+             CacheSaturated = 0;
+  };
+
+  Totals sumSlots() const {
+    auto Load = [](const std::atomic<uint64_t> &A) {
+      return A.load(std::memory_order_relaxed);
+    };
+    Totals T;
+    for (const ProgressSlot &S : Control.Progress) {
+      T.States += Load(S.States);
+      T.Transitions += Load(S.Transitions);
+      T.Runs += Load(S.Runs);
+      T.Reports += Load(S.Reports);
+      T.MaxDepth = std::max(T.MaxDepth, Load(S.MaxDepth));
+      T.CacheHits += Load(S.CacheHits);
+      T.CacheInserts += Load(S.CacheInserts);
+      T.CacheSaturated += Load(S.CacheSaturated);
+    }
+    return T;
+  }
+
+  void emitProgress(double Elapsed, double Dt, const Totals &T,
+                    const Totals &Last) {
     if (Dt <= 0)
       Dt = 1;
     // Cache traffic is appended only for cached runs, pre-formatted so the
@@ -92,28 +117,21 @@ private:
       std::snprintf(
           CacheBuf, sizeof(CacheBuf),
           " cache-hits=%llu cache-inserts=%llu cache-saturated=%llu",
-          static_cast<unsigned long long>(
-              Control.CacheHits.load(std::memory_order_relaxed)),
-          static_cast<unsigned long long>(
-              Control.CacheInserts.load(std::memory_order_relaxed)),
-          static_cast<unsigned long long>(
-              Control.CacheSaturated.load(std::memory_order_relaxed)));
+          static_cast<unsigned long long>(T.CacheHits),
+          static_cast<unsigned long long>(T.CacheInserts),
+          static_cast<unsigned long long>(T.CacheSaturated));
     std::fprintf(
         stderr,
         "progress: t=%.1fs states=%llu states/s=%.0f transitions=%llu "
         "trans/s=%.0f depth=%llu frontier=%zu runs=%llu reports=%llu%s\n",
-        Elapsed, static_cast<unsigned long long>(States),
-        static_cast<double>(States - LastStates) / Dt,
-        static_cast<unsigned long long>(Trans),
-        static_cast<double>(Trans - LastTrans) / Dt,
-        static_cast<unsigned long long>(
-            Control.MaxDepthSeen.load(std::memory_order_relaxed)),
+        Elapsed, static_cast<unsigned long long>(T.States),
+        static_cast<double>(T.States - Last.States) / Dt,
+        static_cast<unsigned long long>(T.Transitions),
+        static_cast<double>(T.Transitions - Last.Transitions) / Dt,
+        static_cast<unsigned long long>(T.MaxDepth),
         Sched ? Sched->queuedHint() : static_cast<size_t>(0),
-        static_cast<unsigned long long>(
-            Control.Runs.load(std::memory_order_relaxed)),
-        static_cast<unsigned long long>(
-            Control.Reports.load(std::memory_order_relaxed)),
-        CacheBuf);
+        static_cast<unsigned long long>(T.Runs),
+        static_cast<unsigned long long>(T.Reports), CacheBuf);
   }
 
   void loop() {
@@ -126,7 +144,7 @@ private:
 
     double NextProgress = Opts.ProgressIntervalSeconds;
     double LastElapsed = 0;
-    uint64_t LastStates = 0, LastTrans = 0;
+    Totals Last;
 
     std::unique_lock<std::mutex> Lock(M);
     for (;;) {
@@ -144,12 +162,9 @@ private:
           triggerStop();
       }
       if (Opts.ProgressIntervalSeconds > 0 && Elapsed >= NextProgress) {
-        uint64_t States = Control.StatesVisited.load(std::memory_order_relaxed);
-        uint64_t Trans = Control.Transitions.load(std::memory_order_relaxed);
-        emitProgress(Elapsed, Elapsed - LastElapsed, States, Trans,
-                     LastStates, LastTrans);
-        LastStates = States;
-        LastTrans = Trans;
+        Totals Now = sumSlots();
+        emitProgress(Elapsed, Elapsed - LastElapsed, Now, Last);
+        Last = Now;
         LastElapsed = Elapsed;
         NextProgress = Elapsed + Opts.ProgressIntervalSeconds;
       }
@@ -222,6 +237,14 @@ void accumulate(SearchStats &Into, const SearchStats &From) {
   Into.Wakeups += From.Wakeups;
   Into.ArenaBytes += From.ArenaBytes;
   Into.PoolFresh += From.PoolFresh;
+  Into.BusySeconds += From.BusySeconds;
+  Into.ParkedSeconds += From.ParkedSeconds;
+}
+
+using Clock = std::chrono::steady_clock;
+
+double seconds(Clock::duration D) {
+  return std::chrono::duration<double>(D).count();
 }
 
 } // namespace
@@ -287,11 +310,14 @@ void Explorer::drive(ExploreScheduler *Sched, int W) {
   for (;;) {
     bool Continue = runOnce();
     ++Stats.Runs;
-    uint64_t TotalRuns =
-        Shared ? Shared->Runs.fetch_add(1, std::memory_order_relaxed) + 1
-               : Stats.Runs;
-    if (Options.MaxRuns && TotalRuns >= Options.MaxRuns)
-      requestStop();
+    publishProgress();
+    if (Options.MaxRuns) {
+      uint64_t TotalRuns =
+          Shared ? Shared->Runs.fetch_add(1, std::memory_order_relaxed) + 1
+                 : Stats.Runs;
+      if (TotalRuns >= Options.MaxRuns)
+        requestStop();
+    }
     if (!Continue || stopRequested()) {
       // runOnce() only gives up under a stop. Remember the in-flight
       // choice prefix so a stopped run can name its abandoned subtrees
@@ -306,11 +332,40 @@ void Explorer::drive(ExploreScheduler *Sched, int W) {
   }
 }
 
+void Explorer::publishProgress() {
+  if (!Progress)
+    return;
+  auto Put = [](std::atomic<uint64_t> &Slot, uint64_t V) {
+    Slot.store(V, std::memory_order_relaxed);
+  };
+  Put(Progress->States, Stats.StatesVisited);
+  Put(Progress->Transitions, Stats.Transitions);
+  Put(Progress->Runs, Stats.Runs);
+  Put(Progress->Reports, Reports.size());
+  Put(Progress->CacheHits, Stats.CacheHits);
+  Put(Progress->CacheInserts, Stats.CacheInserts);
+  Put(Progress->CacheSaturated, Stats.CacheSaturated);
+  // A run ends at its deepest state. Only this explorer stores MaxDepth,
+  // so the load reads back its own last store.
+  if (Sys.depth() > Progress->MaxDepth.load(std::memory_order_relaxed))
+    Put(Progress->MaxDepth, Sys.depth());
+}
+
 void Explorer::work(ExploreScheduler &Sched, int W) {
   WorkItem Item;
-  while (Sched.next(W, Item)) {
+  // One clock read when a claim returns and one when its item is driven:
+  // the gaps are time in next() (popping, stealing, parked) and time busy.
+  Clock::time_point Mark = Clock::now();
+  for (;;) {
+    const bool Claimed = Sched.next(W, Item);
+    const Clock::time_point Start = Clock::now();
+    Stats.ParkedSeconds += seconds(Start - Mark);
+    if (!Claimed)
+      break;
     beginSubtree(std::move(Item));
     drive(&Sched, W);
+    Mark = Clock::now();
+    Stats.BusySeconds += seconds(Mark - Start);
     // The parcel is retired whether its subtree was exhausted or abandoned
     // under a stop; the last retirement declares the run drained.
     Sched.finishItem();
@@ -445,7 +500,9 @@ SearchResult runSearch(const Module &Mod, const SearchOptions &Options,
   std::optional<ExploreScheduler> Sched;
   if (Jobs > 1)
     Sched.emplace(Jobs);
-  SharedSearchControl Control;
+  // Progress slots: 0 for the seeder, 1 + W for worker W.
+  SharedSearchControl Control(Sched ? static_cast<size_t>(Jobs) + 1 : 1,
+                              Opts.ProgressIntervalSeconds > 0);
   SharedSearchControl *Shared =
       Sched || Monitor::wanted(Opts) ? &Control : nullptr;
   Monitor Mon(Opts, Control, Sched ? &*Sched : nullptr);
@@ -457,7 +514,7 @@ SearchResult runSearch(const Module &Mod, const SearchOptions &Options,
   // subtree belong to the worker that claims the prefix. With one job
   // there is no split depth: the seeding pass is the whole search.
   std::vector<std::vector<ReplayStep>> Frontier;
-  Explorer Seeder(Mod, Opts, Cache.get(), Shared);
+  Explorer Seeder(Mod, Opts, Cache.get(), Shared, Control.progressSlot(0));
   Seeder.TraceSink = TraceSink;
   Seeder.TraceSinkCap = TraceSinkCap;
   if (Sched) {
@@ -470,7 +527,9 @@ SearchResult runSearch(const Module &Mod, const SearchOptions &Options,
     Seeder.FrontierSink = &Frontier;
     Seeder.FrontierDepth = SplitDepth;
   }
+  const Clock::time_point SeedBegin = Clock::now();
   Seeder.drive(nullptr, 0);
+  Seeder.Stats.BusySeconds = seconds(Clock::now() - SeedBegin);
   Seeder.finish();
 
   // Phase 2 — parallel subtree exhaustion with work stealing. The frontier
@@ -488,8 +547,9 @@ SearchResult runSearch(const Module &Mod, const SearchOptions &Options,
       Target = (Target + 1) % Jobs;
     }
     for (int W = 0; W != Jobs; ++W)
-      Workers.push_back(
-          std::make_unique<Explorer>(Mod, Opts, Cache.get(), Shared));
+      Workers.push_back(std::make_unique<Explorer>(
+          Mod, Opts, Cache.get(), Shared,
+          Control.progressSlot(static_cast<size_t>(W) + 1)));
     if (Control.Stop.load(std::memory_order_acquire))
       Sched->requestStop(); // Budget/first error already hit while seeding.
 
@@ -509,9 +569,7 @@ SearchResult runSearch(const Module &Mod, const SearchOptions &Options,
   mergeResults(Mod, Parts, R);
   R.Stats.Completed = !Seeder.stopRequested();
   R.Stats.Interrupted = Mon.interrupted() && !R.Stats.Completed;
-  R.Stats.WallSeconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - Begin)
-          .count();
+  R.Stats.WallSeconds = seconds(Clock::now() - Begin);
   if (!R.Stats.Completed) {
     std::vector<std::vector<ReplayStep>> Abandoned;
     for (Explorer *Ex : Parts)

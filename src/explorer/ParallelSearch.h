@@ -25,9 +25,14 @@
 ///    current path whenever more workers are parked than parcels are
 ///    queued, each donation waking exactly one sleeper, so load stays
 ///    balanced on skewed trees without broadcast wakeups;
-///  * the MaxRuns/MaxStates budgets and the StopOnFirstError stop flag
-///    live in shared atomics consulted at every replay step (a single
-///    unobserved worker keeps them in its own counters instead);
+///  * explorers write no shared counter per state, transition or run
+///    unless a budget needs it (see SharedSearchControl). The stop flag
+///    (StopOnFirstError, budgets, the monitor) is loaded at every replay
+///    step and sits on a cache line of its own; the exact MaxStates/MaxRuns
+///    totals are shared atomics incremented only while that budget is set;
+///    `--progress` sums one padded slot per explorer that only its owner
+///    stores to. A single unobserved explorer checks its budgets against
+///    its own counters and touches no atomic;
 ///  * per-worker SearchStats are merged at exit, and ErrorReports are
 ///    deduplicated by a hash of their choice sequence (by the erroneous
 ///    state's fingerprint under state caching, where distinct paths can
@@ -62,27 +67,59 @@
 
 namespace closer {
 
-/// State shared between the explorers of one run: the global
-/// MaxRuns/MaxStates budgets and the StopOnFirstError stop flag keep their
-/// sequential meaning by living in atomics every worker consults.
-struct SharedSearchControl {
-  std::atomic<uint64_t> StatesVisited{0};
-  std::atomic<uint64_t> Runs{0};
-  std::atomic<bool> Stop{false};
-  // Observability counters, maintained with relaxed increments on the
-  // worker hot path and snapshotted (racily, by design) by the progress
-  // monitor; they steer nothing, so staleness is harmless.
+/// Cache-line size the shared search state is padded to.
+constexpr size_t CacheLineBytes = 64;
+
+/// One explorer's `--progress` counters: copies of its running totals that
+/// only the owning explorer stores (relaxed, once per run) and that the
+/// monitor thread loads and sums across explorers (MaxDepth: takes the
+/// maximum). They steer nothing, so a stale read is harmless.
+/// Each slot fills exactly one cache line, so an explorer's stores never
+/// invalidate a line another explorer writes; shared progress counters
+/// would put every observed run back on one contended line.
+struct alignas(CacheLineBytes) ProgressSlot {
+  std::atomic<uint64_t> States{0};
   std::atomic<uint64_t> Transitions{0};
-  /// Reports retained by any worker; duplicates are not yet deduplicated
-  /// here, so this may exceed the final merged report count.
+  std::atomic<uint64_t> Runs{0};
+  /// Reports retained; duplicates across explorers are merged only at the
+  /// end, so the sum may exceed the final report count.
   std::atomic<uint64_t> Reports{0};
-  /// Deepest global state reached by any worker so far.
-  std::atomic<uint64_t> MaxDepthSeen{0};
-  // State-cache traffic (zero when caching is off); progress-only, like
-  // Transitions/Reports above.
+  /// Deepest global state this explorer reached.
+  std::atomic<uint64_t> MaxDepth{0};
+  // State-cache traffic (zero when caching is off).
   std::atomic<uint64_t> CacheHits{0};
   std::atomic<uint64_t> CacheInserts{0};
   std::atomic<uint64_t> CacheSaturated{0};
+};
+static_assert(sizeof(ProgressSlot) == CacheLineBytes,
+              "one progress slot per cache line");
+
+/// State shared between the explorers of one run (null for an unobserved
+/// single-job run). Per state, transition or run, an explorer writes no
+/// line another explorer writes, except a budget total while that budget
+/// is set:
+///  * Stop is loaded at every replay step and stored once, when the run
+///    stops (StopOnFirstError, a budget, the monitor). It has a cache line
+///    to itself, so no counter traffic invalidates it;
+///  * StatesVisited/Runs are the exact global totals behind MaxStates/
+///    MaxRuns, so both budgets keep their sequential meaning. An explorer
+///    increments StatesVisited only while MaxStates is set and Runs only
+///    while MaxRuns is set: one read-modify-write per state or per run;
+///  * Progress holds one slot per explorer (0 for the seeding pass, 1 + W
+///    for worker W) when `--progress` reads them, and none otherwise.
+struct SharedSearchControl {
+  SharedSearchControl(size_t Explorers, bool WithProgress)
+      : Progress(WithProgress ? Explorers : 0) {}
+
+  /// Explorer \p I's progress slot, or null when progress is off.
+  ProgressSlot *progressSlot(size_t I) {
+    return I < Progress.size() ? &Progress[I] : nullptr;
+  }
+
+  alignas(CacheLineBytes) std::atomic<bool> Stop{false};
+  alignas(CacheLineBytes) std::atomic<uint64_t> StatesVisited{0};
+  std::atomic<uint64_t> Runs{0};
+  std::vector<ProgressSlot> Progress;
 };
 
 /// A claimed unit of work: explore the whole subtree under Prefix.
@@ -119,9 +156,10 @@ class Explorer {
 public:
   /// \p Options must already be normalized by explore() (VmCode compiled
   /// for Vm/Both). \p Cache and \p Shared are null when caching is off and
-  /// for an unobserved single-job run, respectively.
+  /// for an unobserved single-job run, respectively; \p Progress is this
+  /// explorer's slot in Shared, null when progress is off.
   Explorer(const Module &Mod, const SearchOptions &Options, StateCache *Cache,
-           SharedSearchControl *Shared);
+           SharedSearchControl *Shared, ProgressSlot *Progress);
 
   /// Exhausts the current (sub)tree — the whole tree unless a work item
   /// pins a prefix or a frontier cuts it — with the one runOnce/backtrack
@@ -132,7 +170,9 @@ public:
   void drive(ExploreScheduler *Sched, int W);
 
   /// Worker-thread body: claims work items (own deque, then stealing) and
-  /// drives each until the scheduler drains or the run stops.
+  /// drives each until the scheduler drains or the run stops. Time spent
+  /// driving claimed items and time spent in Scheduler::next() land in
+  /// Stats.BusySeconds and Stats.ParkedSeconds (two clock reads per item).
   void work(ExploreScheduler &Sched, int W);
 
   /// Completes Stats once this explorer is done: allocator counters, the
@@ -229,6 +269,9 @@ private:
   void clearPath();
   void clearCkpts();
   void report(ErrorReport R);
+  /// Copies this explorer's running totals into its progress slot, once
+  /// per run; no-op when progress is off.
+  void publishProgress();
   /// Stops this explorer and, when coordinated, every sibling worker.
   void requestStop() {
     StopFlag = true;
@@ -266,9 +309,11 @@ private:
   /// arrivals and shared by every explorer of the run (null when caching
   /// is off).
   StateCache *Cache;
-  /// Shared budgets/stop flag and progress counters (null for an
-  /// unobserved single-job run, whose hot path then touches no atomics).
+  /// Shared budgets and stop flag (null for an unobserved single-job run,
+  /// whose hot path then touches no atomics).
   SharedSearchControl *Shared;
+  /// This explorer's progress slot (null unless `--progress` reads it).
+  ProgressSlot *Progress;
   bool StopFlag = false;
 
   // Work-item state (see beginSubtree).
@@ -294,7 +339,9 @@ private:
   // arena and pools, so the steady state touches no shared allocator at
   // all. Pool misses are bounded by the DFS-stack high-water mark; the
   // arena stops growing once the deepest path has been visited.
-  /// Recycles Decision::Procs/Sleep and Checkpoint::Sleep.
+  /// Recycles Decision::Procs/Sleep (work-item placeholders included) and
+  /// Checkpoint::Sleep: every vector released here was acquired here, so
+  /// the freelist never outgrows the DFS stack.
   support::VectorPool<int> IntPool;
   /// Recycles checkpoint snapshots: restoring content into a pooled
   /// snapshot reuses its process/comm/trace buffers.

@@ -185,9 +185,10 @@ private:
 //===----------------------------------------------------------------------===//
 
 Explorer::Explorer(const Module &Mod, const SearchOptions &Options,
-                   StateCache *Cache, SharedSearchControl *Shared)
+                   StateCache *Cache, SharedSearchControl *Shared,
+                   ProgressSlot *Progress)
     : Mod(Mod), Options(Options), Footprints(Mod), Sys(Mod, Options.Runtime),
-      Cache(Cache), Shared(Shared) {
+      Cache(Cache), Shared(Shared), Progress(Progress) {
   if (Options.Exec != ExecMode::Interp) {
     assert(Options.VmCode && "explore() compiles the bytecode");
     if (Options.Exec == ExecMode::Vm)
@@ -201,8 +202,6 @@ Explorer::Explorer(const Module &Mod, const SearchOptions &Options,
 void Explorer::report(ErrorReport R) {
   if (Reports.size() < Options.MaxReports) {
     Reports.push_back(std::move(R));
-    if (Shared)
-      Shared->Reports.fetch_add(1, std::memory_order_relaxed);
   } else {
     ++Stats.ReportsDropped;
   }
@@ -340,13 +339,17 @@ void Explorer::beginSubtree(WorkItem Item) {
   // SnapCursor on every run of this item, so these are never executed or
   // backtracked (they sit below Floor) — they only have to serialize
   // correctly, which needs exactly one option carrying the seed value.
+  // Their vectors come from IntPool like every other scheduling decision's,
+  // because clearPath() releases them there.
   for (size_t I = 0; I < Item.SnapCursor; ++I) {
     const ReplayStep &S = SeedPrefix[I];
     Decision D;
     switch (S.K) {
     case ReplayStep::Kind::Sched:
       D.K = Decision::Kind::Sched;
-      D.Procs = {static_cast<int>(S.Value)};
+      D.Procs = IntPool.acquire();
+      D.Procs.push_back(static_cast<int>(S.Value));
+      D.Sleep = IntPool.acquire();
       D.Chosen = 0;
       break;
     case ReplayStep::Kind::Toss:
@@ -508,22 +511,15 @@ bool Explorer::runOnce() {
         return true;
       }
       ++Stats.StatesVisited;
-      uint64_t TotalStates = Stats.StatesVisited;
-      if (Shared) {
-        TotalStates =
-            Shared->StatesVisited.fetch_add(1, std::memory_order_relaxed) +
-            1;
-        // Progress-only depth high-water mark; a lost CAS race just delays
-        // the update to the next deeper state.
-        uint64_t D = static_cast<uint64_t>(Sys.depth());
-        uint64_t Cur = Shared->MaxDepthSeen.load(std::memory_order_relaxed);
-        while (D > Cur && !Shared->MaxDepthSeen.compare_exchange_weak(
-                              Cur, D, std::memory_order_relaxed)) {
+      if (Options.MaxStates) {
+        uint64_t TotalStates =
+            Shared ? Shared->StatesVisited.fetch_add(
+                         1, std::memory_order_relaxed) + 1
+                   : Stats.StatesVisited;
+        if (TotalStates >= Options.MaxStates) {
+          requestStop();
+          return false;
         }
-      }
-      if (Options.MaxStates && TotalStates >= Options.MaxStates) {
-        requestStop();
-        return false;
       }
       if (Cache) {
         // The cache consult happens only at fresh arrivals — replayed
@@ -533,21 +529,15 @@ bool Explorer::runOnce() {
         switch (Cache->insert(Sys.fingerprint())) {
         case StateCache::Insert::Present:
           ++Stats.CacheHits;
-          if (Shared)
-            Shared->CacheHits.fetch_add(1, std::memory_order_relaxed);
           RecordLeafTrace();
           return true;
         case StateCache::Insert::Inserted:
           ++Stats.CacheInserts;
-          if (Shared)
-            Shared->CacheInserts.fetch_add(1, std::memory_order_relaxed);
           break;
         case StateCache::Insert::Saturated:
           // Table full: keep exploring without pruning (sound, possibly
           // redundant). Never treat saturation as "seen".
           ++Stats.CacheSaturated;
-          if (Shared)
-            Shared->CacheSaturated.fetch_add(1, std::memory_order_relaxed);
           break;
         }
       }
@@ -629,8 +619,6 @@ bool Explorer::runOnce() {
                         FrameBuf.back().second);
     ExecResult R = Sys.executeTransition(Chosen, Provider);
     ++Stats.Transitions;
-    if (Shared)
-      Shared->Transitions.fetch_add(1, std::memory_order_relaxed);
     if (FreshMode)
       ++Stats.TreeTransitions;
     else

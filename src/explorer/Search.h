@@ -188,6 +188,13 @@ struct SearchStats {
   /// Wall-clock duration of the run (not part of str(): tree-shaped output
   /// stays bit-identical across machines and runs).
   double WallSeconds = 0;
+  /// Seconds this part spent exploring: a worker's time driving the items
+  /// it claimed, the seeding pass's whole duration. Summed in Stats. Not
+  /// part of str(), like WallSeconds.
+  double BusySeconds = 0;
+  /// Seconds a worker spent claiming items (own deque, stealing, parked);
+  /// 0 for the seeding pass. Summed in Stats. Not part of str().
+  double ParkedSeconds = 0;
 
   std::string str() const;
 };

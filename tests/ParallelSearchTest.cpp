@@ -13,6 +13,7 @@
 
 #include "explorer/Search.h"
 
+#include "../bench/BenchUtil.h"
 #include "RandomProgram.h"
 #include "TestUtil.h"
 #include "closing/Pipeline.h"
@@ -138,6 +139,29 @@ TEST(ParallelSearchTest, SharedStateBudgetStopsAllWorkers) {
   // the one state it counts between two stop-flag checks.
   EXPECT_GE(Stats.StatesVisited, 50u);
   EXPECT_LE(Stats.StatesVisited, 50u + Opts.Jobs);
+}
+
+TEST(ParallelSearchTest, ProgressMonitorSumsWorkerSlotsDuringRun) {
+  // Without reduction, a tree of about 5 * 10^4 states.
+  auto Mod = mustCompile(semGridProgram(4));
+  ASSERT_TRUE(Mod);
+  SearchOptions Opts;
+  Opts.MaxDepth = 100;
+  Opts.UsePersistentSets = false;
+  Opts.UseSleepSets = false;
+  Opts.Jobs = 4;
+  SearchResult Plain = explore(*Mod, Opts);
+
+  // Every explorer stores its counters into its own progress slot while
+  // the monitor thread sums the slots once a millisecond; under Tsan a
+  // race between them fails this test. The progress lines themselves are
+  // checked by ObservabilityTest.ProgressLinesAreWellFormed.
+  Opts.ProgressIntervalSeconds = 0.001;
+  SearchResult Observed = explore(*Mod, Opts);
+
+  EXPECT_TRUE(Observed.Stats.Completed);
+  EXPECT_EQ(treeShape(Plain.Stats), treeShape(Observed.Stats));
+  EXPECT_EQ(errorSet(Plain.Reports), errorSet(Observed.Reports));
 }
 
 TEST(ParallelSearchTest, StopOnFirstErrorStopsParallelRun) {
