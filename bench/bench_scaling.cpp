@@ -9,11 +9,8 @@
 // essentially linear in the size of G_j and G~_j since the transformation
 // can be performed by a single traversal of both graphs." This benchmark
 // sweeps program size and reports ns per (CFG node + define-use arc) — the
-// ratio should stay flat.
-//
-// Two timings per size:
-//   BM_AnalyzeAndClose: full pipeline cost (analysis + transformation);
-//   BM_TransformOnly:   Figure 1 Steps 3-5 alone, given the analysis.
+// ratio should stay flat. Writes BENCH_scaling.json: per size, one total
+// row and one row per pipeline phase.
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,114 +19,15 @@
 #include "cfg/CfgBuilder.h"
 #include "cfg/CfgPrinter.h"
 #include "dataflow/DefUse.h"
-#include "explorer/Search.h"
 #include "lang/Parser.h"
 #include "lang/Sema.h"
 #include "support/CorpusGen.h"
 
-#include <benchmark/benchmark.h>
-
 #include <chrono>
-#include <cstring>
 
 using namespace closer;
 
 namespace {
-
-void BM_AnalyzeAndClose(benchmark::State &State) {
-  size_t N = static_cast<size_t>(State.range(0));
-  auto Mod = benchCompile(scalingProgram(N));
-  size_t Nodes = Mod->totalNodes();
-
-  // Measure the define-use graph size once for the per-unit metric.
-  EnvAnalysis Probe(*Mod);
-  size_t DuArcs = 0;
-  for (size_t P = 0; P != Mod->Procs.size(); ++P)
-    DuArcs += Probe.dataflow(P).arcCount();
-
-  for (auto _ : State) {
-    Module Closed = closeModule(*Mod);
-    benchmark::DoNotOptimize(&Closed);
-  }
-  State.counters["nodes"] = static_cast<double>(Nodes);
-  State.counters["du_arcs"] = static_cast<double>(DuArcs);
-  State.counters["ns_per_unit"] = benchmark::Counter(
-      static_cast<double>(Nodes + DuArcs) * State.iterations(),
-      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
-}
-BENCHMARK(BM_AnalyzeAndClose)
-    ->RangeMultiplier(4)
-    ->Range(128, 32768)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_TransformOnly(benchmark::State &State) {
-  size_t N = static_cast<size_t>(State.range(0));
-  auto Mod = benchCompile(scalingProgram(N));
-  EnvAnalysis Analysis(*Mod);
-  for (auto _ : State) {
-    Module Closed = closeModule(*Mod, Analysis);
-    benchmark::DoNotOptimize(&Closed);
-  }
-  State.counters["nodes"] = static_cast<double>(Mod->totalNodes());
-  State.counters["ns_per_node"] = benchmark::Counter(
-      static_cast<double>(Mod->totalNodes()) * State.iterations(),
-      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
-}
-BENCHMARK(BM_TransformOnly)
-    ->RangeMultiplier(4)
-    ->Range(128, 32768)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_FrontendCompile(benchmark::State &State) {
-  size_t N = static_cast<size_t>(State.range(0));
-  std::string Src = scalingProgram(N);
-  for (auto _ : State) {
-    DiagnosticEngine Diags;
-    auto Mod = compileAndVerify(Src, Diags);
-    benchmark::DoNotOptimize(Mod.get());
-  }
-  State.counters["source_bytes"] = static_cast<double>(Src.size());
-}
-BENCHMARK(BM_FrontendCompile)
-    ->RangeMultiplier(4)
-    ->Range(128, 32768)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_ExploreJobs(benchmark::State &State) {
-  // Speedup of the work-sharing parallel explorer over the same
-  // state-space-heavy workload: dining philosophers without reduction.
-  // The arg is the worker count; states_per_sec is the figure of merit
-  // (it should scale with available cores — on a single-core machine all
-  // job counts collapse to sequential throughput plus queue overhead).
-  auto Mod = benchCompile(philosophersProgram(3, 2));
-  SearchOptions Opts;
-  Opts.MaxDepth = 14;
-  Opts.UsePersistentSets = false;
-  Opts.UseSleepSets = false;
-  Opts.Jobs = static_cast<size_t>(State.range(0));
-
-  uint64_t States = 0;
-  for (auto _ : State) {
-    SearchStats Stats = explore(*Mod, Opts).Stats;
-    States = Stats.StatesVisited;
-    benchmark::DoNotOptimize(&Stats);
-  }
-  State.counters["states"] = static_cast<double>(States);
-  State.counters["states_per_sec"] = benchmark::Counter(
-      static_cast<double>(States) * State.iterations(),
-      benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_ExploreJobs)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-//===----------------------------------------------------------------------===//
-// Per-phase JSON trajectory
-//===----------------------------------------------------------------------===//
 
 /// One end-to-end run of the closing pipeline with every phase timed
 /// separately, so a superlinear term is attributable to the phase that
@@ -145,7 +43,7 @@ struct PhaseProfile {
     return Parse + Sema + Lower + Alias + DefUse + Taint + Close + Emit;
   }
   /// The closing pipeline proper — the analyses plus the Figure 1
-  /// transform, i.e. what BM_AnalyzeAndClose times. Frontend and source
+  /// transform. Frontend and source
   /// emission are excluded: they are shared with every other tool mode
   /// and are not what the paper's linearity claim (§4) is about.
   double closing() const { return Alias + DefUse + Taint + Close; }
@@ -200,7 +98,6 @@ PhaseProfile profileClose(const std::string &Src) {
   auto T7 = Clock::now();
   std::string Out = emitModuleSource(Closed);
   auto T8 = Clock::now();
-  benchmark::DoNotOptimize(Out.data());
 
   P.Parse = Sec(T0, T1);
   P.Sema = Sec(T1, T2);
@@ -255,13 +152,7 @@ void emitProfile(BenchJson &Json, const std::string &Name,
 
 } // namespace
 
-int main(int argc, char **argv) {
-  // `--json-only` writes BENCH_scaling.json and exits without the
-  // google-benchmark suite — the fast path scripts/check.sh gates on.
-  bool JsonOnly = false;
-  for (int I = 1; I < argc; ++I)
-    JsonOnly |= std::strcmp(argv[I], "--json-only") == 0;
-
+int main() {
   std::printf("E4: transformation cost vs program size (expect flat "
               "ns_per_unit — 'essentially linear', paper section 4)\n\n");
 
@@ -291,11 +182,5 @@ int main(int argc, char **argv) {
       Best.minWith(profileClose(Src));
     emitProfile(Json, "corpus_P" + std::to_string(Procs), Best);
   }
-  Json.write("BENCH_scaling.json");
-  if (JsonOnly)
-    return 0;
-
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return Json.write("BENCH_scaling.json") ? 0 : 1;
 }

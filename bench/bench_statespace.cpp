@@ -1,47 +1,34 @@
-//===- bench_statespace.cpp - E3: naive env vs transformed state space ------===//
+//===- bench_statespace.cpp - Explorer throughput series ---------------------===//
 //
 // Part of the closer project: a reproduction of "Automatically Closing Open
 // Reactive Programs" (Colby, Godefroid, Jagadeesan, PLDI 1998).
 //
 //===----------------------------------------------------------------------===//
 //
-// Quantifies the paper's §3 argument: pairing an open system with an
-// explicit most-general environment over an input domain of size D yields a
-// state space that grows with D (and is infinite for the unrestricted
-// environment), while the transformation's state space is independent of
-// the input domain.
+// Throughput of the explorer's backtracking, caching, transition-engine and
+// scheduler layers, written to BENCH_statespace.json. Each series also
+// asserts its determinism contract (tree-shaped stats independent of the
+// checkpoint interval, the engine and the job count) and exits nonzero
+// when it breaks:
 //
-// Series reported (filter program, K = 3 environment reads):
-//   naive(D)  for D in {2, 4, 8, ..., 1024}: explored states and paths
-//   closed    : explored states and paths (one row, no D axis)
+//   deep_K0, deep_K4             stateless vs checkpointed backtracking
+//   cached_grid_uncached_capped  the grid without a state cache (capped)
+//   vm_deep_*, vm_grid_*         interpreter vs bytecode VM
+//   steal_grid_j1, steal_grid_jN cached grid, 1 vs N work-stealing workers
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
 
-#include "envgen/NaiveClose.h"
 #include "explorer/Search.h"
 
-#include <benchmark/benchmark.h>
-
+#include <algorithm>
 #include <chrono>
 #include <thread>
 
 using namespace closer;
 
 namespace {
-
-constexpr int FilterReads = 2;
-constexpr uint64_t RunBudget = 400000;
-
-SearchOptions exploreOptions() {
-  SearchOptions Opts;
-  Opts.MaxDepth = 16;
-  Opts.MaxRuns = RunBudget; // The naive side explodes; cap and report.
-  Opts.UsePersistentSets = false;
-  Opts.UseSleepSets = false;
-  return Opts;
-}
 
 /// Runs one exploration through the closer::explore() façade and reports
 /// wall-clock seconds alongside the stats.
@@ -51,10 +38,6 @@ double timedExplore(const Module &Mod, const SearchOptions &Opts,
   Out = explore(Mod, Opts).Stats;
   auto T1 = std::chrono::steady_clock::now();
   return std::chrono::duration<double>(T1 - T0).count();
-}
-
-SearchStats exploreStats(const Module &Mod) {
-  return explore(Mod, exploreOptions()).Stats;
 }
 
 const char *execName(ExecMode M) {
@@ -93,38 +76,14 @@ void emitExploreRecord(BenchJson &Json, const std::string &Config,
       .num("transitions_per_sec", safeRate(Stats.TreeTransitions, Seconds));
 }
 
-void BM_NaiveEnvironment(benchmark::State &State) {
-  int64_t Domain = State.range(0);
-  auto Open = benchCompile(filterProgram(FilterReads));
-  Module Naive = naiveCloseModule(*Open, {Domain - 1});
-  SearchStats Stats;
-  for (auto _ : State)
-    Stats = exploreStats(Naive);
-  State.counters["domain"] = static_cast<double>(Domain);
-  State.counters["states"] = static_cast<double>(Stats.StatesVisited);
-  State.counters["paths"] = static_cast<double>(Stats.Runs);
-  State.counters["transitions"] = static_cast<double>(Stats.TreeTransitions);
-}
-BENCHMARK(BM_NaiveEnvironment)->RangeMultiplier(4)->Range(2, 128);
-
-void BM_TransformedClosed(benchmark::State &State) {
-  CompileResult R = compile(filterProgram(FilterReads));
-  if (!R.ok())
-    std::abort();
-  SearchStats Stats;
-  for (auto _ : State)
-    Stats = exploreStats(*R.M);
-  State.counters["states"] = static_cast<double>(Stats.StatesVisited);
-  State.counters["paths"] = static_cast<double>(Stats.Runs);
-  State.counters["transitions"] = static_cast<double>(Stats.TreeTransitions);
-}
-BENCHMARK(BM_TransformedClosed);
-
 /// Work-stealing scheduler series (steal_grid): the cached grid workload
 /// at j=1 and j=min(nproc, 4) workers (j=2 on a single-core box, purely
 /// for the counter plumbing — scripts/check.sh applies the speedup gate
-/// only when real parallelism exists). Beyond throughput, the rows carry
-/// the scheduler/allocator counters the scheduler layer introduced:
+/// only when real parallelism exists). One j1 sample swings ±30% on a
+/// shared host, so the series runs three alternating j1/jN pairs and each
+/// row records every pair's states/sec and their median, which the gate
+/// reads. The row's other fields describe its median run. Beyond
+/// throughput, the rows carry the scheduler/allocator counters:
 ///
 ///  * steals / wakeups — total scheduler traffic, plus a per-worker steal
 ///    breakdown so load imbalance is visible, not just averaged away;
@@ -134,14 +93,14 @@ BENCHMARK(BM_TransformedClosed);
 ///    allocator: fresh pool constructions are bounded by the DFS stack's
 ///    high-water mark (plus retained checkpoints), which is orders of
 ///    magnitude below the state count on this workload. Enforced here as
-///    pool_fresh * 50 < states on the sequential row, not eyeballed.
+///    pool_fresh * 50 < states on every sequential run, not eyeballed.
 ///
-/// Tree-shaped stats must agree between the rows (same determinism
-/// contract as the cached_grid series). Returns nonzero on gate failure.
-/// Also runnable standalone (`bench_statespace --steal-only`), which is
-/// how scripts/check.sh drives it without paying for the full bench.
+/// Tree-shaped stats must agree between j1 and jN in every pair. Returns
+/// nonzero on gate failure. Also runnable standalone (`bench_statespace
+/// --steal-only`), which is how scripts/check.sh drives it without paying
+/// for the full bench.
 int runStealGridSeries(BenchJson &Json) {
-  const int GridIters = 512;
+  const int GridIters = 512, Pairs = 3;
   auto Grid = benchCompile(semGridProgram(GridIters));
   SearchOptions GridOpts;
   GridOpts.MaxDepth = uint64_t(1) << 24;
@@ -154,52 +113,39 @@ int runStealGridSeries(BenchJson &Json) {
   unsigned HW = std::thread::hardware_concurrency();
   int JN = HW > 1 ? static_cast<int>(HW < 4 ? HW : 4) : 2;
   std::printf("steal_grid series: sem grid %d x %d, --state-cache=23 "
-              "--checkpoint-interval 8, work-stealing scheduler\n\n",
-              GridIters, GridIters);
+              "--checkpoint-interval 8, work-stealing scheduler, %d "
+              "alternating j1/j%d pairs\n\n",
+              GridIters, GridIters, Pairs, JN);
   std::printf("%-18s %12s %10s %10s %12s %14s\n", "variant", "states",
               "steals", "wakeups", "pool-fresh", "states/sec");
-  SearchStats SeqSteal;
-  for (int Jobs : {1, JN}) {
-    SearchOptions Opts = GridOpts;
-    Opts.Jobs = static_cast<size_t>(Jobs);
-    auto T0 = std::chrono::steady_clock::now();
-    SearchResult R = explore(*Grid, Opts);
-    auto T1 = std::chrono::steady_clock::now();
-    double Sec = std::chrono::duration<double>(T1 - T0).count();
-    const SearchStats &S = R.Stats;
-    std::printf("steal j=%-9d %12llu %10llu %10llu %12llu %14.0f\n", Jobs,
-                static_cast<unsigned long long>(S.StatesVisited),
-                static_cast<unsigned long long>(S.Steals),
-                static_cast<unsigned long long>(S.Wakeups),
-                static_cast<unsigned long long>(S.PoolFresh),
-                Sec > 0 ? static_cast<double>(S.StatesVisited) / Sec : 0);
-    std::string ByWorker;
-    for (size_t W = 0; W != R.Workers.size(); ++W)
-      ByWorker += (W ? "," : "") + std::to_string(R.Workers[W].Steals);
-    Json.record("steal_grid_j" + std::to_string(Jobs))
-        .str("exec", execName(Opts.Exec))
-        .count("checkpoint_interval", Opts.CheckpointInterval)
-        .count("jobs", Opts.Jobs)
-        .count("state_cache_bits", Opts.StateCacheBits)
-        .count("states", S.StatesVisited)
-        .count("tree_transitions", S.TreeTransitions)
-        .count("cache_inserts", S.CacheInserts)
-        .count("completed", S.Completed ? 1 : 0)
-        .count("steals", S.Steals)
-        .count("wakeups", S.Wakeups)
-        .count("arena_bytes", S.ArenaBytes)
-        .count("pool_fresh", S.PoolFresh)
-        .str("steals_by_worker", ByWorker)
-        .num("seconds", Sec)
-        .num("states_per_sec", safeRate(S.StatesVisited, Sec));
-    if (!S.Completed || S.CacheSaturated || S.DepthLimitHits) {
-      std::fprintf(stderr, "steal grid run violated the determinism "
-                           "contract preconditions!\n");
-      return 1;
-    }
-    if (Jobs == 1) {
-      SeqSteal = S;
-      if (S.PoolFresh * 50 >= S.StatesVisited) {
+  struct Sample {
+    SearchResult R;
+    double Seconds;
+  };
+  std::vector<Sample> Samples[2]; // j1, jN; one per pair, in run order.
+  for (int Pair = 1; Pair <= Pairs; ++Pair)
+    for (int Side = 0; Side != 2; ++Side) {
+      SearchOptions Opts = GridOpts;
+      Opts.Jobs = Side ? JN : 1;
+      auto T0 = std::chrono::steady_clock::now();
+      SearchResult R = explore(*Grid, Opts);
+      auto T1 = std::chrono::steady_clock::now();
+      double Sec = std::chrono::duration<double>(T1 - T0).count();
+      const SearchStats &S = R.Stats;
+      std::printf("pair %d steal j=%-3zu %12llu %10llu %10llu %12llu "
+                  "%14.0f\n",
+                  Pair, Opts.Jobs,
+                  static_cast<unsigned long long>(S.StatesVisited),
+                  static_cast<unsigned long long>(S.Steals),
+                  static_cast<unsigned long long>(S.Wakeups),
+                  static_cast<unsigned long long>(S.PoolFresh),
+                  safeRate(S.StatesVisited, Sec));
+      if (!S.Completed || S.CacheSaturated || S.DepthLimitHits) {
+        std::fprintf(stderr, "steal grid run violated the determinism "
+                             "contract preconditions!\n");
+        return 1;
+      }
+      if (Side == 0 && S.PoolFresh * 50 >= S.StatesVisited) {
         std::fprintf(stderr,
                      "steady-state allocation gate failed: pool_fresh=%llu "
                      "vs states=%llu — expansion is hitting the global "
@@ -208,13 +154,56 @@ int runStealGridSeries(BenchJson &Json) {
                      static_cast<unsigned long long>(S.StatesVisited));
         return 1;
       }
-    } else if (S.StatesVisited != SeqSteal.StatesVisited ||
-               S.TreeTransitions != SeqSteal.TreeTransitions ||
-               S.CacheInserts != SeqSteal.CacheInserts) {
-      std::fprintf(stderr, "steal grid tree stats diverged between jobs=1 "
-                           "and jobs=%d!\n", JN);
-      return 1;
+      if (Side == 1) {
+        const SearchStats &Seq = Samples[0].back().R.Stats;
+        if (S.StatesVisited != Seq.StatesVisited ||
+            S.TreeTransitions != Seq.TreeTransitions ||
+            S.CacheInserts != Seq.CacheInserts) {
+          std::fprintf(stderr, "steal grid tree stats diverged between "
+                               "jobs=1 and jobs=%d in pair %d!\n",
+                       JN, Pair);
+          return 1;
+        }
+      }
+      Samples[Side].push_back({std::move(R), Sec});
     }
+
+  for (const std::vector<Sample> &Side : Samples) {
+    // Every sample explores the same states, so the median rate is the
+    // median-time sample's.
+    std::vector<const Sample *> ByTime;
+    for (const Sample &X : Side)
+      ByTime.push_back(&X);
+    std::sort(ByTime.begin(), ByTime.end(),
+              [](const Sample *A, const Sample *B) {
+                return A->Seconds < B->Seconds;
+              });
+    const Sample &Median = *ByTime[ByTime.size() / 2];
+    const SearchStats &S = Median.R.Stats;
+    std::string ByWorker;
+    for (size_t W = 0; W != Median.R.Workers.size(); ++W)
+      ByWorker += (W ? "," : "") + std::to_string(Median.R.Workers[W].Steals);
+    BenchJson::Record &Row =
+        Json.record("steal_grid_j" + std::to_string(Median.R.Options.Jobs))
+            .str("exec", execName(Median.R.Options.Exec))
+            .count("checkpoint_interval", Median.R.Options.CheckpointInterval)
+            .count("jobs", Median.R.Options.Jobs)
+            .count("state_cache_bits", Median.R.Options.StateCacheBits)
+            .count("states", S.StatesVisited)
+            .count("tree_transitions", S.TreeTransitions)
+            .count("cache_inserts", S.CacheInserts)
+            .count("completed", S.Completed ? 1 : 0)
+            .count("steals", S.Steals)
+            .count("wakeups", S.Wakeups)
+            .count("arena_bytes", S.ArenaBytes)
+            .count("pool_fresh", S.PoolFresh)
+            .str("steals_by_worker", ByWorker)
+            .num("median_seconds", Median.Seconds)
+            .num("median_states_per_sec",
+                 safeRate(S.StatesVisited, Median.Seconds));
+    for (size_t I = 0; I != Side.size(); ++I)
+      Row.num("pair" + std::to_string(I + 1) + "_states_per_sec",
+              safeRate(Side[I].R.Stats.StatesVisited, Side[I].Seconds));
   }
   std::printf("\n");
   return 0;
@@ -235,41 +224,6 @@ int main(int argc, char **argv) {
     }
 
   BenchJson Json;
-
-  // Print the headline series as a table (the "figure" this regenerates).
-  std::printf("E3: state-space size, naive most-general environment vs "
-              "transformation\n");
-  std::printf("workload: filter program, %d environment reads, full "
-              "exploration (no POR)\n\n", FilterReads);
-  std::printf("%-14s %12s %12s %14s\n", "variant", "states", "paths",
-              "transitions");
-
-  auto Open = benchCompile(filterProgram(FilterReads));
-  for (int64_t Domain = 2; Domain <= 1024; Domain *= 2) {
-    Module Naive = naiveCloseModule(*Open, {Domain - 1});
-    SearchStats Stats;
-    double Seconds = timedExplore(Naive, exploreOptions(), Stats);
-    std::printf("naive D=%-6lld %12llu %12llu %14llu%s\n",
-                static_cast<long long>(Domain),
-                static_cast<unsigned long long>(Stats.StatesVisited),
-                static_cast<unsigned long long>(Stats.Runs),
-                static_cast<unsigned long long>(Stats.TreeTransitions),
-                Stats.Completed ? "" : "  (run budget hit)");
-    emitExploreRecord(Json, "naive_D" + std::to_string(Domain), Stats,
-                      exploreOptions(), Seconds);
-  }
-  CompileResult R = compile(filterProgram(FilterReads));
-  SearchStats Stats;
-  double Seconds = timedExplore(*R.M, exploreOptions(), Stats);
-  std::printf("%-14s %12llu %12llu %14llu\n", "closed (ours)",
-              static_cast<unsigned long long>(Stats.StatesVisited),
-              static_cast<unsigned long long>(Stats.Runs),
-              static_cast<unsigned long long>(Stats.TreeTransitions));
-  emitExploreRecord(Json, "closed", Stats, exploreOptions(), Seconds);
-  std::printf("\nThe naive series grows as (D)^%d; the transformed program "
-              "is domain-independent\n(2^%d branch paths, one per "
-              "even/odd choice sequence).\n\n",
-              FilterReads, FilterReads);
 
   // Checkpointed vs stateless backtracking on the deepest configuration:
   // two dining philosophers eating many meals build a state space of long
@@ -308,19 +262,14 @@ int main(int argc, char **argv) {
   }
   std::printf("\n");
 
-  // Concurrent state caching on the deep grid workload: Iters^2 distinct
-  // states, each reachable along combinatorially many interleavings, so
-  // the uncached search tree is exponential and only a visited-state cache
-  // makes the workload feasible. One budget-capped uncached row records
-  // that baseline; the cached rows run the same exploration to completion
-  // sequentially and with 4 workers sharing the fingerprint table. The
-  // determinism contract (ALGORITHM.md "Concurrent state caching") says
-  // the tree-shaped stats of completed, unsaturated cached runs must not
-  // depend on the job count — enforced here, not just eyeballed.
+  // The deep grid workload without a state cache: (2 * Iters + 1)^2
+  // distinct states, each reachable along combinatorially many
+  // interleavings, so the uncached search tree is exponential. This
+  // budget-capped row records that baseline; the steal_grid series below
+  // runs the same grid cached to completion.
   const int GridIters = 512;
-  std::printf("cached deep series: sem grid %d x %d (2 procs, shared "
-              "semaphore), no POR\n--state-cache=23 --checkpoint-interval 8, "
-              "sequential vs 4 workers\n\n",
+  std::printf("grid series: sem grid %d x %d (2 procs, shared semaphore), "
+              "no POR, --checkpoint-interval 8, no state cache\n\n",
               GridIters, GridIters);
   auto Grid = benchCompile(semGridProgram(GridIters));
   SearchOptions GridOpts;
@@ -329,47 +278,18 @@ int main(int argc, char **argv) {
   GridOpts.UsePersistentSets = false;
   GridOpts.UseSleepSets = false;
   GridOpts.CheckpointInterval = 8;
-  std::printf("%-18s %12s %14s %12s %14s\n", "variant", "states",
-              "cache-inserts", "seconds", "states/sec");
+  std::printf("%-18s %12s %12s %14s\n", "variant", "states", "seconds",
+              "states/sec");
   {
     SearchOptions Opts = GridOpts;
     Opts.MaxRuns = 100000; // Uncached the tree is exponential: cap, report.
     SearchStats S;
     double Sec = timedExplore(*Grid, Opts, S);
-    std::printf("grid uncached      %12llu %14s %12.3f %14.0f  (capped)\n",
-                static_cast<unsigned long long>(S.StatesVisited), "-", Sec,
-                Sec > 0 ? static_cast<double>(S.StatesVisited) / Sec : 0);
+    std::printf("grid uncached      %12llu %12.3f %14.0f  (capped)\n\n",
+                static_cast<unsigned long long>(S.StatesVisited), Sec,
+                safeRate(S.StatesVisited, Sec));
     emitExploreRecord(Json, "cached_grid_uncached_capped", S, Opts, Sec);
   }
-  SearchStats SeqCached;
-  for (int Jobs : {1, 4}) {
-    SearchOptions Opts = GridOpts;
-    Opts.StateCacheBits = 23;
-    Opts.Jobs = Jobs;
-    SearchStats S;
-    double Sec = timedExplore(*Grid, Opts, S);
-    std::printf("grid cached j=%-4d %12llu %14llu %12.3f %14.0f\n", Jobs,
-                static_cast<unsigned long long>(S.StatesVisited),
-                static_cast<unsigned long long>(S.CacheInserts), Sec,
-                Sec > 0 ? static_cast<double>(S.StatesVisited) / Sec : 0);
-    emitExploreRecord(Json, "cached_grid_j" + std::to_string(Jobs), S, Opts,
-                      Sec);
-    if (!S.Completed || S.CacheSaturated || S.DepthLimitHits) {
-      std::fprintf(stderr, "cached grid run violated the determinism "
-                           "contract preconditions!\n");
-      return 1;
-    }
-    if (Jobs == 1)
-      SeqCached = S;
-    else if (S.StatesVisited != SeqCached.StatesVisited ||
-             S.TreeTransitions != SeqCached.TreeTransitions ||
-             S.CacheInserts != SeqCached.CacheInserts) {
-      std::fprintf(stderr, "cached tree stats diverged between jobs=1 and "
-                           "jobs=4!\n");
-      return 1;
-    }
-  }
-  std::printf("\n");
 
   // Transition-engine series: tree-walking interpreter vs direct-threaded
   // bytecode VM on identical workloads. The engines are interchangeable by
@@ -471,9 +391,5 @@ int main(int argc, char **argv) {
   if (runStealGridSeries(Json))
     return 1;
 
-  Json.write("BENCH_statespace.json");
-
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return Json.write("BENCH_statespace.json") ? 0 : 1;
 }

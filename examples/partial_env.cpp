@@ -145,5 +145,9 @@ process term = terminal();
               "paper recommends partial manual stubs (§1, §3).\n");
   if (!Search2.Reports.empty())
     std::printf("\nfinding:\n%s", Search2.Reports[0].str().c_str());
-  return 0;
+  // The stub is what keeps the invariant: without it the violation exists.
+  return Search.Stats.AssertionViolations == 0 &&
+                 Search2.Stats.AssertionViolations != 0
+             ? 0
+             : 1;
 }

@@ -104,6 +104,5 @@ process r = receiver();
                 "interleaving (up to depth 40).\n");
   for (const ErrorReport &Rep : Reduced.Reports)
     std::printf("finding:\n%s", Rep.str().c_str());
-
-  return 0;
+  return S1.AssertionViolations == 0 && S2.AssertionViolations == 0 ? 0 : 1;
 }

@@ -96,5 +96,6 @@ process mon = monitor();
   std::printf("\nThe closed system covers every behavior of the open system "
               "under any environment,\nwithout enumerating badge codes: the "
               "badge test became a VS_toss choice.\n");
-  return 0;
+  // The search must finish the whole tree and find nothing.
+  return Search.Stats.Completed && Search.Reports.empty() ? 0 : 1;
 }

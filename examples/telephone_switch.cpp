@@ -18,10 +18,12 @@
 #include "switchapp/SwitchApp.h"
 
 #include <cstdio>
+#include <cstdlib>
 
 using namespace closer;
 
-static void analyze(const char *Label, const SwitchAppConfig &Config,
+/// Closes and explores one configuration; returns the search statistics.
+static SearchStats analyze(const char *Label, const SwitchAppConfig &Config,
                     size_t Depth, bool StopOnFirstError) {
   std::string Source = generateSwitchAppSource(Config);
   std::printf("--- %s ---\n", Label);
@@ -33,7 +35,7 @@ static void analyze(const char *Label, const SwitchAppConfig &Config,
   CompileResult R = compile(Source);
   if (!R.ok()) {
     std::printf("closing failed:\n%s\n", R.Diags.str().c_str());
-    return;
+    std::exit(1);
   }
   std::printf("closed automatically: %zu env calls removed, %zu tosses "
               "inserted, %zu nodes -> %zu nodes\n",
@@ -59,6 +61,7 @@ static void analyze(const char *Label, const SwitchAppConfig &Config,
                 "run budget\n");
   }
   std::printf("\n");
+  return Stats;
 }
 
 int main() {
@@ -71,7 +74,8 @@ int main() {
   Correct.NumLines = 1;
   Correct.NumTrunks = 1;
   Correct.EventsPerLine = 1;
-  analyze("correct application", Correct, 40, /*StopOnFirstError=*/false);
+  SearchStats CorrectRun =
+      analyze("correct application", Correct, 40, /*StopOnFirstError=*/false);
 
   SwitchAppConfig Buggy = Correct;
   Buggy.NumLines = 2;
@@ -79,8 +83,10 @@ int main() {
   Buggy.WithForwarding = false;
   Buggy.WithRegistration = false;
   Buggy.SeedTrunkLeakBug = true;
-  analyze("application with seeded trunk leak", Buggy, 60,
-          /*StopOnFirstError=*/true);
-
-  return 0;
+  SearchStats LeakRun = analyze("application with seeded trunk leak", Buggy,
+                                60, /*StopOnFirstError=*/true);
+  // The leak shows as a deadlock; the correct application shows nothing.
+  bool CorrectClean =
+      CorrectRun.Deadlocks == 0 && CorrectRun.AssertionViolations == 0;
+  return CorrectClean && LeakRun.Deadlocks != 0 ? 0 : 1;
 }
