@@ -14,6 +14,7 @@
 //   deep_K0, deep_K4             stateless vs checkpointed backtracking
 //   cached_grid_uncached_capped  the grid without a state cache (capped)
 //   vm_deep_*, vm_grid_*         interpreter vs bytecode VM
+//   switchapp_interp, _vm        the section 6 stand-in, both engines
 //   steal_grid_j1, steal_grid_jN cached grid, 1 vs N work-stealing workers
 //
 //===----------------------------------------------------------------------===//
@@ -21,6 +22,7 @@
 #include "BenchUtil.h"
 
 #include "explorer/Search.h"
+#include "switchapp/SwitchApp.h"
 
 #include <algorithm>
 #include <chrono>
@@ -73,7 +75,9 @@ void emitExploreRecord(BenchJson &Json, const std::string &Config,
       .count("pool_fresh", Stats.PoolFresh)
       .num("seconds", Seconds)
       .num("states_per_sec", safeRate(Stats.StatesVisited, Seconds))
-      .num("transitions_per_sec", safeRate(Stats.TreeTransitions, Seconds));
+      .num("transitions_per_sec", safeRate(Stats.TreeTransitions, Seconds))
+      .num("executed_transitions_per_sec",
+           safeRate(Stats.Transitions, Seconds));
 }
 
 /// Work-stealing scheduler series (steal_grid): the cached grid workload
@@ -387,6 +391,55 @@ int main(int argc, char **argv) {
   }
   std::printf("\nvm_deep interpreter/VM wall-time ratio: %.2fx\n\n",
               DeepRatio);
+
+  // The section 6 stand-in end to end: `gen-switchapp --lines 4 --trunks 2`,
+  // closed, then explored at depth 40 with the CLI's defaults (checkpoint
+  // interval 8, persistent and sleep sets, the 1M-run budget, which runs
+  // out). Replays and restores dominate here, so the rows measure the
+  // whole explore loop rather than the engine alone; executed
+  // transitions per second is the figure ROADMAP tracks.
+  {
+    SwitchAppConfig Config;
+    Config.NumLines = 4;
+    Config.NumTrunks = 2;
+    CompileResult Closed = compile(generateSwitchAppSource(Config));
+    if (!Closed.ok()) {
+      std::fprintf(stderr, "switchapp failed to compile:\n%s\n",
+                   Closed.Diags.str().c_str());
+      return 1;
+    }
+    SearchOptions Opts;
+    Opts.MaxDepth = 40;
+    Opts.MaxRuns = 1000000;
+    Opts.CheckpointInterval = 8;
+    std::printf("switchapp series: lines=4 trunks=2, closed, depth 40, "
+                "checkpoint interval 8, POR and sleep sets, 1M-run "
+                "budget\n\n");
+    std::printf("%-18s %12s %14s %12s %16s\n", "variant", "states",
+                "transitions", "seconds", "transitions/sec");
+    SearchStats InterpStats;
+    for (ExecMode Mode : {ExecMode::Interp, ExecMode::Vm}) {
+      Opts.Exec = Mode;
+      SearchStats S;
+      double Sec = timedExplore(*Closed.M, Opts, S);
+      std::printf("switchapp %-8s %12llu %14llu %12.3f %16.0f\n",
+                  execName(Mode),
+                  static_cast<unsigned long long>(S.StatesVisited),
+                  static_cast<unsigned long long>(S.Transitions), Sec,
+                  safeRate(S.Transitions, Sec));
+      emitExploreRecord(Json, std::string("switchapp_") + execName(Mode), S,
+                        Opts, Sec);
+      if (Mode == ExecMode::Interp) {
+        InterpStats = S;
+      } else if (EngineStatsDiverge(S, InterpStats) ||
+                 S.SleepSetPrunes != InterpStats.SleepSetPrunes) {
+        std::fprintf(stderr, "switchapp tree stats diverged between the "
+                             "interpreter and the VM!\n");
+        return 1;
+      }
+    }
+    std::printf("\n");
+  }
 
   if (runStealGridSeries(Json))
     return 1;

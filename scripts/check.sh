@@ -4,9 +4,10 @@
 # Runs the tier-1 line (configure, build, full ctest), then validates the
 # machine-readable artifacts the tree emits:
 #   * the sanitizer suites (Tsan: state cache, scheduler, steal
-#     equivalence; Asan+UBSan: pass pipeline, vm, analysis cache, domain
-#     partition) are re-run by name (the full ctest pass above includes
-#     them too; this step fails if one drops out of discovery);
+#     equivalence; Asan+UBSan: pass pipeline, vm, runtime, analysis cache,
+#     domain partition; all with asserts on) are re-run by name (the full
+#     ctest pass above includes them too; this step fails if one drops out
+#     of discovery);
 #   * the benchmark's own smoke mode (`perfbench/run.py --smoke`) builds
 #     perfbench/ against src/ and checks every workload's verdict;
 #   * bench_experiments' rows must uphold each paper claim (E1-E3, E5-E9);
@@ -48,13 +49,17 @@ echo "== sanitizer suites =="
 #   * Asan+UBSan: the pass pipeline (module replacement, in-place
 #     mutation); the bytecode VM, whose checked-arithmetic handlers (div/mod
 #     by zero, signed overflow) enforce "deterministic RuntimeError, never
-#     UB"; the analysis cache (stale/garbled blobs) and the domain
-#     partition (multi-param erase compaction).
+#     UB"; the runtime's flat cell arrays and channel rings; the analysis
+#     cache (stale/garbled blobs) and the domain partition (multi-param
+#     erase compaction).
+# Both sanitizer binaries compile src/ with asserts on.
 # (no `grep -q`: with pipefail, its early exit would SIGPIPE ctest)
 for filter in 'Tsan\.StateCache' \
               'Tsan\.(ChaseLevDeque|ParkingLot|Scheduler|StealEquivalence)' \
               'Asan\.PassPipeline' \
               'Asan\.Vm' \
+              'Asan\.RuntimeTest\.' \
+              'Asan\.RuntimeEdgeTest\.' \
               'Asan\.(AnalysisCache|BatchClose|DomainPartition)'; do
   if ! (cd "$BUILD" && ctest -N -R "$filter" | grep -E "$filter" >/dev/null); then
     echo "error: no tests match '$filter'" >&2

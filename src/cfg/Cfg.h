@@ -27,6 +27,8 @@
 #include "lang/Ast.h"
 #include "lang/Builtins.h"
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -103,6 +105,24 @@ struct LocalVar {
   int64_t ArraySize = -1; ///< >= 0 for arrays.
 };
 
+/// The most storage cells one process may hold: its globals plus every
+/// frame on its stack, one cell per scalar and one per array element.
+/// verifyModule() rejects a module whose globals alone exceed it, and both
+/// engines fail a frame push that would cross it (StackOverflow), so every
+/// cell offset and frame base fits the runtime's 32-bit fields.
+inline constexpr size_t MaxProcessCells = INT32_MAX;
+
+/// \p Cells plus the cells of a variable of \p ArraySize (-1: a scalar),
+/// saturated at MaxProcessCells + 1 — a size no process can hold — so sums
+/// of astronomic array sizes never wrap. \p Cells must already be
+/// saturated.
+inline size_t addCells(size_t Cells, int64_t ArraySize) {
+  size_t N = ArraySize >= 0 ? static_cast<size_t>(ArraySize) : 1;
+  return N > MaxProcessCells - std::min(Cells, MaxProcessCells)
+             ? MaxProcessCells + 1
+             : Cells + N;
+}
+
 /// A procedure lowered to its control-flow graph.
 struct ProcCfg {
   std::string Name;
@@ -149,6 +169,21 @@ struct Module {
 
 /// Name of the distinguished local carrying a procedure's return value.
 inline const char *retValName() { return "__retval"; }
+
+/// The first module-wide node index of each procedure (parallel to
+/// Mod.Procs): node N of procedure P is node Bases[P] + N of the module,
+/// numbered procedure by procedure. Flat per-node tables (the runtime's
+/// visible-op table, footprint words, coverage bitmaps) use this numbering.
+inline std::vector<uint32_t> nodeBases(const Module &Mod) {
+  std::vector<uint32_t> Bases;
+  Bases.reserve(Mod.Procs.size());
+  uint32_t Next = 0;
+  for (const ProcCfg &P : Mod.Procs) {
+    Bases.push_back(Next);
+    Next += static_cast<uint32_t>(P.Nodes.size());
+  }
+  return Bases;
+}
 
 /// Removes nodes unreachable from the entry and compacts node ids. The
 /// entry must be node 0 and remains node 0. All arcs must be bound.

@@ -270,6 +270,20 @@ bool closer::verifyModule(const Module &Mod, DiagnosticEngine &Diags) {
   unsigned ErrorsBefore = Diags.errorCount();
   for (const ProcCfg &Proc : Mod.Procs)
     verifyProc(Mod, Proc, Diags);
+  // Every process holds its own copy of the globals, so they must fit in
+  // one process's storage. (A frame too large for it is a runtime error,
+  // raised only if the procedure is ever called.)
+  size_t GlobalCells = 0;
+  for (const GlobalDecl &G : Mod.Globals) {
+    GlobalCells = addCells(GlobalCells, G.ArraySize);
+    if (GlobalCells > MaxProcessCells) {
+      Diags.error(G.Loc, "[cfg] global '" + G.Name +
+                             "' takes the globals past the " +
+                             std::to_string(MaxProcessCells) +
+                             " cells a process can hold");
+      break;
+    }
+  }
   for (const ProcessDecl &P : Mod.Processes) {
     const ProcCfg *Proc = Mod.findProc(P.ProcName);
     if (!Proc) {

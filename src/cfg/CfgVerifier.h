@@ -19,7 +19,8 @@
 ///    and exhaustive or deliberately empty, the paper's §4 assumption;
 ///  * Call nodes reference existing procedures/builtins with correct arity
 ///    and result-ness; object arguments name objects of the right kind;
-///  * every referenced variable is a parameter, local or global.
+///  * every referenced variable is a parameter, local or global;
+///  * the globals fit in one process's storage (MaxProcessCells).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -24,10 +24,11 @@
 #define CLOSER_EXPLORER_FOOTPRINTS_H
 
 #include "cfg/Cfg.h"
+#include "runtime/System.h"
 
 #include <algorithm>
 #include <cstdint>
-#include <memory_resource>
+#include <span>
 #include <vector>
 
 namespace closer {
@@ -36,21 +37,10 @@ namespace closer {
 /// size-normalize: sets sized for different object counts (in particular a
 /// default-constructed, zero-word set) combine as if the shorter one were
 /// padded with zeros, instead of reading or writing out of bounds.
-///
-/// The word storage is pmr so per-state scratch sets can sit on a worker's
-/// bump arena (the explorer's per-transition footprint queries). Copy
-/// construction deliberately does NOT propagate the resource (pmr's
-/// select_on_container_copy_construction default), so a persistent copy of
-/// an arena-backed scratch set lands on the global heap — safe to outlive
-/// the arena.
 class ObjSet {
 public:
   ObjSet() = default;
-  explicit ObjSet(std::pmr::memory_resource *MR) : Words(MR) {}
-  explicit ObjSet(size_t NumObjects,
-                  std::pmr::memory_resource *MR =
-                      std::pmr::get_default_resource())
-      : Words((NumObjects + 63) / 64, 0, MR) {}
+  explicit ObjSet(size_t NumObjects) : Words((NumObjects + 63) / 64, 0) {}
 
   void set(size_t Index) {
     size_t W = Index / 64;
@@ -65,12 +55,18 @@ public:
 
   /// Union-in; returns true when this set grew.
   bool unionWith(const ObjSet &Other) {
-    if (Words.size() < Other.Words.size())
-      Words.resize(Other.Words.size(), 0);
+    return unionWords(Other.Words.data(), Other.Words.size());
+  }
+
+  /// Union-in of a raw word row (\p N words); returns true when this set
+  /// grew.
+  bool unionWords(const uint64_t *Other, size_t N) {
+    if (Words.size() < N)
+      Words.resize(N, 0);
     bool Grew = false;
-    for (size_t I = 0, E = Other.Words.size(); I != E; ++I) {
+    for (size_t I = 0; I != N; ++I) {
       uint64_t Before = Words[I];
-      Words[I] |= Other.Words[I];
+      Words[I] |= Other[I];
       Grew |= Words[I] != Before;
     }
     return Grew;
@@ -91,8 +87,7 @@ public:
     return true;
   }
 
-  /// Clears all bits, keeping the word storage (capacity-reusing reset for
-  /// pooled/arena scratch sets).
+  /// Clears all bits, keeping the word storage.
   void clear() {
     for (uint64_t &W : Words)
       W = 0;
@@ -105,7 +100,7 @@ public:
     for (size_t I = 0; I != E; ++I)
       if (A.Words[I] != B.Words[I])
         return false;
-    const std::pmr::vector<uint64_t> &Longer =
+    const std::vector<uint64_t> &Longer =
         A.Words.size() >= B.Words.size() ? A.Words : B.Words;
     for (size_t I = E; I != Longer.size(); ++I)
       if (Longer[I])
@@ -114,35 +109,57 @@ public:
   }
 
 private:
-  std::pmr::vector<uint64_t> Words;
+  std::vector<uint64_t> Words;
 };
 
+/// The footprint of every control point, in one flat word table: row
+/// nodeBases(Mod)[P] + N holds the wordsPerSet() words of (P, N), so the
+/// explorer's per-state query is a few indexed word loads per frame.
 class FootprintAnalysis {
 public:
   explicit FootprintAnalysis(const Module &Mod);
 
-  /// Objects possibly operated on from (\p ProcIdx, \p Node) onward within
-  /// the same frame and below.
-  const ObjSet &objectsFrom(int ProcIdx, NodeId Node) const {
-    return PerNode[ProcIdx][Node];
+  size_t objectCount() const { return NumObjects; }
+  /// Words in one footprint row: objectCount() bits, rounded up.
+  size_t wordsPerSet() const { return RowWords; }
+
+  /// The footprint row of (\p ProcIdx, \p Node): objects possibly operated
+  /// on from there onward within the same frame and below.
+  const uint64_t *row(int ProcIdx, NodeId Node) const {
+    return Table.data() +
+           (NodeBase[static_cast<size_t>(ProcIdx)] + Node) * RowWords;
   }
 
-  /// Footprint of a whole process given its frame stack (outermost first):
-  /// the union over frames, since outer frames resume after inner ones
-  /// return.
+  /// The same footprint as an ObjSet (a copy of the row).
+  ObjSet objectsFrom(int ProcIdx, NodeId Node) const;
+
+  /// Footprint of a whole process given its frames (outermost first): the
+  /// union over frames, since outer frames resume after inner ones return.
+  /// Overwrites \p Out[0, wordsPerSet()); the explorer's hot-path form.
+  void processFootprintInto(std::span<const System::Frame> Frames,
+                            uint64_t *Out) const {
+    std::fill(Out, Out + RowWords, 0);
+    for (const System::Frame &F : Frames) {
+      const uint64_t *R = row(F.ProcIdx, F.PC);
+      for (size_t W = 0; W != RowWords; ++W)
+        Out[W] |= R[W];
+    }
+  }
+
+  /// ObjSet forms over a frame stack as (procedure index, node id) pairs.
   ObjSet processFootprint(
       const std::vector<std::pair<int, NodeId>> &Frames) const;
 
   /// Capacity-reusing form: clears \p Out and unions the frame footprints
-  /// into it. \p Out keeps whatever memory resource it was built with.
+  /// into it.
   void processFootprintInto(const std::vector<std::pair<int, NodeId>> &Frames,
                             ObjSet &Out) const;
 
-  size_t objectCount() const { return NumObjects; }
-
 private:
   size_t NumObjects;
-  std::vector<std::vector<ObjSet>> PerNode; ///< [proc][node].
+  size_t RowWords;
+  std::vector<uint32_t> NodeBase; ///< nodeBases(Mod).
+  std::vector<uint64_t> Table;
 };
 
 } // namespace closer

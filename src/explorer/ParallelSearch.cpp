@@ -399,11 +399,12 @@ void mergeResults(const Module &Mod, const std::vector<Explorer *> &Parts,
   // state identity; otherwise the choice sequence is the identity.
   const bool ByState = R.Options.stateCacheEnabled();
   std::unordered_set<uint64_t> SeenReports;
-  std::unordered_set<uint64_t> Covered;
+  std::vector<uint64_t> Covered(Parts.front()->Covered.size(), 0);
   for (Explorer *Ex : Parts) {
     R.Workers.push_back(Ex->Stats);
     accumulate(R.Stats, Ex->Stats);
-    Covered.insert(Ex->CoveredOps.begin(), Ex->CoveredOps.end());
+    for (size_t I = 0, E = Covered.size(); I != E; ++I)
+      Covered[I] |= Ex->Covered[I];
     for (ErrorReport &Rep : Ex->Reports) {
       uint64_t Key = ByState ? stateReportKey(Rep) : reportKey(Rep);
       if (SeenReports.insert(Key).second) // Same error twice — keep one.
@@ -423,14 +424,17 @@ void mergeResults(const Module &Mod, const std::vector<Explorer *> &Parts,
     R.Reports.resize(R.Options.MaxReports);
   }
 
-  for (size_t P = 0, E = Mod.Procs.size(); P != E; ++P) {
-    const ProcCfg &Proc = Mod.Procs[P];
-    for (size_t I = 0, N = Proc.Nodes.size(); I != N; ++I)
-      if (Proc.Nodes[I].isVisibleOp() &&
-          !Covered.count((static_cast<uint64_t>(P) << 32) | I))
+  // Only visible sites are ever marked, so the set bits are the covered
+  // sites.
+  R.Stats.VisibleOpsCovered = 0;
+  uint32_t Site = 0; // Module-wide node index, in nodeBases() order.
+  for (const ProcCfg &Proc : Mod.Procs)
+    for (size_t I = 0, N = Proc.Nodes.size(); I != N; ++I, ++Site) {
+      bool Hit = (Covered[Site / 64] >> (Site % 64)) & 1;
+      R.Stats.VisibleOpsCovered += Hit;
+      if (Proc.Nodes[I].isVisibleOp() && !Hit)
         R.Uncovered.push_back({Proc.Name, static_cast<NodeId>(I)});
-  }
-  R.Stats.VisibleOpsCovered = Covered.size();
+    }
   R.Stats.VisibleOpsTotal = Parts.front()->Stats.VisibleOpsTotal;
 }
 

@@ -62,7 +62,6 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 namespace closer {
@@ -197,8 +196,10 @@ public:
   // Results, accumulated across every subtree this explorer drove.
   SearchStats Stats;
   std::vector<ErrorReport> Reports;
-  /// Covered visible sites, packed as ProcIdx * 2^32 + NodeId.
-  std::unordered_set<uint64_t> CoveredOps;
+  /// Covered visible sites: bit I is set once module-wide node I (see
+  /// nodeBases()) has executed its visible operation. Explorers' bitmaps
+  /// are ORed together at the end of a run.
+  std::vector<uint64_t> Covered;
   /// The choice prefix that was in flight when a stop cut the search
   /// short — the deepest abandoned path, replayable by hand to resume the
   /// search (empty when the search ended normally).
@@ -336,9 +337,8 @@ private:
 
   // Hot-path allocation recycling (support/Arena.h). All per-explorer and
   // single-threaded: in a parallel run each worker's Explorer owns its own
-  // arena and pools, so the steady state touches no shared allocator at
-  // all. Pool misses are bounded by the DFS-stack high-water mark; the
-  // arena stops growing once the deepest path has been visited.
+  // pools and scratch, so the steady state touches no shared allocator at
+  // all. Pool misses are bounded by the DFS-stack high-water mark.
   /// Recycles Decision::Procs/Sleep (work-item placeholders included) and
   /// Checkpoint::Sleep: every vector released here was acquired here, so
   /// the freelist never outgrows the DFS stack.
@@ -346,15 +346,16 @@ private:
   /// Recycles checkpoint snapshots: restoring content into a pooled
   /// snapshot reuses its process/comm/trace buffers.
   support::ObjectPool<SystemSnapshot> SnapPool;
-  /// Backs the per-transition footprint scratch bitsets (FpBuf).
-  support::Arena FpArena;
   // Per-transition scratch, reused across every state expansion.
   std::vector<int> EnabledBuf;
-  std::vector<std::pair<int, NodeId>> FrameBuf;
-  /// One footprint per process, words on FpArena; sized once per run.
-  std::vector<ObjSet> FpBuf;
-  /// Union-find scratch for schedCandidatesInto.
+  /// One footprint row per process (Footprints.wordsPerSet() words each);
+  /// sized once per run.
+  std::vector<uint64_t> FpWords;
+  /// Union-find scratch for schedCandidatesInto, and per-root counts and
+  /// smallest enabled members of the components.
   std::vector<int> CompBuf;
+  std::vector<int> RootCount;
+  std::vector<int> RootFront;
   /// Current/next sleep-set scratch for the runOnce descent loop.
   std::vector<int> SleepCurBuf;
   std::vector<int> SleepNextBuf;

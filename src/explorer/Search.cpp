@@ -11,6 +11,7 @@
 #include "vm/Vm.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <numeric>
 
@@ -189,6 +190,7 @@ Explorer::Explorer(const Module &Mod, const SearchOptions &Options,
                    ProgressSlot *Progress)
     : Mod(Mod), Options(Options), Footprints(Mod), Sys(Mod, Options.Runtime),
       Cache(Cache), Shared(Shared), Progress(Progress) {
+  Covered.assign((Mod.totalNodes() + 63) / 64, 0);
   if (Options.Exec != ExecMode::Interp) {
     assert(Options.VmCode && "explore() compiles the bytecode");
     if (Options.Exec == ExecMode::Vm)
@@ -231,25 +233,30 @@ std::vector<ReplayStep> Explorer::choicesUpTo(size_t N) const {
 /// the "remaining footprints intersect" relation; any single component is a
 /// persistent set (no outside process can ever interact with it again).
 /// The component with the fewest enabled members is chosen. Runs once per
-/// expanded state, entirely on member scratch: the footprint bitsets live
-/// on the per-explorer arena and the index vectors keep their capacity
-/// across calls, so the steady state allocates nothing here.
+/// expanded state, entirely on member scratch: each process's footprint is
+/// ORed from the flat footprint table over its frames, read in place, into
+/// one row of FpWords, and the index vectors keep their capacity across
+/// calls, so the steady state allocates nothing here.
 void Explorer::schedCandidatesInto(const std::vector<int> &Enabled,
                                    const std::vector<int> &Sleep,
                                    std::vector<int> &Out) {
   Out.clear();
-  if (Options.UsePersistentSets && Sys.processCount() > 1) {
-    int N = Sys.processCount();
-    if (FpBuf.size() != static_cast<size_t>(N)) {
-      FpBuf.clear();
-      FpBuf.reserve(static_cast<size_t>(N));
-      for (int P = 0; P != N; ++P)
-        FpBuf.emplace_back(Footprints.objectCount(), &FpArena);
-    }
-    for (int P = 0; P != N; ++P) {
-      Sys.frameStackInto(P, FrameBuf);
-      Footprints.processFootprintInto(FrameBuf, FpBuf[P]);
-    }
+  // With at most one process enabled, its component is the only choice.
+  if (Options.UsePersistentSets && Enabled.size() > 1) {
+    const int N = Sys.processCount();
+    const size_t W = Footprints.wordsPerSet();
+    FpWords.resize(static_cast<size_t>(N) * W);
+    for (int P = 0; P != N; ++P)
+      Footprints.processFootprintInto(Sys.frames(P),
+                                      FpWords.data() + P * W);
+    auto Intersect = [&](int A, int B) {
+      const uint64_t *RA = FpWords.data() + A * W;
+      const uint64_t *RB = FpWords.data() + B * W;
+      for (size_t I = 0; I != W; ++I)
+        if (RA[I] & RB[I])
+          return true;
+      return false;
+    };
 
     CompBuf.resize(static_cast<size_t>(N));
     std::iota(CompBuf.begin(), CompBuf.end(), 0);
@@ -262,39 +269,35 @@ void Explorer::schedCandidatesInto(const std::vector<int> &Enabled,
     };
     for (int A = 0; A != N; ++A)
       for (int B = A + 1; B != N; ++B)
-        if (FpBuf[A].intersects(FpBuf[B])) {
+        if (Intersect(A, B)) {
           int Ra = Find(A), Rb = Find(B);
           if (Ra != Rb)
             CompBuf[Rb] = Ra;
         }
 
     // Pick the component with the fewest enabled processes (ties: the one
-    // containing the smallest process id) — a deterministic choice made
-    // independently of the sleep set, as the classic combination requires.
-    // Enabled is ascending, so the first member of a component's
-    // restriction to Enabled is also its smallest.
+    // containing the smallest enabled process id) — a deterministic choice
+    // made independently of the sleep set, as the classic combination
+    // requires. One root lookup per enabled process: Enabled is ascending,
+    // so the first member seen of a component is its smallest.
+    RootCount.assign(static_cast<size_t>(N), 0);
+    RootFront.assign(static_cast<size_t>(N), -1);
+    for (int Q : Enabled) {
+      int Root = Find(Q);
+      CompBuf[Q] = Root; // Fully compressed: the filter below reads it.
+      if (RootCount[Root]++ == 0)
+        RootFront[Root] = Q;
+    }
     int BestRoot = -1;
-    size_t BestCount = 0;
-    int BestFront = 0;
-    for (int Seed : Enabled) {
-      int Root = Find(Seed);
-      size_t Count = 0;
-      int Front = -1;
-      for (int Q : Enabled)
-        if (Find(Q) == Root) {
-          if (Front < 0)
-            Front = Q;
-          ++Count;
-        }
-      if (BestRoot < 0 || Count < BestCount ||
-          (Count == BestCount && Front < BestFront)) {
+    for (int Q : Enabled) {
+      int Root = CompBuf[Q];
+      if (BestRoot < 0 || RootCount[Root] < RootCount[BestRoot] ||
+          (RootCount[Root] == RootCount[BestRoot] &&
+           RootFront[Root] < RootFront[BestRoot]))
         BestRoot = Root;
-        BestCount = Count;
-        BestFront = Front;
-      }
     }
     for (int Q : Enabled)
-      if (Find(Q) == BestRoot)
+      if (CompBuf[Q] == BestRoot)
         Out.push_back(Q);
   } else {
     Out.assign(Enabled.begin(), Enabled.end());
@@ -310,9 +313,11 @@ void Explorer::schedCandidatesInto(const std::vector<int> &Enabled,
 }
 
 void Explorer::finish() {
-  Stats.ArenaBytes = FpArena.bytesFromUpstream();
+  Stats.ArenaBytes = FpWords.capacity() * sizeof(uint64_t);
   Stats.PoolFresh = IntPool.fresh() + SnapPool.fresh();
-  Stats.VisibleOpsCovered = CoveredOps.size();
+  Stats.VisibleOpsCovered = 0;
+  for (uint64_t Word : Covered)
+    Stats.VisibleOpsCovered += static_cast<uint64_t>(std::popcount(Word));
   Stats.VisibleOpsTotal = 0;
   for (const ProcCfg &Proc : Mod.Procs)
     for (const CfgNode &Node : Proc.Nodes)
@@ -478,7 +483,10 @@ bool Explorer::runOnce() {
       return false;
     }
     bool AtPathEnd = Cursor >= Path.size();
-    Sys.enabledProcessesInto(EnabledBuf);
+    // Only a fresh or reconstructed decision needs the enabled set; a
+    // replayed one already names its process.
+    if (AtPathEnd)
+      Sys.enabledProcessesInto(EnabledBuf);
     const std::vector<int> &Enabled = EnabledBuf;
 
     if (AtPathEnd && SeedCursor < SeedPrefix.size()) {
@@ -578,11 +586,16 @@ bool Explorer::runOnce() {
       D.Sleep.assign(CurSleep.begin(), CurSleep.end());
       D.Chosen = 0;
       Path.push_back(std::move(D));
-    } else if (Enabled.empty() || Sys.depth() >= Options.MaxDepth) {
-      // A replay should never end early (execution is deterministic given
-      // the recorded choices); be defensive rather than crash.
-      assert(false && "replay diverged: path continues past a leaf");
-      return true;
+    } else {
+      // A replay should never end early or reach a disabled choice
+      // (execution is deterministic given the recorded choices); be
+      // defensive rather than crash.
+      const Decision &Next = Path[Cursor];
+      if (Next.K != Decision::Kind::Sched || Sys.depth() >= Options.MaxDepth ||
+          !Sys.processEnabled(Next.Procs[Next.Chosen])) {
+        assert(false && "replay diverged: path continues past a leaf");
+        return true;
+      }
     }
 
     maybeCheckpoint(CurSleep);
@@ -613,10 +626,8 @@ bool Explorer::runOnce() {
         NewSleep.push_back(Q);
     }
 
-    Sys.frameStackInto(Chosen, FrameBuf);
-    if (!FrameBuf.empty())
-      CoveredOps.insert((static_cast<uint64_t>(FrameBuf.back().first) << 32) |
-                        FrameBuf.back().second);
+    const uint32_t Site = Sys.currentNodeIndex(Chosen);
+    Covered[Site / 64] |= 1ull << (Site % 64);
     ExecResult R = Sys.executeTransition(Chosen, Provider);
     ++Stats.Transitions;
     if (FreshMode)

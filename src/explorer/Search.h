@@ -174,7 +174,8 @@ struct SearchStats {
   uint64_t Steals = 0;
   /// Targeted wakeups this worker received while parked.
   uint64_t Wakeups = 0;
-  /// Bytes the worker's footprint arena drew from the global heap.
+  /// Bytes of the worker's footprint scratch (one word row per process),
+  /// allocated once and reused by every state expansion.
   uint64_t ArenaBytes = 0;
   /// Pool misses (fresh allocations) across the worker's object pools —
   /// bounded by the DFS-stack high-water mark, not the state count.

@@ -9,6 +9,7 @@
 
 #include "runtime/Arith.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace closer;
@@ -26,29 +27,45 @@ std::string RunError::str() const {
 // Construction and reset
 //===----------------------------------------------------------------------===//
 
-std::vector<ProcLayout> closer::buildProcLayouts(const Module &Mod) {
-  std::vector<ProcLayout> Layouts(Mod.Procs.size());
+ModuleLayout closer::buildModuleLayout(const Module &Mod) {
+  // Sizes saturate (addCells) and offsets are clamped to MaxProcessCells,
+  // so every offset fits the VM's 32-bit operands. A clamped offset is
+  // never used: globals past the limit fail verification, and a frame past
+  // it is never pushed (frameFits).
+  ModuleLayout Out;
+  for (const GlobalDecl &G : Mod.Globals) {
+    Out.GlobalOffsets.push_back(std::min(Out.GlobalCells, MaxProcessCells));
+    Out.GlobalCells = addCells(Out.GlobalCells, G.ArraySize);
+  }
+  Out.Procs.resize(Mod.Procs.size());
   for (size_t P = 0, E = Mod.Procs.size(); P != E; ++P) {
     const ProcCfg &Proc = Mod.Procs[P];
-    ProcLayout &L = Layouts[P];
-    uint32_t Index = 0;
-    for (const std::string &Param : Proc.Params) {
-      L.SlotOf.emplace(Param, Index++);
-      L.ArraySizes.push_back(-1);
-    }
+    ProcLayout &L = Out.Procs[P];
+    auto AddSlot = [&](const std::string &Name, int64_t ArraySize) {
+      L.SlotOf.emplace(Name, static_cast<uint32_t>(L.ArraySizes.size()));
+      L.ArraySizes.push_back(ArraySize);
+      L.Offsets.push_back(std::min(L.Cells, MaxProcessCells));
+      L.Cells = addCells(L.Cells, ArraySize);
+    };
+    for (const std::string &Param : Proc.Params)
+      AddSlot(Param, -1);
     for (const LocalVar &Local : Proc.Locals) {
       if (Local.Name == retValName())
-        L.RetValSlot = static_cast<int>(Index);
-      L.SlotOf.emplace(Local.Name, Index++);
-      L.ArraySizes.push_back(Local.ArraySize);
+        L.RetValSlot = static_cast<int>(L.ArraySizes.size());
+      AddSlot(Local.Name, Local.ArraySize);
     }
   }
-  return Layouts;
+  return Out;
 }
 
 System::System(const Module &Mod, SystemOptions Options)
-    : Mod(Mod), Options(Options) {
-  Layouts = buildProcLayouts(Mod);
+    : Mod(Mod), Options(Options), Layout(buildModuleLayout(Mod)) {
+  assert(Layout.GlobalCells <= MaxProcessCells && "verified module");
+  InitialGlobals.assign(Layout.GlobalCells, Value::makeInt(0));
+  for (size_t G = 0, E = Mod.Globals.size(); G != E; ++G)
+    if (Mod.Globals[G].ArraySize < 0)
+      InitialGlobals[Layout.GlobalOffsets[G]] =
+          Value::makeInt(Mod.Globals[G].Init);
   buildResolutionCaches();
   ZeroChoiceProvider Zero;
   reset(Zero);
@@ -62,7 +79,7 @@ void System::cacheExprTree(int ProcIdx, const Expr *E) {
   if (!E)
     return;
   if (E->Kind == ExprKind::VarRef || E->Kind == ExprKind::ArrayIndex) {
-    const ProcLayout &L = Layouts[static_cast<size_t>(ProcIdx)];
+    const ProcLayout &L = Layout.Procs[static_cast<size_t>(ProcIdx)];
     auto It = L.SlotOf.find(E->Name);
     if (It != L.SlotOf.end()) {
       VarSlotCache.emplace(E, static_cast<int32_t>(It->second));
@@ -72,8 +89,9 @@ void System::cacheExprTree(int ProcIdx, const Expr *E) {
           VarSlotCache.emplace(E, ~static_cast<int32_t>(I));
           break;
         }
-      // Unresolvable names stay out of the cache; execution reports them
-      // through the slow path exactly as before.
+      // Unresolvable names stay out of the cache, and execution reports
+      // them: the owning procedure's frame is always on top when an Expr
+      // runs, so a name the cache missed resolves to nothing then either.
     }
   }
   cacheExprTree(ProcIdx, E->Lhs.get());
@@ -83,21 +101,54 @@ void System::cacheExprTree(int ProcIdx, const Expr *E) {
 }
 
 void System::buildResolutionCaches() {
+  NodeBase = nodeBases(Mod);
+  NodeOps.assign(Mod.totalNodes(), NodeOp());
   for (size_t P = 0, E = Mod.Procs.size(); P != E; ++P) {
     int ProcIdx = static_cast<int>(P);
-    for (const CfgNode &Node : Mod.Procs[P].Nodes) {
+    const std::vector<CfgNode> &Nodes = Mod.Procs[P].Nodes;
+    for (size_t Id = 0, NE = Nodes.size(); Id != NE; ++Id) {
+      const CfgNode &Node = Nodes[Id];
       cacheExprTree(ProcIdx, Node.Target.get());
       cacheExprTree(ProcIdx, Node.Value.get());
       for (const ExprPtr &Arg : Node.Args)
         cacheExprTree(ProcIdx, Arg.get());
-      if (Node.Kind == CfgNodeKind::Call &&
-          builtinInfo(Node.Builtin).TakesObject && !Node.Args.empty()) {
-        int Obj = Mod.commIndex(Node.Args[0]->Name);
-        if (Obj >= 0)
-          CommIdxCache.emplace(&Node, Obj);
-      }
+      // isVisibleOp() rules out user-procedure calls (Builtin == None),
+      // which have no builtin descriptor.
+      if (!Node.isVisibleOp())
+        continue;
+      NodeOp &Op = NodeOps[NodeBase[P] + Id];
+      Op.Op = Node.Builtin;
+      if (builtinInfo(Node.Builtin).TakesObject && !Node.Args.empty())
+        Op.Obj = Mod.commIndex(Node.Args[0]->Name);
     }
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Channel storage
+//===----------------------------------------------------------------------===//
+
+void System::CommState::push(Value V) {
+  if (Len == Ring.size()) {
+    // Full: unroll the items, in order, into storage twice as large.
+    std::vector<Value> Grown(Ring.empty() ? 4 : 2 * Ring.size());
+    for (size_t I = 0; I != Len; ++I)
+      Grown[I] = item(I);
+    Ring.swap(Grown);
+    Head = 0;
+  }
+  size_t Tail = Head + Len;
+  Ring[Tail < Ring.size() ? Tail : Tail - Ring.size()] = V;
+  ++Len;
+}
+
+Value System::CommState::pop() {
+  assert(Len != 0 && "pop from an empty channel");
+  Value V = Ring[Head];
+  if (++Head == Ring.size())
+    Head = 0;
+  --Len;
+  return V;
 }
 
 //===----------------------------------------------------------------------===//
@@ -185,10 +236,16 @@ ExecResult System::reset(ChoiceProvider &Provider) {
   NumTransitions = 0;
   PendingError = RunError();
 
-  Comms.clear();
-  for (const CommDecl &Decl : Mod.Comms) {
-    CommState S;
+  // Resized in place, so a System that is reset again and again keeps its
+  // cell, frame and ring storage.
+  Comms.resize(Mod.Comms.size());
+  for (size_t I = 0, E = Mod.Comms.size(); I != E; ++I) {
+    const CommDecl &Decl = Mod.Comms[I];
+    CommState &S = Comms[I];
     S.Kind = Decl.Kind;
+    S.Count = 0;
+    S.Shared = Value();
+    S.Head = S.Len = 0;
     switch (Decl.Kind) {
     case CommKind::Channel:
       break;
@@ -199,46 +256,24 @@ ExecResult System::reset(ChoiceProvider &Provider) {
       S.Shared = Value::makeInt(Decl.Param);
       break;
     }
-    Comms.push_back(std::move(S));
   }
 
-  Processes.clear();
+  Processes.resize(Mod.Processes.size());
   ExecResult Result;
-  for (const ProcessDecl &Inst : Mod.Processes) {
+  for (size_t I = 0, E = Mod.Processes.size(); I != E; ++I) {
+    const ProcessDecl &Inst = Mod.Processes[I];
     int ProcIdx = Mod.procIndex(Inst.ProcName);
     assert(ProcIdx >= 0 && "verified module");
-    const ProcCfg &Proc = Mod.Procs[ProcIdx];
-    const ProcLayout &L = Layouts[ProcIdx];
 
-    ProcessRT P;
-    P.Status = ProcStatus::AtVisible; // Provisional; fixed by runInvisible.
-    P.Globals.reserve(Mod.Globals.size());
-    for (const GlobalDecl &G : Mod.Globals) {
-      Slot S;
-      if (G.ArraySize >= 0) {
-        S.IsArray = true;
-        S.Elems.assign(static_cast<size_t>(G.ArraySize), Value::makeInt(0));
-      } else {
-        S.Scalar = Value::makeInt(G.Init);
-      }
-      P.Globals.push_back(std::move(S));
-    }
-
-    Frame F;
-    F.ProcIdx = ProcIdx;
-    F.PC = Proc.Entry;
-    F.Slots.resize(L.ArraySizes.size());
-    for (size_t SlotIdx = 0, SE = L.ArraySizes.size(); SlotIdx != SE;
-         ++SlotIdx) {
-      Slot &S = F.Slots[SlotIdx];
-      if (L.ArraySizes[SlotIdx] >= 0) {
-        S.IsArray = true;
-        S.Elems.assign(static_cast<size_t>(L.ArraySizes[SlotIdx]),
-                       Value::makeInt(0));
-      } else {
-        S.Scalar = Value::makeInt(0);
-      }
-    }
+    ProcessRT &P = Processes[I];
+    P.Status = ProcStatus::Starting; // Until its prefix parks or halts it.
+    P.Cells.assign(InitialGlobals.begin(), InitialGlobals.end());
+    P.Frames.clear();
+    CurrentProcess = static_cast<int>(I);
+    const Frame *Main = pushFrame(P, ProcIdx, SourceLoc());
+    if (!Main)
+      continue; // The first prefix run reports the error.
+    const uint32_t Base = Main->Base;
     // Bind process arguments: constants, or environment choices when the
     // module is still open. A negative environment domain (bad --env-domain
     // configuration) is reported rather than handed to the explorer, where
@@ -253,10 +288,8 @@ ExecResult System::reset(ChoiceProvider &Provider) {
                          : Provider.choose(ChoiceProvider::ChoiceKind::Env,
                                            Options.EnvDomainBound);
       }
-      F.Slots[A].Scalar = Value::makeInt(V);
+      P.Cells[Base + A] = Value::makeInt(V);
     }
-    P.Frames.push_back(std::move(F));
-    Processes.push_back(std::move(P));
   }
 
   // Run every process's invisible prefix to its first visible operation,
@@ -292,97 +325,52 @@ void System::fail(RunErrorKind Kind, SourceLoc Loc,
 // Store access
 //===----------------------------------------------------------------------===//
 
-System::Slot *System::resolveSlotSlow(ProcessRT &P, const std::string &Name,
-                                      Frame **OwnerFrame) {
-  Frame &F = P.Frames.back();
-  const ProcLayout &L = Layouts[F.ProcIdx];
-  auto It = L.SlotOf.find(Name);
-  if (It != L.SlotOf.end()) {
-    if (OwnerFrame)
-      *OwnerFrame = &F;
-    return &F.Slots[It->second];
-  }
-  int GlobalIdx = -1;
-  for (size_t I = 0, E = Mod.Globals.size(); I != E; ++I)
-    if (Mod.Globals[I].Name == Name) {
-      GlobalIdx = static_cast<int>(I);
-      break;
-    }
-  if (GlobalIdx < 0)
-    return nullptr;
-  if (OwnerFrame)
-    *OwnerFrame = nullptr;
-  return &P.Globals[GlobalIdx];
-}
-
-System::Slot *System::resolveSlot(ProcessRT &P, const Expr *E,
-                                  Frame **OwnerFrame) {
+System::SlotRef System::resolveSlot(ProcessRT &P, const Expr *E) {
   auto It = VarSlotCache.find(E);
   if (It == VarSlotCache.end())
-    return resolveSlotSlow(P, E->Name, OwnerFrame);
+    return {};
   int32_t Code = It->second;
   if (Code >= 0) {
-    Frame &F = P.Frames.back();
-    if (OwnerFrame)
-      *OwnerFrame = &F;
-    return &F.Slots[static_cast<size_t>(Code)];
+    const Frame &F = P.Frames.back();
+    const ProcLayout &L = Layout.Procs[static_cast<size_t>(F.ProcIdx)];
+    size_t Slot = static_cast<size_t>(Code);
+    return {P.Cells.data() + F.Base + L.Offsets[Slot], L.ArraySizes[Slot]};
   }
-  if (OwnerFrame)
-    *OwnerFrame = nullptr;
-  return &P.Globals[static_cast<size_t>(~Code)];
+  size_t G = static_cast<size_t>(~Code);
+  return {P.Cells.data() + Layout.GlobalOffsets[G], Mod.Globals[G].ArraySize};
 }
 
 Value System::loadVar(ProcessRT &P, const Expr *E) {
-  Slot *S = resolveSlot(P, E, nullptr);
-  if (!S) {
+  SlotRef S = resolveSlot(P, E);
+  if (!S.Cell) {
     fail(RunErrorKind::BadPointer, SourceLoc(),
          "reference to unknown variable '" + E->Name + "'");
     return Value::makeInt(0);
   }
-  if (S->IsArray) {
+  if (S.ArraySize >= 0) {
     fail(RunErrorKind::BadPointer, SourceLoc(),
          "array '" + E->Name + "' used as a scalar");
     return Value::makeInt(0);
   }
-  return S->Scalar;
+  return *S.Cell;
 }
 
 bool System::addressOf(ProcessRT &P, const Expr *Place, Address &Out) {
   // Locate the slot and encode its position.
   auto Cached = VarSlotCache.find(Place);
-  if (Cached != VarSlotCache.end()) {
-    int32_t Code = Cached->second;
-    if (Code >= 0) {
-      Out.Sp = Address::Space::Frame;
-      Out.FrameIndex = static_cast<uint32_t>(P.Frames.size() - 1);
-      Out.SlotIndex = static_cast<uint32_t>(Code);
-    } else {
-      Out.Sp = Address::Space::Global;
-      Out.SlotIndex = static_cast<uint32_t>(~Code);
-    }
+  if (Cached == VarSlotCache.end()) {
+    fail(RunErrorKind::BadPointer, Place->Loc,
+         "address of unknown variable '" + Place->Name + "'");
+    return false;
+  }
+  int32_t Code = Cached->second;
+  if (Code >= 0) {
+    Out.Sp = Address::Space::Frame;
+    Out.FrameIndex = static_cast<uint32_t>(P.Frames.size() - 1);
+    Out.SlotIndex = static_cast<uint32_t>(Code);
   } else {
-    Frame &F = P.Frames.back();
-    const ProcLayout &L = Layouts[F.ProcIdx];
-    auto It = L.SlotOf.find(Place->Name);
-    if (It != L.SlotOf.end()) {
-      Out.Sp = Address::Space::Frame;
-      Out.FrameIndex = static_cast<uint32_t>(P.Frames.size() - 1);
-      Out.SlotIndex = It->second;
-    } else {
-      int GlobalIdx = -1;
-      for (size_t I = 0, E = Mod.Globals.size(); I != E; ++I)
-        if (Mod.Globals[I].Name == Place->Name) {
-          GlobalIdx = static_cast<int>(I);
-          break;
-        }
-      if (GlobalIdx < 0) {
-        fail(RunErrorKind::BadPointer, Place->Loc,
-             "address of unknown variable '" + Place->Name + "'");
-        return false;
-      }
-      Out.Sp = Address::Space::Global;
-      Out.SlotIndex = static_cast<uint32_t>(GlobalIdx);
-    }
+    Out.Sp = Address::Space::Global;
+    Out.SlotIndex = static_cast<uint32_t>(~Code);
   }
   Out.ElemIndex = -1;
   if (Place->Kind == ExprKind::ArrayIndex) {
@@ -399,92 +387,80 @@ bool System::addressOf(ProcessRT &P, const Expr *Place, Address &Out) {
   return true;
 }
 
-Value System::loadAddress(ProcessRT &P, const Address &A) {
-  Slot *S = nullptr;
+System::SlotRef System::slotAt(ProcessRT &P, const Address &A) {
   if (A.Sp == Address::Space::Global) {
-    if (A.SlotIndex >= P.Globals.size()) {
+    if (A.SlotIndex >= Mod.Globals.size()) {
       fail(RunErrorKind::BadPointer, SourceLoc(), "bad global address");
-      return Value::makeInt(0);
+      return {};
     }
-    S = &P.Globals[A.SlotIndex];
-  } else {
-    if (A.FrameIndex >= P.Frames.size()) {
-      fail(RunErrorKind::BadPointer, SourceLoc(),
-           "dangling pointer into a popped frame");
-      return Value::makeInt(0);
-    }
-    Frame &F = P.Frames[A.FrameIndex];
-    if (A.SlotIndex >= F.Slots.size()) {
-      fail(RunErrorKind::BadPointer, SourceLoc(), "bad frame address");
-      return Value::makeInt(0);
-    }
-    S = &F.Slots[A.SlotIndex];
+    return {P.Cells.data() + Layout.GlobalOffsets[A.SlotIndex],
+            Mod.Globals[A.SlotIndex].ArraySize};
   }
-  if (S->IsArray) {
-    if (A.ElemIndex < 0 ||
-        static_cast<size_t>(A.ElemIndex) >= S->Elems.size()) {
+  if (A.FrameIndex >= P.Frames.size()) {
+    fail(RunErrorKind::BadPointer, SourceLoc(),
+         "dangling pointer into a popped frame");
+    return {};
+  }
+  const Frame &F = P.Frames[A.FrameIndex];
+  const ProcLayout &L = Layout.Procs[static_cast<size_t>(F.ProcIdx)];
+  if (A.SlotIndex >= L.ArraySizes.size()) {
+    fail(RunErrorKind::BadPointer, SourceLoc(), "bad frame address");
+    return {};
+  }
+  return {P.Cells.data() + F.Base + L.Offsets[A.SlotIndex],
+          L.ArraySizes[A.SlotIndex]};
+}
+
+Value System::loadAddress(ProcessRT &P, const Address &A) {
+  SlotRef S = slotAt(P, A);
+  if (!S.Cell)
+    return Value::makeInt(0);
+  if (S.ArraySize >= 0) {
+    if (A.ElemIndex < 0 || A.ElemIndex >= S.ArraySize) {
       fail(RunErrorKind::IndexOutOfBounds, SourceLoc(),
            "array index out of bounds through pointer");
       return Value::makeInt(0);
     }
-    return S->Elems[static_cast<size_t>(A.ElemIndex)];
+    return S.Cell[A.ElemIndex];
   }
   if (A.ElemIndex > 0) {
     fail(RunErrorKind::BadPointer, SourceLoc(), "element access on scalar");
     return Value::makeInt(0);
   }
-  return S->Scalar;
+  return *S.Cell;
 }
 
 void System::storeAddress(ProcessRT &P, const Address &A, Value V) {
-  Slot *S = nullptr;
-  if (A.Sp == Address::Space::Global) {
-    if (A.SlotIndex >= P.Globals.size()) {
-      fail(RunErrorKind::BadPointer, SourceLoc(), "bad global address");
-      return;
-    }
-    S = &P.Globals[A.SlotIndex];
-  } else {
-    if (A.FrameIndex >= P.Frames.size()) {
-      fail(RunErrorKind::BadPointer, SourceLoc(),
-           "dangling pointer into a popped frame");
-      return;
-    }
-    Frame &F = P.Frames[A.FrameIndex];
-    if (A.SlotIndex >= F.Slots.size()) {
-      fail(RunErrorKind::BadPointer, SourceLoc(), "bad frame address");
-      return;
-    }
-    S = &F.Slots[A.SlotIndex];
-  }
-  if (S->IsArray) {
-    if (A.ElemIndex < 0 ||
-        static_cast<size_t>(A.ElemIndex) >= S->Elems.size()) {
+  SlotRef S = slotAt(P, A);
+  if (!S.Cell)
+    return;
+  if (S.ArraySize >= 0) {
+    if (A.ElemIndex < 0 || A.ElemIndex >= S.ArraySize) {
       fail(RunErrorKind::IndexOutOfBounds, SourceLoc(),
            "array index out of bounds through pointer");
       return;
     }
-    S->Elems[static_cast<size_t>(A.ElemIndex)] = V;
+    S.Cell[A.ElemIndex] = V;
     return;
   }
-  S->Scalar = V;
+  *S.Cell = V;
 }
 
 void System::store(ProcessRT &P, const Expr *Lvalue, Value V) {
   switch (Lvalue->Kind) {
   case ExprKind::VarRef: {
-    Slot *S = resolveSlot(P, Lvalue, nullptr);
-    if (!S) {
+    SlotRef S = resolveSlot(P, Lvalue);
+    if (!S.Cell) {
       fail(RunErrorKind::BadPointer, Lvalue->Loc,
            "assignment to unknown variable '" + Lvalue->Name + "'");
       return;
     }
-    if (S->IsArray) {
+    if (S.ArraySize >= 0) {
       fail(RunErrorKind::BadPointer, Lvalue->Loc,
            "cannot assign to whole array");
       return;
     }
-    S->Scalar = V;
+    *S.Cell = V;
     return;
   }
   case ExprKind::ArrayIndex: {
@@ -680,12 +656,35 @@ Value System::eval(ProcessRT &P, const Expr *E) {
 /// program diverged invisibly here).
 void System::advanceAlways(ProcessRT &P) {
   Frame &F = P.Frames.back();
-  const CfgNode &Node = Mod.Procs[F.ProcIdx].Nodes[F.PC];
+  const CfgNode &Node = currentNode(P);
   if (Node.Arcs.empty()) {
     haltProcess(P);
     return;
   }
   F.PC = Node.Arcs[0].Target;
+}
+
+bool System::frameFits(const ProcessRT &P, size_t Cells, SourceLoc Loc) {
+  // P.Cells.size() <= MaxProcessCells always holds: the verifier bounds the
+  // globals, and every frame push goes through here.
+  if (Cells <= MaxProcessCells - P.Cells.size())
+    return true;
+  fail(RunErrorKind::StackOverflow, Loc, "frame storage limit exceeded");
+  return false;
+}
+
+System::Frame *System::pushFrame(ProcessRT &P, int ProcIdx, SourceLoc Loc) {
+  size_t Cells = Layout.Procs[static_cast<size_t>(ProcIdx)].Cells;
+  if (!frameFits(P, Cells, Loc))
+    return nullptr;
+  Frame F;
+  F.ProcIdx = ProcIdx;
+  F.PC = Mod.Procs[static_cast<size_t>(ProcIdx)].Entry;
+  F.Base = static_cast<uint32_t>(P.Cells.size());
+  // Value() is Int(0): every slot and array element starts zeroed.
+  P.Cells.resize(P.Cells.size() + Cells);
+  P.Frames.push_back(F);
+  return &P.Frames.back();
 }
 
 ExecResult System::runInvisible(int PIdx, ChoiceProvider &Provider) {
@@ -703,8 +702,7 @@ ExecResult System::runInvisible(int PIdx, ChoiceProvider &Provider) {
       break;
     }
     Frame &F = P.Frames.back();
-    const ProcCfg &Proc = Mod.Procs[F.ProcIdx];
-    const CfgNode &Node = Proc.Nodes[F.PC];
+    const CfgNode &Node = currentNode(P);
 
     switch (Node.Kind) {
     case CfgNodeKind::Start:
@@ -781,18 +779,17 @@ ExecResult System::runInvisible(int PIdx, ChoiceProvider &Provider) {
 
     case CfgNodeKind::Return: {
       Value RetVal = Value::makeInt(0);
-      const ProcLayout &L = Layouts[F.ProcIdx];
+      const ProcLayout &L = Layout.Procs[static_cast<size_t>(F.ProcIdx)];
       if (L.RetValSlot >= 0)
-        RetVal = F.Slots[static_cast<size_t>(L.RetValSlot)].Scalar;
-      P.Frames.pop_back();
+        RetVal = P.Cells[F.Base +
+                         L.Offsets[static_cast<size_t>(L.RetValSlot)]];
+      popFrame(P);
       if (P.Frames.empty()) {
         // Top-level termination: blocking forever (paper §4 assumption).
         haltProcess(P);
         break;
       }
-      Frame &Caller = P.Frames.back();
-      const CfgNode &CallNode =
-          Mod.Procs[Caller.ProcIdx].Nodes[Caller.PC];
+      const CfgNode &CallNode = currentNode(P);
       assert(CallNode.Kind == CfgNodeKind::Call && "caller not at a call");
       if (CallNode.Target) {
         store(P, CallNode.Target.get(), RetVal);
@@ -862,34 +859,22 @@ ExecResult System::runInvisible(int PIdx, ChoiceProvider &Provider) {
         }
         int CalleeIdx = Mod.procIndex(Node.Callee);
         assert(CalleeIdx >= 0 && "verified module");
-        const ProcCfg &Callee = Mod.Procs[CalleeIdx];
-        const ProcLayout &CalleeLayout = Layouts[CalleeIdx];
-
-        Frame NewFrame;
-        NewFrame.ProcIdx = CalleeIdx;
-        NewFrame.PC = Callee.Entry;
-        NewFrame.Slots.resize(CalleeLayout.ArraySizes.size());
-        for (size_t SlotIdx = 0, SE = CalleeLayout.ArraySizes.size();
-             SlotIdx != SE; ++SlotIdx) {
-          Slot &S = NewFrame.Slots[SlotIdx];
-          if (CalleeLayout.ArraySizes[SlotIdx] >= 0) {
-            S.IsArray = true;
-            S.Elems.assign(
-                static_cast<size_t>(CalleeLayout.ArraySizes[SlotIdx]),
-                Value::makeInt(0));
-          } else {
-            S.Scalar = Value::makeInt(0);
-          }
-        }
-        for (size_t A = 0, AE = Node.Args.size(); A != AE; ++A) {
-          Value V = eval(P, Node.Args[A].get());
+        // Arguments are evaluated in the caller's frame, before the callee
+        // frame exists; parameter A is the callee's cell A.
+        ArgBuf.clear();
+        for (const ExprPtr &Arg : Node.Args) {
+          Value V = eval(P, Arg.get());
           if (PendingError)
             break;
-          NewFrame.Slots[A].Scalar = V;
+          ArgBuf.push_back(V);
         }
         if (PendingError)
           break;
-        P.Frames.push_back(std::move(NewFrame));
+        const Frame *Callee = pushFrame(P, CalleeIdx, Node.Loc);
+        if (!Callee)
+          break;
+        std::copy(ArgBuf.begin(), ArgBuf.end(),
+                  P.Cells.begin() + Callee->Base);
         break;
       }
       default:
@@ -912,42 +897,21 @@ ExecResult System::runInvisible(int PIdx, ChoiceProvider &Provider) {
 // Visible operations
 //===----------------------------------------------------------------------===//
 
-int System::currentVisibleObject(int P) const {
-  const ProcessRT &Proc = Processes[P];
-  if (Proc.Status != ProcStatus::AtVisible)
-    return -1;
-  const CfgNode &Node = currentNode(Proc);
-  if (!builtinInfo(Node.Builtin).TakesObject)
-    return -1;
-  return commOf(Node);
-}
-
-BuiltinKind System::currentVisibleOp(int P) const {
-  const ProcessRT &Proc = Processes[P];
-  if (Proc.Status != ProcStatus::AtVisible)
-    return BuiltinKind::None;
-  return currentNode(Proc).Builtin;
-}
-
 bool System::processEnabled(int P) const {
-  const ProcessRT &Proc = Processes[P];
+  const ProcessRT &Proc = Processes[static_cast<size_t>(P)];
+  // Halted, or Starting: a process whose prefix has not parked it yet has
+  // no pending visible operation at all.
   if (Proc.Status != ProcStatus::AtVisible)
     return false;
-  const CfgNode &Node = currentNode(Proc);
-  switch (Node.Builtin) {
-  case BuiltinKind::Send: {
-    int Obj = commOf(Node);
-    return static_cast<int64_t>(Comms[Obj].Items.size()) <
-           Mod.Comms[Obj].Param;
-  }
-  case BuiltinKind::Recv: {
-    int Obj = commOf(Node);
-    return !Comms[Obj].Items.empty();
-  }
-  case BuiltinKind::SemWait: {
-    int Obj = commOf(Node);
-    return Comms[Obj].Count > 0;
-  }
+  const NodeOp &Op = pendingOp(Proc);
+  switch (Op.Op) {
+  case BuiltinKind::Send:
+    return static_cast<int64_t>(Comms[static_cast<size_t>(Op.Obj)].Len) <
+           Mod.Comms[static_cast<size_t>(Op.Obj)].Param;
+  case BuiltinKind::Recv:
+    return Comms[static_cast<size_t>(Op.Obj)].Len != 0;
+  case BuiltinKind::SemWait:
+    return Comms[static_cast<size_t>(Op.Obj)].Count > 0;
   case BuiltinKind::SemSignal:
   case BuiltinKind::SharedWrite:
   case BuiltinKind::SharedRead:
@@ -979,11 +943,13 @@ GlobalStateKind System::classify() const {
   for (int P = 0, E = processCount(); P != E; ++P) {
     if (processEnabled(P))
       return GlobalStateKind::HasEnabled;
-    const ProcessRT &Proc = Processes[P];
+    const ProcessRT &Proc = Processes[static_cast<size_t>(P)];
     // A process parked at halt() or finished counts as terminated; one
-    // blocked on a communication operation makes the state a deadlock.
-    if (Proc.Status == ProcStatus::AtVisible &&
-        currentNode(Proc).Builtin != BuiltinKind::Halt)
+    // blocked on a communication operation makes the state a deadlock, and
+    // so does one whose prefix never ran because an earlier one failed.
+    if (Proc.Status == ProcStatus::Starting ||
+        (Proc.Status == ProcStatus::AtVisible &&
+         pendingOp(Proc).Op != BuiltinKind::Halt))
       AnyWaiting = true;
   }
   return AnyWaiting ? GlobalStateKind::Deadlock : GlobalStateKind::Termination;
@@ -992,6 +958,7 @@ GlobalStateKind System::classify() const {
 void System::execVisible(int PIdx, ChoiceProvider &, ExecResult &Result) {
   ProcessRT &P = Processes[PIdx];
   const CfgNode &Node = currentNode(P);
+  const size_t Obj = static_cast<size_t>(pendingOp(P).Obj);
 
   VisibleEvent Event;
   Event.ProcessIndex = PIdx;
@@ -1001,20 +968,17 @@ void System::execVisible(int PIdx, ChoiceProvider &, ExecResult &Result) {
 
   switch (Node.Builtin) {
   case BuiltinKind::Send: {
-    int Obj = commOf(Node);
     Value V = eval(P, Node.Args[1].get());
     if (PendingError)
       break;
-    Comms[Obj].Items.push_back(V);
+    Comms[Obj].push(V);
     Event.Payload = V;
     Event.HasPayload = true;
     break;
   }
   case BuiltinKind::Recv: {
-    int Obj = commOf(Node);
-    assert(!Comms[Obj].Items.empty() && "recv on empty channel");
-    Value V = Comms[Obj].Items.front();
-    Comms[Obj].Items.pop_front();
+    assert(Comms[Obj].Len != 0 && "recv on empty channel");
+    Value V = Comms[Obj].pop();
     if (Node.Target)
       store(P, Node.Target.get(), V);
     Event.Payload = V;
@@ -1022,18 +986,15 @@ void System::execVisible(int PIdx, ChoiceProvider &, ExecResult &Result) {
     break;
   }
   case BuiltinKind::SemWait: {
-    int Obj = commOf(Node);
     assert(Comms[Obj].Count > 0 && "wait on zero semaphore");
     --Comms[Obj].Count;
     break;
   }
   case BuiltinKind::SemSignal: {
-    int Obj = commOf(Node);
     ++Comms[Obj].Count;
     break;
   }
   case BuiltinKind::SharedWrite: {
-    int Obj = commOf(Node);
     Value V = eval(P, Node.Args[1].get());
     if (PendingError)
       break;
@@ -1043,7 +1004,6 @@ void System::execVisible(int PIdx, ChoiceProvider &, ExecResult &Result) {
     break;
   }
   case BuiltinKind::SharedRead: {
-    int Obj = commOf(Node);
     Value V = Comms[Obj].Shared;
     if (Node.Target)
       store(P, Node.Target.get(), V);
@@ -1109,16 +1069,10 @@ ExecResult System::interpTransition(int PIdx, ChoiceProvider &Provider) {
 // Introspection
 //===----------------------------------------------------------------------===//
 
-std::vector<std::pair<int, NodeId>> System::frameStack(int P) const {
-  std::vector<std::pair<int, NodeId>> Out;
-  frameStackInto(P, Out);
-  return Out;
-}
-
 void System::frameStackInto(int P,
                             std::vector<std::pair<int, NodeId>> &Out) const {
   Out.clear();
-  for (const Frame &F : Processes[P].Frames)
+  for (const Frame &F : Processes[static_cast<size_t>(P)].Frames)
     Out.push_back({F.ProcIdx, F.PC});
 }
 
@@ -1155,35 +1109,33 @@ struct Fnv1a {
 } // namespace
 
 uint64_t System::fingerprint() const {
+  // The value sequence: per process its status (halted or not), its
+  // globals, then per frame the procedure, the PC and the frame's cells;
+  // per communication object its kind, count, shared value, and channel
+  // length and items in FIFO order. Arrays contribute every element, in
+  // place of their slot.
   Fnv1a H;
   for (const ProcessRT &P : Processes) {
-    H.mix(static_cast<uint64_t>(P.Status));
-    for (const Slot &S : P.Globals) {
-      if (S.IsArray)
-        for (const Value &V : S.Elems)
-          H.mixValue(V);
-      else
-        H.mixValue(S.Scalar);
-    }
-    for (const Frame &F : P.Frames) {
+    H.mix(P.Status == ProcStatus::Halted ? 1 : 0);
+    const Value *Cells = P.Cells.data();
+    for (size_t I = 0; I != Layout.GlobalCells; ++I)
+      H.mixValue(Cells[I]);
+    for (size_t FI = 0, FE = P.Frames.size(); FI != FE; ++FI) {
+      const Frame &F = P.Frames[FI];
       H.mix(static_cast<uint64_t>(F.ProcIdx));
       H.mix(F.PC);
-      for (const Slot &S : F.Slots) {
-        if (S.IsArray)
-          for (const Value &V : S.Elems)
-            H.mixValue(V);
-        else
-          H.mixValue(S.Scalar);
-      }
+      size_t End = FI + 1 != FE ? P.Frames[FI + 1].Base : P.Cells.size();
+      for (size_t I = F.Base; I != End; ++I)
+        H.mixValue(Cells[I]);
     }
   }
   for (const CommState &C : Comms) {
     H.mix(static_cast<uint64_t>(C.Kind));
     H.mix(static_cast<uint64_t>(C.Count));
     H.mixValue(C.Shared);
-    H.mix(C.Items.size());
-    for (const Value &V : C.Items)
-      H.mixValue(V);
+    H.mix(C.Len);
+    for (size_t I = 0; I != C.Len; ++I)
+      H.mixValue(C.item(I));
   }
   return H.H;
 }

@@ -35,7 +35,7 @@
 #include "support/SourceLoc.h"
 
 #include <cstdint>
-#include <deque>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -120,18 +120,33 @@ enum class GlobalStateKind {
 };
 
 /// Name -> slot index resolution, precomputed per procedure: parameters
-/// first (in order), then locals (in order). Shared between the System's
-/// interpreter and the bytecode compiler so slot indices can never diverge
-/// between engines.
+/// first (in order), then locals (in order), plus where each slot lives in
+/// a frame's cells. A scalar takes one cell and an array one cell per
+/// element, inline, in slot order; parameters are scalars, so parameter A
+/// sits at cell A. Shared between the System's interpreter and the
+/// bytecode compiler so slot numbers and offsets can never diverge between
+/// engines.
 struct ProcLayout {
   std::unordered_map<std::string, uint32_t> SlotOf;
   std::vector<int64_t> ArraySizes; ///< Per slot; -1 scalar.
+  std::vector<size_t> Offsets;     ///< Per slot: first cell in the frame.
+  size_t Cells = 0;                ///< Cells per frame (saturated).
   int RetValSlot = -1;
 };
 
-/// Builds the per-procedure layouts for \p Mod (parallel to Mod.Procs).
-/// The single source of truth for slot numbering.
-std::vector<ProcLayout> buildProcLayouts(const Module &Mod);
+/// Where the module's state lives in a process's cell array: the globals
+/// first (in declaration order, arrays inline), then one block of cells per
+/// frame, laid out by that frame's ProcLayout.
+struct ModuleLayout {
+  std::vector<ProcLayout> Procs;     ///< Parallel to Mod.Procs.
+  std::vector<size_t> GlobalOffsets; ///< Per global: its first cell.
+  size_t GlobalCells = 0;
+};
+
+/// Builds the cell layout of \p Mod. The single source of truth for slot
+/// numbering and cell offsets. Cell counts saturate at MaxProcessCells + 1
+/// and offsets at MaxProcessCells (see addCells), so none wraps.
+ModuleLayout buildModuleLayout(const Module &Mod);
 
 class System;
 class SystemSnapshot;
@@ -256,20 +271,38 @@ public:
   // Introspection for the explorer
   //===--------------------------------------------------------------------===//
 
+  /// One activation record: the procedure, its control point, and the
+  /// first of its cells in the process's cell array (ProcLayout::Offsets
+  /// are relative to Base).
+  struct Frame {
+    int32_t ProcIdx = -1;
+    NodeId PC = 0;
+    uint32_t Base = 0;
+  };
+
   /// Index into Module.Comms of the object process \p P's pending visible
   /// operation touches, or -1 (VS_assert, halt, or halted process).
-  int currentVisibleObject(int P) const;
+  int currentVisibleObject(int P) const {
+    const ProcessRT &Proc = Processes[static_cast<size_t>(P)];
+    return Proc.Status == ProcStatus::AtVisible ? pendingOp(Proc).Obj : -1;
+  }
 
-  /// The builtin of process \p P's pending visible operation, or None when
-  /// halted.
-  BuiltinKind currentVisibleOp(int P) const;
+  /// Module-wide index (see nodeBases()) of the node process \p P's
+  /// innermost frame is at; the process must have a frame.
+  uint32_t currentNodeIndex(int P) const {
+    const Frame &F = Processes[static_cast<size_t>(P)].Frames.back();
+    return NodeBase[static_cast<size_t>(F.ProcIdx)] + F.PC;
+  }
 
-  /// The frame stack of process \p P as (procedure index, node id) pairs,
-  /// outermost first — the input to the static footprint analysis.
-  std::vector<std::pair<int, NodeId>> frameStack(int P) const;
+  /// The frames of process \p P, outermost first, read in place — the
+  /// input to the static footprint analysis. Invalidated by the next
+  /// transition, reset or restore.
+  std::span<const Frame> frames(int P) const {
+    return Processes[static_cast<size_t>(P)].Frames;
+  }
 
-  /// Overwrites \p Out with process \p P's frame stack (capacity-reusing
-  /// hot-path form of frameStack()).
+  /// Overwrites \p Out with process \p P's frames as (procedure index, node
+  /// id) pairs, outermost first: a copying form of frames().
   void frameStackInto(int P, std::vector<std::pair<int, NodeId>> &Out) const;
 
   /// 64-bit FNV-1a fingerprint of the full global state (process control
@@ -280,40 +313,65 @@ public:
   const Module &module() const { return Mod; }
 
 private:
-  struct Slot {
-    bool IsArray = false;
-    Value Scalar;
-    std::vector<Value> Elems;
+  enum class ProcStatus : uint8_t {
+    AtVisible, ///< Parked at a visible operation (maybe not enabled).
+    Halted,    ///< Ran to completion or failed; no frames left.
+    /// reset() has not run this process's invisible prefix yet: between
+    /// its creation and its prefix parking it, or for good when an earlier
+    /// process's prefix failed. Never enabled.
+    Starting,
   };
 
-  struct Frame {
-    int ProcIdx = -1;
-    NodeId PC = 0;
-    std::vector<Slot> Slots;
-  };
-
-  enum class ProcStatus { AtVisible, Halted };
-
+  /// One process: a private copy of the globals, then its frames' slots,
+  /// all in one flat, trivially copyable cell array (ModuleLayout).
   struct ProcessRT {
     ProcStatus Status = ProcStatus::Halted;
-    std::vector<Slot> Globals;
+    std::vector<Value> Cells;
     std::vector<Frame> Frames;
   };
 
+  /// A communication object. Channel items sit in a ring over Ring: Len
+  /// items starting at Head, in FIFO order. The ring grows with the
+  /// contents (never to the declared capacity, which may be astronomic)
+  /// and is plain contiguous storage, so copying a CommState is a memcpy.
   struct CommState {
     CommKind Kind;
-    std::deque<Value> Items; ///< Channel contents.
-    int64_t Count = 0;       ///< Semaphore count.
-    Value Shared;            ///< Shared-variable value.
+    int64_t Count = 0; ///< Semaphore count.
+    Value Shared;      ///< Shared-variable value.
+    size_t Head = 0;
+    size_t Len = 0;
+    std::vector<Value> Ring;
+
+    const Value &item(size_t I) const {
+      size_t K = Head + I;
+      return Ring[K < Ring.size() ? K : K - Ring.size()];
+    }
+    void push(Value V);
+    Value pop();
+  };
+
+  /// The visible operation at one (procedure, node), from the op table.
+  struct NodeOp {
+    BuiltinKind Op = BuiltinKind::None; ///< None unless a visible op.
+    int32_t Obj = -1; ///< Mod.Comms index of its object, or -1.
+  };
+
+  /// A resolved variable: its first cell and its array size (-1: scalar).
+  struct SlotRef {
+    Value *Cell = nullptr;
+    int64_t ArraySize = -1;
   };
 
   // Evaluation. On error, sets PendingError and returns a zero value;
   // callers bail out when PendingError is set.
   Value eval(ProcessRT &P, const Expr *E);
   Value loadVar(ProcessRT &P, const Expr *E);
-  Slot *resolveSlotSlow(ProcessRT &P, const std::string &Name,
-                        Frame **OwnerFrame);
-  Slot *resolveSlot(ProcessRT &P, const Expr *E, Frame **OwnerFrame);
+  /// The slot a VarRef/ArrayIndex names, or a null Cell when the name
+  /// resolves to nothing.
+  SlotRef resolveSlot(ProcessRT &P, const Expr *E);
+  /// The slot an address points at; fails and returns a null Cell when the
+  /// address names no live slot.
+  SlotRef slotAt(ProcessRT &P, const Address &A);
   Value loadAddress(ProcessRT &P, const Address &A);
   void storeAddress(ProcessRT &P, const Address &A, Value V);
   bool addressOf(ProcessRT &P, const Expr *Place, Address &Out);
@@ -322,9 +380,22 @@ private:
 
   // Control flow.
   void advanceAlways(ProcessRT &P);
+  /// Whether a frame of \p Cells cells fits in \p P without taking it past
+  /// MaxProcessCells; if not, fails with StackOverflow at \p Loc. Both
+  /// engines check every frame push here, so Frame::Base fits 32 bits.
+  bool frameFits(const ProcessRT &P, size_t Cells, SourceLoc Loc);
+  /// Pushes a zeroed frame of procedure \p ProcIdx at its entry; the
+  /// caller stores the arguments into cells [Base, Base + NArgs). Returns
+  /// null, with the error pending, when the frame does not fit.
+  Frame *pushFrame(ProcessRT &P, int ProcIdx, SourceLoc Loc);
+  void popFrame(ProcessRT &P) {
+    P.Cells.resize(P.Frames.back().Base);
+    P.Frames.pop_back();
+  }
   void haltProcess(ProcessRT &P) {
     P.Status = ProcStatus::Halted;
     P.Frames.clear();
+    P.Cells.resize(Layout.GlobalCells);
   }
   ExecResult runInvisible(int PIdx, ChoiceProvider &Provider);
   void execVisible(int PIdx, ChoiceProvider &Provider, ExecResult &Result);
@@ -333,30 +404,32 @@ private:
 
   const CfgNode &currentNode(const ProcessRT &P) const {
     const Frame &F = P.Frames.back();
-    return Mod.Procs[F.ProcIdx].Nodes[F.PC];
+    return Mod.Procs[static_cast<size_t>(F.ProcIdx)].Nodes[F.PC];
+  }
+  /// The op-table entry of \p P's innermost control point.
+  const NodeOp &pendingOp(const ProcessRT &P) const {
+    const Frame &F = P.Frames.back();
+    return NodeOps[NodeBase[static_cast<size_t>(F.ProcIdx)] + F.PC];
   }
 
   // Steady-state interpretation must not hash strings: variable references
-  // and communication-object operands are resolved once, at construction,
-  // into pointer-keyed caches (an Expr always executes with its owning
-  // procedure's frame on top, so the resolution is unambiguous).
+  // are resolved once, at construction, into a pointer-keyed cache (an
+  // Expr always executes with its owning procedure's frame on top, so the
+  // resolution is unambiguous), and every node's visible operation and
+  // object into the flat op table.
   void buildResolutionCaches();
   void cacheExprTree(int ProcIdx, const Expr *E);
-  /// Communication-object index of a visible Call node (-1 if unknown).
-  int commOf(const CfgNode &Node) const {
-    auto It = CommIdxCache.find(&Node);
-    return It != CommIdxCache.end() ? It->second
-                                    : Mod.commIndex(Node.Args[0]->Name);
-  }
 
   const Module &Mod;
   SystemOptions Options;
-  std::vector<ProcLayout> Layouts; ///< Parallel to Mod.Procs.
+  ModuleLayout Layout;
+  /// Global cells of a freshly reset process (initializers applied).
+  std::vector<Value> InitialGlobals;
   /// VarRef/ArrayIndex expression -> slot code: >= 0 is a frame slot index
   /// of the owning procedure's layout; < 0 encodes global slot ~code.
   std::unordered_map<const Expr *, int32_t> VarSlotCache;
-  /// Visible/comm Call node -> index into Mod.Comms.
-  std::unordered_map<const CfgNode *, int> CommIdxCache;
+  std::vector<uint32_t> NodeBase; ///< nodeBases(Mod).
+  std::vector<NodeOp> NodeOps;    ///< Per module-wide node index.
   std::vector<ProcessRT> Processes;
   std::vector<CommState> Comms; ///< Parallel to Mod.Comms.
   Trace EventTrace;
@@ -364,6 +437,8 @@ private:
   RunError PendingError;
   int CurrentProcess = -1; ///< During execution, for error attribution.
   ExecEngine *Engine = nullptr; ///< Not owned; null = interpreter.
+  /// Argument values of a call being set up (interpreter scratch).
+  std::vector<Value> ArgBuf;
 
   friend class SystemSnapshot;
   // The bytecode VM executes compiled transitions against this state
@@ -375,9 +450,12 @@ private:
 };
 
 /// A value-type copy of a System's full dynamic state, produced by
-/// System::snapshot() and consumed by System::restore(). Cheap to copy and
-/// assign; the explorer keeps a small stack of these along its DFS path so
-/// backtracking can restore a prefix instead of re-executing it.
+/// System::snapshot() and consumed by System::restore(). The state is flat
+/// (per process one cell array and one frame array, per channel one ring,
+/// all trivially copyable), so capturing into or restoring from a recycled
+/// snapshot is a memcpy per array; the explorer keeps a small stack of
+/// these along its DFS path so backtracking can restore a prefix instead
+/// of re-executing it.
 ///
 /// Two flavors differ only in how the event trace is captured:
 ///  * snapshot() stores a full copy — restorable into any System built

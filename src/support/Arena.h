@@ -13,9 +13,9 @@
 /// warmup-only cost:
 ///
 ///  * Arena — a monotonic bump allocator (a std::pmr::memory_resource, so
-///    pmr containers such as ObjSet's word vector can sit directly on it)
-///    with counters for the bytes and blocks it requested from the global
-///    heap. Per worker, never shared across threads.
+///    pmr containers can sit directly on it) with counters for the bytes
+///    and blocks it requested from the global heap. Per worker, never
+///    shared across threads.
 ///  * ObjectPool<T> — a freelist of whole objects (System snapshots): a
 ///    recycled object keeps its internal buffers, so copy-assigning new
 ///    content into it reuses capacity element-wise instead of allocating.

@@ -25,11 +25,14 @@
 ///    the caller frame's PC, which is parked at the call node — exactly the
 ///    information a restored snapshot preserves.
 ///
-/// Variable references are resolved to slot indices at compile time (via
-/// the same buildProcLayouts() the System uses), so steady-state execution
-/// performs no string hashing at all. Names that do not resolve statically
-/// compile to Fail instructions reproducing the interpreter's error kind,
-/// message and location exactly.
+/// Variable references are resolved at compile time (via the same
+/// buildModuleLayout() the System uses): loads and stores carry the cell
+/// offset of their slot, relative to the frame's Base for locals and to the
+/// process's cell array for globals, and address-taking instructions the
+/// slot number an Address records. Steady-state execution performs no
+/// string hashing at all. Names that do not resolve statically compile to
+/// Fail instructions reproducing the interpreter's error kind, message and
+/// location exactly.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,10 +60,10 @@ enum class Op : uint8_t {
   LoadImm,     ///< r[A] = Int(Imm).
   LoadUnknown, ///< r[A] = unknown.
   LoadRet,     ///< r[A] = return-value register (set by Ret).
-  LoadLocal,   ///< r[A] = frame slot X (scalar).
-  LoadGlobal,  ///< r[A] = global slot X (scalar).
-  StoreLocal,  ///< frame slot X = r[A].
-  StoreGlobal, ///< global slot X = r[A].
+  LoadLocal,   ///< r[A] = frame cell X (a scalar slot's offset).
+  LoadGlobal,  ///< r[A] = global cell X.
+  StoreLocal,  ///< frame cell X = r[A].
+  StoreGlobal, ///< global cell X = r[A].
 
   AddrLocal,      ///< r[A] = &frame slot X.
   AddrGlobal,     ///< r[A] = &global slot X.
@@ -91,8 +94,10 @@ enum class Op : uint8_t {
   EnvVal,   ///< r[A] = choose(Env, EnvDomainBound); validates the bound.
 
   CallPre,  ///< X = CallSite: frame-stack limit check.
-  CallPush, ///< X = CallSite: push callee frame from r[ArgBase..], jump in.
-  Ret,      ///< Pop frame; halt at top level, else resume caller's RetCont.
+  CallPush, ///< X = CallSite: push callee frame from r[ArgBase..], jump in
+            ///< (StackOverflow when its cells do not fit; see frameFits).
+  Ret,      ///< Pop frame (result from cell RetValOffset); halt at top
+            ///< level, else resume the caller's RetCont.
 
   // Visible operations; X = VisInfo index.
   SendV,        ///< Push r[A] onto the channel.
@@ -145,6 +150,7 @@ struct CallSite {
   NodeId CallNode = InvalidNode; ///< Caller parks here while callee runs.
   NodeId EntryNode = InvalidNode; ///< Callee's CFG entry (new frame's PC).
   int32_t EntryOffset = -1;      ///< Callee's compiled entry.
+  size_t FrameCells = 0;         ///< Callee frame size (ProcLayout::Cells).
 };
 
 /// A statically-diagnosed runtime error (unresolvable name, malformed toss
@@ -159,8 +165,7 @@ struct CompiledProc {
   std::vector<int32_t> NodeOffset; ///< Per NodeId: invisible-run entry.
   std::vector<int32_t> BodyOffset; ///< Per NodeId: visible body, or -1.
   std::vector<int32_t> RetCont;    ///< Per NodeId: return continuation, or -1.
-  std::vector<int64_t> ArraySizes; ///< Per slot; -1 scalar (frame building).
-  int32_t RetValSlot = -1;
+  int32_t RetValOffset = -1; ///< Frame cell of __retval, or -1.
 };
 
 struct CompiledModule {

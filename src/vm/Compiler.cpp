@@ -15,7 +15,7 @@
 // Expression compilation uses a virtual register stack: each subexpression
 // nets one register holding its value, so argument lists land contiguously
 // and register pressure equals expression depth. Names are resolved at
-// compile time against the shared buildProcLayouts() numbering; names the
+// compile time against the shared buildModuleLayout() numbering; names the
 // interpreter would fail on at runtime compile to Fail instructions with
 // the interpreter's exact diagnostics.
 //
@@ -30,19 +30,24 @@ using namespace closer::vm;
 
 namespace {
 
+// buildModuleLayout() clamps every offset to MaxProcessCells, so offsets
+// fit the instructions' 32-bit operands exactly.
+static_assert(MaxProcessCells <= INT32_MAX);
+
 /// Static resolution of a variable name, mirroring the interpreter's
 /// layout-then-globals order.
 struct ResolvedSlot {
   enum class K { Local, Global, None } Kind = K::None;
-  int32_t Idx = -1;
+  int32_t Idx = -1;    ///< Slot number (what an Address records).
+  int32_t Offset = -1; ///< First cell (frame- or process-relative).
   int64_t ArraySize = -1;
 };
 
 class ProcCompiler {
 public:
-  ProcCompiler(const Module &Mod, const std::vector<ProcLayout> &Layouts,
-               CompiledModule &CM, int ProcIdx)
-      : Mod(Mod), Layout(Layouts[ProcIdx]), CM(CM), ProcIdx(ProcIdx),
+  ProcCompiler(const Module &Mod, const ModuleLayout &ML, CompiledModule &CM,
+               int ProcIdx)
+      : Mod(Mod), ML(ML), Layout(ML.Procs[ProcIdx]), CM(CM), ProcIdx(ProcIdx),
         Proc(Mod.Procs[ProcIdx]), Out(CM.Procs[ProcIdx]) {}
 
   void compile() {
@@ -50,8 +55,9 @@ public:
     Out.NodeOffset.assign(N, -1);
     Out.BodyOffset.assign(N, -1);
     Out.RetCont.assign(N, -1);
-    Out.ArraySizes = Layout.ArraySizes;
-    Out.RetValSlot = Layout.RetValSlot;
+    if (Layout.RetValSlot >= 0)
+      Out.RetValOffset = static_cast<int32_t>(
+          Layout.Offsets[static_cast<size_t>(Layout.RetValSlot)]);
     for (NodeId Id = 0; Id != N; ++Id)
       compileNode(Id);
     patch();
@@ -61,6 +67,7 @@ public:
 
 private:
   const Module &Mod;
+  const ModuleLayout &ML;
   const ProcLayout &Layout;
   CompiledModule &CM;
   int ProcIdx;
@@ -142,6 +149,7 @@ private:
     if (It != Layout.SlotOf.end()) {
       R.Kind = ResolvedSlot::K::Local;
       R.Idx = static_cast<int32_t>(It->second);
+      R.Offset = static_cast<int32_t>(Layout.Offsets[It->second]);
       R.ArraySize = Layout.ArraySizes[It->second];
       return R;
     }
@@ -149,6 +157,7 @@ private:
       if (Mod.Globals[I].Name == Name) {
         R.Kind = ResolvedSlot::K::Global;
         R.Idx = static_cast<int32_t>(I);
+        R.Offset = static_cast<int32_t>(ML.GlobalOffsets[I]);
         R.ArraySize = Mod.Globals[I].ArraySize;
         return R;
       }
@@ -266,7 +275,7 @@ private:
       } else {
         emit(S.Kind == ResolvedSlot::K::Local ? Op::LoadLocal
                                               : Op::LoadGlobal,
-             R, 0, 0, S.Idx);
+             R, 0, 0, S.Offset);
       }
       return R;
     }
@@ -339,7 +348,7 @@ private:
       }
       emit(S.Kind == ResolvedSlot::K::Local ? Op::StoreLocal
                                             : Op::StoreGlobal,
-           Src, 0, 0, S.Idx);
+           Src, 0, 0, S.Offset);
       return;
     }
     case ExprKind::ArrayIndex: {
@@ -474,12 +483,13 @@ private:
       CS.ArgBase = static_cast<int32_t>(Top);
       CS.CallNode = Id;
       CS.EntryNode = Mod.Procs[CalleeIdx].Entry;
+      CS.FrameCells = ML.Procs[CalleeIdx].Cells;
       CM.Calls.push_back(CS);
       int32_t CSIdx = static_cast<int32_t>(CM.Calls.size() - 1);
       emit(Op::CallPre, 0, 0, 0, CSIdx, 0, Node.Loc);
       for (const ExprPtr &Arg : Node.Args)
         compileExpr(Arg.get());
-      emit(Op::CallPush, 0, 0, 0, CSIdx);
+      emit(Op::CallPush, 0, 0, 0, CSIdx, 0, Node.Loc);
       pop(static_cast<uint32_t>(Node.Args.size()));
       // Return continuation: the Ret handler resumes here through the
       // caller frame's PC (parked at this call node).
@@ -603,10 +613,10 @@ private:
 
 std::shared_ptr<const CompiledModule> vm::compileModule(const Module &Mod) {
   auto CM = std::make_shared<CompiledModule>();
-  std::vector<ProcLayout> Layouts = buildProcLayouts(Mod);
+  ModuleLayout Layout = buildModuleLayout(Mod);
   CM->Procs.resize(Mod.Procs.size());
   for (size_t P = 0, E = Mod.Procs.size(); P != E; ++P)
-    ProcCompiler(Mod, Layouts, *CM, static_cast<int>(P)).compile();
+    ProcCompiler(Mod, Layout, *CM, static_cast<int>(P)).compile();
   if (CM->MaxRegs == 0)
     CM->MaxRegs = 1;
   // Resolve cross-procedure call entries now that every offset is known.

@@ -164,10 +164,12 @@ void Vm::run(System &S, int PIdx, ChoiceProvider &Provider, ExecResult &Result,
   const Instr *CodeArr = CM.Code.data();
   Value *Rg = Regs.data();
   System::ProcessRT &P = S.Processes[PIdx];
-  // Refetched after CallPush/Ret; vectors holding frames are not resized
-  // between those points (only push_back/pop_back on P.Frames).
+  // Refetched after CallPush/Ret, the only handlers that resize the frame
+  // and cell arrays. Locals is the innermost frame's first cell.
   System::Frame *F = &P.Frames.back();
   const CompiledProc *CP = &CM.Procs[F->ProcIdx];
+  Value *Cells = P.Cells.data();
+  Value *Locals = Cells + F->Base;
   size_t Steps = 0;
   int32_t pc = Entry;
   const Instr *I = nullptr;
@@ -251,22 +253,22 @@ vm_dispatch:
   }
 
   VM_CASE(LoadLocal): {
-    Rg[I->A] = F->Slots[static_cast<size_t>(I->X)].Scalar;
+    Rg[I->A] = Locals[I->X];
     VM_DISPATCH();
   }
 
   VM_CASE(LoadGlobal): {
-    Rg[I->A] = P.Globals[static_cast<size_t>(I->X)].Scalar;
+    Rg[I->A] = Cells[I->X];
     VM_DISPATCH();
   }
 
   VM_CASE(StoreLocal): {
-    F->Slots[static_cast<size_t>(I->X)].Scalar = Rg[I->A];
+    Locals[I->X] = Rg[I->A];
     VM_DISPATCH();
   }
 
   VM_CASE(StoreGlobal): {
-    P.Globals[static_cast<size_t>(I->X)].Scalar = Rg[I->A];
+    Cells[I->X] = Rg[I->A];
     VM_DISPATCH();
   }
 
@@ -623,38 +625,31 @@ vm_dispatch:
 
   VM_CASE(CallPush): {
     const CallSite &CS = CM.Calls[static_cast<size_t>(I->X)];
-    const CompiledProc &Callee = CM.Procs[static_cast<size_t>(CS.CalleeIdx)];
+    if (!S.frameFits(P, CS.FrameCells, VM_LOC()))
+      goto done;
+    F->PC = CS.CallNode; // Park the caller; Ret resumes through RetCont.
     System::Frame NF;
     NF.ProcIdx = CS.CalleeIdx;
     NF.PC = CS.EntryNode;
-    NF.Slots.resize(Callee.ArraySizes.size());
-    for (size_t SlotIdx = 0, SE = Callee.ArraySizes.size(); SlotIdx != SE;
-         ++SlotIdx) {
-      System::Slot &Sl = NF.Slots[SlotIdx];
-      if (Callee.ArraySizes[SlotIdx] >= 0) {
-        Sl.IsArray = true;
-        Sl.Elems.assign(static_cast<size_t>(Callee.ArraySizes[SlotIdx]),
-                        Value::makeInt(0));
-      } else {
-        Sl.Scalar = Value::makeInt(0);
-      }
-    }
-    for (int32_t A = 0; A != CS.NArgs; ++A)
-      NF.Slots[static_cast<size_t>(A)].Scalar =
-          Rg[static_cast<size_t>(CS.ArgBase + A)];
-    F->PC = CS.CallNode; // Park the caller; Ret resumes through RetCont.
-    P.Frames.push_back(std::move(NF));
+    NF.Base = static_cast<uint32_t>(P.Cells.size());
+    // Zeroed cells (Value() is Int(0)); parameter A is cell A.
+    P.Cells.resize(P.Cells.size() + CS.FrameCells);
+    P.Frames.push_back(NF);
     F = &P.Frames.back();
     CP = &CM.Procs[F->ProcIdx];
+    Cells = P.Cells.data();
+    Locals = Cells + F->Base;
+    for (int32_t A = 0; A != CS.NArgs; ++A)
+      Locals[A] = Rg[static_cast<size_t>(CS.ArgBase + A)];
     pc = CS.EntryOffset;
     VM_DISPATCH();
   }
 
   VM_CASE(Ret): {
     Value RV = Value::makeInt(0);
-    if (CP->RetValSlot >= 0)
-      RV = F->Slots[static_cast<size_t>(CP->RetValSlot)].Scalar;
-    P.Frames.pop_back();
+    if (CP->RetValOffset >= 0)
+      RV = Locals[CP->RetValOffset];
+    S.popFrame(P);
     if (P.Frames.empty()) {
       // Top-level termination: blocking forever (paper §4 assumption).
       S.haltProcess(P);
@@ -662,6 +657,8 @@ vm_dispatch:
     }
     F = &P.Frames.back();
     CP = &CM.Procs[F->ProcIdx];
+    Cells = P.Cells.data();
+    Locals = Cells + F->Base;
     RetVal = RV;
     pc = CP->RetCont[F->PC];
     assert(pc >= 0 && "caller not parked at a call node");
@@ -670,17 +667,15 @@ vm_dispatch:
 
   VM_CASE(SendV): {
     S.Comms[static_cast<size_t>(CM.Vis[static_cast<size_t>(I->X)].CommIdx)]
-        .Items.push_back(Rg[I->A]);
+        .push(Rg[I->A]);
     VM_DISPATCH();
   }
 
   VM_CASE(RecvV): {
-    auto &Items =
-        S.Comms[static_cast<size_t>(CM.Vis[static_cast<size_t>(I->X)].CommIdx)]
-            .Items;
-    assert(!Items.empty() && "recv on empty channel");
-    Rg[I->A] = Items.front();
-    Items.pop_front();
+    auto &Chan =
+        S.Comms[static_cast<size_t>(CM.Vis[static_cast<size_t>(I->X)].CommIdx)];
+    assert(Chan.Len != 0 && "recv on empty channel");
+    Rg[I->A] = Chan.pop();
     VM_DISPATCH();
   }
 

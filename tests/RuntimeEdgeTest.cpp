@@ -5,6 +5,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "explorer/Search.h"
 #include "runtime/System.h"
 #include "vm/Bytecode.h"
 #include "vm/Vm.h"
@@ -552,6 +553,135 @@ process m = main();
   // 30+ invisible statements but only two transitions.
   EXPECT_EQ(Sys.depth(), 2u);
   EXPECT_EQ(lastPayload(Sys), 90);
+}
+
+TEST(RuntimeEdgeTest, AstronomicChannelCapacityExploresToCompletion) {
+  // A legal declaration whose capacity no storage could hold: channel
+  // storage must grow with the items actually sent, never be sized by the
+  // declared capacity (that would throw bad_alloc at construction).
+  auto Mod = mustCompile(R"(
+chan c[1000000000000];
+
+proc producer() {
+  var i;
+  for (i = 0; i < 3; i = i + 1)
+    send(c, i);
+}
+
+proc consumer() {
+  var j;
+  var v;
+  for (j = 0; j < 3; j = j + 1)
+    v = recv(c);
+}
+
+process p = producer();
+process q = consumer();
+)");
+  ASSERT_TRUE(Mod);
+  for (ExecMode Exec : {ExecMode::Interp, ExecMode::Vm}) {
+    SearchOptions Opts;
+    Opts.Exec = Exec;
+    Opts.CheckpointInterval = 2;
+    SearchResult R = explore(*Mod, Opts);
+    EXPECT_TRUE(R.Stats.Completed);
+    EXPECT_EQ(R.Stats.Deadlocks, 0u);
+    EXPECT_GT(R.Stats.Terminations, 0u);
+    EXPECT_EQ(R.Stats.VisibleOpsCovered, 2u);
+    EXPECT_TRUE(R.Reports.empty());
+  }
+}
+
+// Frames hold their arrays inline, and a process's cells are addressed
+// with 32-bit offsets and frame bases. A frame that cannot fit must be a
+// clean StackOverflow in both engines, raised before any storage is
+// allocated, never a truncated size that lets stores run past the cells.
+TEST(RuntimeEdgeTest, CalleeFrameTooLargeForAProcessIsAnError) {
+  const std::string Source = R"(
+proc f() {
+  var a[4294967296];
+  a[7] = 1;
+}
+
+proc main() {
+  f();
+}
+
+process m = main();
+)";
+  expectErrorBothEngines(Source, RunErrorKind::StackOverflow,
+                         "frame storage limit exceeded");
+
+  // The explorer reports it the same way under either engine and under
+  // the differential oracle.
+  auto Mod = mustCompile(Source);
+  ASSERT_TRUE(Mod);
+  for (ExecMode Exec : {ExecMode::Interp, ExecMode::Vm, ExecMode::Both}) {
+    SearchOptions Opts;
+    Opts.Exec = Exec;
+    SearchResult R = explore(*Mod, Opts);
+    EXPECT_TRUE(R.Stats.Completed);
+    EXPECT_EQ(R.Stats.RuntimeErrors, 1u);
+    ASSERT_EQ(R.Reports.size(), 1u);
+    EXPECT_EQ(R.Reports[0].Error.Kind, RunErrorKind::StackOverflow);
+    EXPECT_EQ(R.Reports[0].Error.Loc.Line, 8u);
+  }
+}
+
+TEST(RuntimeEdgeTest, FrameWhoseCellCountWouldWrapIsAnError) {
+  // 2 * (2^63 - 1) + 2 cells: a plain 64-bit sum wraps to 0.
+  expectErrorBothEngines(R"(
+proc f() {
+  var a[9223372036854775807];
+  var b[9223372036854775807];
+  var c[2];
+  c[1] = 1;
+}
+
+proc main() {
+  f();
+}
+
+process m = main();
+)",
+                         RunErrorKind::StackOverflow,
+                         "frame storage limit exceeded");
+}
+
+TEST(RuntimeEdgeTest, MainFrameTooLargeFailsTheInitialState) {
+  expectErrorBothEngines(R"(
+proc main() {
+  var a[2147483648];
+  a[0] = 1;
+}
+
+process m = main();
+)",
+                         RunErrorKind::StackOverflow,
+                         "frame storage limit exceeded");
+}
+
+TEST(RuntimeEdgeTest, GlobalsTooLargeForAProcessAreRejected) {
+  // Every process holds a copy of the globals, so the verifier rejects
+  // them before any System is built.
+  DiagnosticEngine Diags;
+  std::unique_ptr<Module> Mod = compileMiniC(R"(
+var small[16];
+var big[2147483640];
+
+proc main() {
+  big[0] = 1;
+}
+
+process m = main();
+)",
+                                             Diags);
+  ASSERT_TRUE(Mod) << Diags.str();
+  EXPECT_FALSE(verifyModule(*Mod, Diags));
+  EXPECT_NE(Diags.str().find("global 'big' takes the globals past the "
+                             "2147483647 cells a process can hold"),
+            std::string::npos)
+      << Diags.str();
 }
 
 } // namespace

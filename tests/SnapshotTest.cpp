@@ -30,7 +30,7 @@ using namespace closer;
 namespace {
 
 /// A workload whose execution pushes and pops frames (helper call per
-/// iteration) and mutates every communication-object kind (channel deque,
+/// iteration) and mutates every communication-object kind (channel items,
 /// semaphore count, shared variable).
 const char *snapshotWorkload() {
   return R"(
@@ -136,7 +136,7 @@ TEST(SnapshotTest, RestoreUndoesCommObjectMutation) {
   SystemSnapshot Initial = Sys.snapshot();
   uint64_t InitialPrint = Sys.fingerprint();
 
-  // Mutate every object kind: sends fill the channel deque, the consumer
+  // Mutate every object kind: sends fill the channel, the consumer
   // decrements/increments the semaphore and pops the channel, writes hit
   // the shared variable.
   for (int Step = 0; Step != 6; ++Step) {
@@ -150,6 +150,85 @@ TEST(SnapshotTest, RestoreUndoesCommObjectMutation) {
   EXPECT_EQ(Sys.fingerprint(), InitialPrint);
   EXPECT_EQ(Sys.depth(), 0u);
   EXPECT_TRUE(Sys.trace().empty());
+}
+
+TEST(SnapshotTest, ChannelFifoSurvivesStorageWrapAcrossRestore) {
+  // The consumer asserts that it receives 1, 2, ..., 12 in order while the
+  // schedule below moves the channel's items around its storage.
+  auto Mod = mustCompile(R"(
+chan c[6];
+
+proc producer() {
+  var i;
+  for (i = 1; i <= 12; i = i + 1)
+    send(c, i);
+}
+
+proc consumer() {
+  var j;
+  var v;
+  for (j = 1; j <= 12; j = j + 1) {
+    v = recv(c);
+    VS_assert(v == j);
+  }
+}
+
+process p = producer();
+process q = consumer();
+)");
+  ASSERT_TRUE(Mod);
+  ZeroChoiceProvider Zero;
+  // Runs \p Steps transitions (all, when 0), preferring process \p First.
+  auto Run = [&](System &S, int First, size_t Steps) {
+    for (size_t N = 0; Steps == 0 || N != Steps; ++N) {
+      std::vector<int> E = S.enabledProcesses();
+      if (E.empty())
+        return;
+      int P = std::find(E.begin(), E.end(), First) != E.end() ? First
+                                                              : E.front();
+      ExecResult R = S.executeTransition(P, Zero);
+      ASSERT_TRUE(R.ok());
+      ASSERT_TRUE(R.Violations.empty()) << "FIFO order broken";
+    }
+  };
+
+  System Sys(*Mod, {});
+  // Consumer first: three items pass through one by one, so the channel is
+  // empty with its front in the middle of the storage. Producer first: six
+  // items fill it, wrapping around the end of the storage and growing it
+  // while wrapped.
+  Run(Sys, 1, 8);
+  Run(Sys, 0, 8);
+  SystemSnapshot Full = Sys.snapshot();
+  SystemSnapshot Light = Sys.snapshotLight();
+  const uint64_t Print = Sys.fingerprint();
+  Run(Sys, 0, 0);
+  const std::string Final = traceToString(Sys.trace());
+  const uint64_t FinalPrint = Sys.fingerprint();
+  EXPECT_EQ(Sys.classify(), GlobalStateKind::Termination);
+  std::vector<int64_t> Received;
+  for (const VisibleEvent &E : Sys.trace())
+    if (E.Op == BuiltinKind::Recv)
+      Received.push_back(E.Payload.asInt());
+  std::vector<int64_t> Expected = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12};
+  EXPECT_EQ(Received, Expected);
+
+  // Light snapshot, same System: rewinds and replays the same suffix.
+  Sys.restore(Light);
+  EXPECT_EQ(Sys.fingerprint(), Print);
+  Run(Sys, 0, 0);
+  EXPECT_EQ(traceToString(Sys.trace()), Final);
+  EXPECT_EQ(Sys.fingerprint(), FinalPrint);
+
+  // Full snapshot into a System whose own channel storage went through a
+  // different history (producer first: the channel filled from the front).
+  System Other(*Mod, {});
+  Run(Other, 0, 9);
+  Other.restore(Full);
+  EXPECT_EQ(Other.fingerprint(), Print);
+  Run(Other, 0, 0);
+  EXPECT_EQ(traceToString(Other.trace()), Final);
+  EXPECT_EQ(Other.fingerprint(), FinalPrint);
 }
 
 //===----------------------------------------------------------------------===//
