@@ -4,10 +4,10 @@
 # Runs the tier-1 line (configure, build, full ctest), then validates the
 # machine-readable artifacts the tree emits:
 #   * the sanitizer suites (Tsan: state cache, scheduler, steal
-#     equivalence; Asan+UBSan: pass pipeline, vm, runtime, analysis cache,
-#     domain partition; all with asserts on) are re-run by name (the full
-#     ctest pass above includes them too; this step fails if one drops out
-#     of discovery);
+#     equivalence, lexer atom table; Asan+UBSan: pass pipeline, vm,
+#     runtime, analysis cache, domain partition; all with asserts on) are
+#     re-run by name (the full ctest pass above includes them too; this
+#     step fails if one drops out of discovery);
 #   * the benchmark's own smoke mode (`perfbench/run.py --smoke`) builds
 #     perfbench/ against src/ and checks every workload's verdict;
 #   * bench_experiments' rows must uphold each paper claim (E1-E3, E5-E9);
@@ -44,8 +44,9 @@ echo "== sanitizer suites =="
 # Re-run the sanitizer suites by name, so a suite that silently drops out
 # of discovery fails the gate instead of passing it vacuously:
 #   * Tsan: the concurrent state cache; the work-stealing scheduler layer
-#     (Chase–Lev deques, parking lot, termination protocol) and the
-#     jobs x checkpoint x cache x exec equivalence matrix;
+#     (Chase–Lev deques, parking lot, termination protocol); the
+#     jobs x checkpoint x cache x exec equivalence matrix; and the lexer,
+#     whose global atom table a batch close's threads share;
 #   * Asan+UBSan: the pass pipeline (module replacement, in-place
 #     mutation); the bytecode VM, whose checked-arithmetic handlers (div/mod
 #     by zero, signed overflow) enforce "deterministic RuntimeError, never
@@ -56,6 +57,7 @@ echo "== sanitizer suites =="
 # (no `grep -q`: with pipefail, its early exit would SIGPIPE ctest)
 for filter in 'Tsan\.StateCache' \
               'Tsan\.(ChaseLevDeque|ParkingLot|Scheduler|StealEquivalence)' \
+              'Tsan\.LexerTest\.' \
               'Asan\.PassPipeline' \
               'Asan\.Vm' \
               'Asan\.RuntimeTest\.' \

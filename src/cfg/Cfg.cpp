@@ -114,6 +114,12 @@ int Module::procIndex(const std::string &Name) const {
   return -1;
 }
 
+ProcIndex::ProcIndex(const Module &Mod) : Mod(Mod) {
+  Index.reserve(Mod.Procs.size());
+  for (size_t I = 0, E = Mod.Procs.size(); I != E; ++I)
+    Index.emplace(Mod.Procs[I].Name, static_cast<int>(I));
+}
+
 const CommDecl *Module::findComm(const std::string &Name) const {
   for (const CommDecl &C : Comms)
     if (C.Name == Name)

@@ -31,6 +31,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace closer {
@@ -165,6 +167,33 @@ struct Module {
   size_t totalNodes() const;
 
   Module clone() const;
+};
+
+/// Procedure name -> index in Module::Procs, for passes that resolve every
+/// call site: Module::findProc and procIndex scan the procedure list, which
+/// turns a pass quadratic on many-procedure modules. Build one per pass;
+/// it borrows the module's names, so the procedure list must not change
+/// while the index is in use. Duplicate names resolve to the first, as
+/// findProc does.
+class ProcIndex {
+public:
+  explicit ProcIndex(const Module &Mod);
+
+  /// Index of procedure \p Name in Mod.Procs, or -1.
+  int lookup(std::string_view Name) const {
+    auto It = Index.find(Name);
+    return It == Index.end() ? -1 : It->second;
+  }
+
+  /// Procedure \p Name, or null.
+  const ProcCfg *find(std::string_view Name) const {
+    int I = lookup(Name);
+    return I < 0 ? nullptr : &Mod.Procs[static_cast<size_t>(I)];
+  }
+
+private:
+  const Module &Mod;
+  std::unordered_map<std::string_view, int> Index;
 };
 
 /// Name of the distinguished local carrying a procedure's return value.

@@ -16,8 +16,9 @@ namespace {
 
 class ProcVerifier {
 public:
-  ProcVerifier(const Module &Mod, const ProcCfg &Proc, DiagnosticEngine &Diags)
-      : Mod(Mod), Proc(Proc), Diags(Diags) {}
+  ProcVerifier(const Module &Mod, const ProcIndex &Procs, const ProcCfg &Proc,
+               DiagnosticEngine &Diags)
+      : Mod(Mod), Procs(Procs), Proc(Proc), Diags(Diags) {}
 
   bool run() {
     unsigned ErrorsBefore = Diags.errorCount();
@@ -207,7 +208,7 @@ private:
       verifyExpr(Node.Target.get(), Id);
 
     if (Node.Builtin == BuiltinKind::None) {
-      const ProcCfg *Callee = Mod.findProc(Node.Callee);
+      const ProcCfg *Callee = Procs.find(Node.Callee);
       if (!Callee) {
         error(Node.Loc, "node " + std::to_string(Id) +
                             ": call to unknown procedure '" + Node.Callee +
@@ -254,6 +255,7 @@ private:
   }
 
   const Module &Mod;
+  const ProcIndex &Procs;
   const ProcCfg &Proc;
   DiagnosticEngine &Diags;
 };
@@ -262,14 +264,15 @@ private:
 
 bool closer::verifyProc(const Module &Mod, const ProcCfg &Proc,
                         DiagnosticEngine &Diags) {
-  ProcVerifier V(Mod, Proc, Diags);
-  return V.run();
+  ProcIndex Procs(Mod);
+  return ProcVerifier(Mod, Procs, Proc, Diags).run();
 }
 
 bool closer::verifyModule(const Module &Mod, DiagnosticEngine &Diags) {
   unsigned ErrorsBefore = Diags.errorCount();
+  ProcIndex Procs(Mod);
   for (const ProcCfg &Proc : Mod.Procs)
-    verifyProc(Mod, Proc, Diags);
+    ProcVerifier(Mod, Procs, Proc, Diags).run();
   // Every process holds its own copy of the globals, so they must fit in
   // one process's storage. (A frame too large for it is a runtime error,
   // raised only if the procedure is ever called.)
@@ -285,7 +288,7 @@ bool closer::verifyModule(const Module &Mod, DiagnosticEngine &Diags) {
     }
   }
   for (const ProcessDecl &P : Mod.Processes) {
-    const ProcCfg *Proc = Mod.findProc(P.ProcName);
+    const ProcCfg *Proc = Procs.find(P.ProcName);
     if (!Proc) {
       Diags.error(P.Loc, "[cfg] process '" + P.Name +
                              "' references unknown procedure '" + P.ProcName +

@@ -12,7 +12,6 @@
 #include <map>
 #include <set>
 #include <tuple>
-#include <unordered_map>
 
 using namespace closer;
 
@@ -78,23 +77,13 @@ std::vector<NodeId> succSet(const ProcCfg &Proc,
   return {Result.begin(), Result.end()};
 }
 
-/// Hash index over procedure names, built once per closeModule call so
-/// sanitizeNode does not pay a linear Module::procIndex scan per call node
-/// (quadratic on many-procedure corpora).
-using ProcIndexMap = std::unordered_map<std::string, int>;
-
-int lookupProc(const ProcIndexMap &Map, const std::string &Name) {
-  auto It = Map.find(Name);
-  return It == Map.end() ? -1 : It->second;
-}
-
 class ProcCloser {
 public:
   ProcCloser(const Module &Mod, const EnvAnalysis &Analysis, size_t ProcIdx,
              const ClosingOptions &Options, ClosingStats &Stats,
-             const ProcIndexMap &ProcIdxByName)
+             const ProcIndex &Procs)
       : Mod(Mod), Analysis(Analysis), ProcIdx(ProcIdx), Options(Options),
-        Stats(Stats), ProcIdxByName(ProcIdxByName), Proc(Mod.Procs[ProcIdx]),
+        Stats(Stats), Procs(Procs), Proc(Mod.Procs[ProcIdx]),
         PT(Analysis.taint().Procs[ProcIdx]) {}
 
   ProcCfg run() {
@@ -164,7 +153,7 @@ private:
 
     if (Node.Builtin == BuiltinKind::None) {
       // User procedure: drop arguments whose parameter Step 5 removed.
-      int CalleeIdx = lookupProc(ProcIdxByName, Node.Callee);
+      int CalleeIdx = Procs.lookup(Node.Callee);
       if (CalleeIdx < 0)
         return;
       const ProcTaint &Callee = Analysis.taint().Procs[CalleeIdx];
@@ -252,7 +241,7 @@ private:
   size_t ProcIdx;
   const ClosingOptions &Options;
   ClosingStats &Stats;
-  const ProcIndexMap &ProcIdxByName;
+  const ProcIndex &Procs;
   const ProcCfg &Proc;
   const ProcTaint &PT;
   std::vector<bool> Marked;
@@ -272,12 +261,9 @@ Module closer::closeModule(const Module &Mod, const EnvAnalysis &Analysis,
   Out.Comms = Mod.Comms;
   Out.Globals = Mod.Globals;
 
-  ProcIndexMap ProcIdxByName;
-  for (size_t P = 0, E = Mod.Procs.size(); P != E; ++P)
-    ProcIdxByName.emplace(Mod.Procs[P].Name, static_cast<int>(P));
-
+  ProcIndex Procs(Mod);
   for (size_t P = 0, E = Mod.Procs.size(); P != E; ++P) {
-    ProcCloser Closer(Mod, Analysis, P, Options, S, ProcIdxByName);
+    ProcCloser Closer(Mod, Analysis, P, Options, S, Procs);
     Out.Procs.push_back(Closer.run());
   }
 
@@ -286,7 +272,7 @@ Module closer::closeModule(const Module &Mod, const EnvAnalysis &Analysis,
   // instantiations closed).
   for (const ProcessDecl &Inst : Mod.Processes) {
     ProcessDecl NewInst = Inst;
-    int ProcIdx = lookupProc(ProcIdxByName, Inst.ProcName);
+    int ProcIdx = Procs.lookup(Inst.ProcName);
     if (ProcIdx >= 0) {
       const ProcTaint &PT = Analysis.taint().Procs[ProcIdx];
       NewInst.Args.clear();

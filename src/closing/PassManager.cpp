@@ -166,6 +166,10 @@ public:
       return false;
     }
     Ctx.M = buildModule(*Ctx.AST, Ctx.Diags);
+    // The module owns clones of every expression and no later pass reads
+    // the AST, so release it now instead of carrying it (about as large as
+    // the module) through the analyses and the close.
+    Ctx.AST.reset();
     if (!Ctx.M)
       return false;
     Ctx.AM = std::make_unique<AnalysisManager>(*Ctx.M);

@@ -114,7 +114,8 @@ public:
   PipelineOptions Opts;
   DiagnosticEngine Diags;
 
-  /// Set by the parse pass.
+  /// Set by the parse pass; released by the lower pass once the module
+  /// exists.
   std::unique_ptr<Program> AST;
   /// Set by the lower pass; replaced by wholesale transforms.
   std::unique_ptr<Module> M;

@@ -185,7 +185,7 @@ static bool exprHasPointerOp(const Expr *E) {
   return false;
 }
 
-void AliasAnalysis::processProc(const Module &M, const ProcCfg &Proc) {
+void AliasAnalysis::processProc(const ProcIndex &Procs, const ProcCfg &Proc) {
   bool HasPointers = false;
   for (const CfgNode &Node : Proc.Nodes) {
     HasPointers |= exprHasPointerOp(Node.Target.get());
@@ -201,7 +201,7 @@ void AliasAnalysis::processProc(const Module &M, const ProcCfg &Proc) {
     }
     case CfgNodeKind::Call: {
       if (Node.Builtin == BuiltinKind::None) {
-        const ProcCfg *Callee = M.findProc(Node.Callee);
+        const ProcCfg *Callee = Procs.find(Node.Callee);
         if (Callee) {
           // Parameter binding: param := arg (context-insensitive).
           for (size_t I = 0, E = std::min(Node.Args.size(),
@@ -237,8 +237,9 @@ void AliasAnalysis::processProc(const Module &M, const ProcCfg &Proc) {
 //===----------------------------------------------------------------------===//
 
 AliasAnalysis::AliasAnalysis(const Module &Mod) : Mod(Mod) {
+  ProcIndex Procs(Mod);
   for (const ProcCfg &Proc : Mod.Procs)
-    processProc(Mod, Proc);
+    processProc(Procs, Proc);
   // Build representative -> named members index.
   for (const auto &[Qual, Cell] : VarCells)
     Members[find(Cell)].push_back(Qual);

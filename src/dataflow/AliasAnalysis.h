@@ -105,7 +105,7 @@ private:
   void joinAsValue(Cell Target, Cell Source);
   void flowExprInto(const ProcCfg &Proc, Cell Target, const Expr *E);
   Cell lvalueCell(const ProcCfg &Proc, const Expr *Lvalue);
-  void processProc(const Module &Mod, const ProcCfg &Proc);
+  void processProc(const ProcIndex &Procs, const ProcCfg &Proc);
 
   const Module &Mod;
   std::unordered_map<std::string, Cell> VarCells;

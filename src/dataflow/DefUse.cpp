@@ -9,7 +9,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
+#include <numeric>
 #include <sstream>
 #include <unordered_map>
 
@@ -82,23 +82,114 @@ ExprUses closer::collectExprUses(const Module &Mod, const ProcCfg &Proc,
 // ProcDataflow
 //===----------------------------------------------------------------------===//
 
+struct ProcDataflow::FlatArc {
+  NodeId From;
+  NodeId To;
+  uint32_t Var; ///< DefVars index.
+};
+
+namespace {
+
+/// Interns names to provisional ids in first-seen order. finish() copies
+/// the names into a sorted table and maps each provisional id to its
+/// index there, so ids ascend in name order once remapped.
+class NameInterner {
+public:
+  uint32_t intern(const std::string &Name) {
+    auto [It, Fresh] =
+        Ids.try_emplace(Name, static_cast<uint32_t>(Order.size()));
+    if (Fresh)
+      Order.push_back(&It->first);
+    return It->second;
+  }
+
+  /// The provisional id of \p Name, or NoId.
+  uint32_t find(const std::string &Name) const {
+    auto It = Ids.find(Name);
+    return It == Ids.end() ? NoId : It->second;
+  }
+
+  std::vector<uint32_t> finish(std::vector<std::string> &Names) {
+    std::vector<uint32_t> Sorted(Order.size());
+    std::iota(Sorted.begin(), Sorted.end(), 0u);
+    std::sort(Sorted.begin(), Sorted.end(),
+              [&](uint32_t A, uint32_t B) { return *Order[A] < *Order[B]; });
+    std::vector<uint32_t> Remap(Order.size());
+    Names.clear();
+    Names.reserve(Order.size());
+    for (uint32_t Rank = 0; Rank != Sorted.size(); ++Rank) {
+      Remap[Sorted[Rank]] = Rank;
+      Names.push_back(*Order[Sorted[Rank]]);
+    }
+    return Remap;
+  }
+
+  static constexpr uint32_t NoId = ~uint32_t(0);
+
+private:
+  std::unordered_map<std::string, uint32_t> Ids;
+  std::vector<const std::string *> Order;
+};
+
+/// Ends the current node's slice.
+void closeNode(NodeIdLists &L) {
+  L.Off.push_back(static_cast<uint32_t>(L.Dat.size()));
+}
+
+/// Drops the offsets of a kind no node has an entry of.
+void dropIfEmpty(NodeIdLists &L) {
+  if (L.Dat.empty())
+    std::vector<uint32_t>().swap(L.Off);
+}
+
+/// Maps the provisional ids of a name-set kind through \p Remap, then sorts
+/// and deduplicates each node's slice (compacting the arrays in place).
+void finishNameSets(NodeIdLists &L, const std::vector<uint32_t> &Remap) {
+  for (uint32_t &Id : L.Dat)
+    Id = Remap[Id];
+  uint32_t Out = 0, Begin = 0;
+  for (size_t I = 1; I < L.Off.size(); ++I) {
+    auto B = L.Dat.begin() + Begin, E = L.Dat.begin() + L.Off[I];
+    Begin = L.Off[I];
+    std::sort(B, E);
+    for (auto It = B, Last = std::unique(B, E); It != Last; ++It)
+      L.Dat[Out++] = *It;
+    L.Off[I] = Out;
+  }
+  L.Dat.resize(Out);
+  L.Dat.shrink_to_fit();
+  dropIfEmpty(L);
+}
+
+/// Maps the provisional name ids inside def codes through \p Remap.
+void finishDefs(NodeIdLists &L, const std::vector<uint32_t> &Remap) {
+  for (uint32_t &Code : L.Dat)
+    Code = Remap[Code >> 1] << 1 | (Code & 1);
+  dropIfEmpty(L);
+}
+
+} // namespace
+
 ProcDataflow::ProcDataflow(const Module &Mod, const ProcCfg &Proc,
                            const AliasAnalysis &Alias)
     : Proc(Proc) {
-  size_t N = Proc.Nodes.size();
-  Uses.resize(N);
-  CrossUses.resize(N);
-  NodeUsesUnknown.assign(N, false);
-  Defs.resize(N);
-  CrossDefs.resize(N);
-  EntryReaching.resize(N);
   computeUsesDefs(Mod, Alias);
   computeReachingDefs();
 }
 
 void ProcDataflow::computeUsesDefs(const Module &Mod,
                                    const AliasAnalysis &Alias) {
-  for (size_t I = 0, N = Proc.Nodes.size(); I != N; ++I) {
+  size_t N = Proc.Nodes.size();
+  NameInterner Interner;
+  for (const std::string &P : Proc.Params)
+    Interner.intern(P);
+  for (NodeIdLists *L : {&Uses, &CrossUses, &Defs, &CrossDefs}) {
+    L->Off.reserve(N + 1);
+    L->Off.push_back(0);
+  }
+  NodeUsesUnknown.assign(N, false);
+
+  for (size_t I = 0; I != N; ++I) {
     const CfgNode &Node = Proc.Nodes[I];
     ExprUses U;
 
@@ -135,23 +226,26 @@ void ProcDataflow::computeUsesDefs(const Module &Mod,
       }
     }
 
-    // Definitions.
+    // Definitions, as (provisional name id << 1) | strong.
+    auto AddDef = [&](const std::string &Name, bool Strong) {
+      Defs.Dat.push_back(Interner.intern(Name) << 1 | (Strong ? 1 : 0));
+    };
     if (Node.Target) {
       const Expr *T = Node.Target.get();
       switch (T->Kind) {
       case ExprKind::VarRef:
-        Defs[I].push_back({T->Name, /*Strong=*/true});
+        AddDef(T->Name, /*Strong=*/true);
         break;
       case ExprKind::ArrayIndex:
-        Defs[I].push_back({T->Name, /*Strong=*/false});
+        AddDef(T->Name, /*Strong=*/false);
         break;
       case ExprKind::Deref: {
         for (const std::string &Qual :
              Alias.derefTargets(Proc, T->Lhs.get())) {
           if (isGlobalQual(Qual) || ownerProc(Qual) == Proc.Name)
-            Defs[I].push_back({plainName(Qual), /*Strong=*/false});
+            AddDef(plainName(Qual), /*Strong=*/false);
           else
-            CrossDefs[I].insert(Qual);
+            CrossDefs.Dat.push_back(Interner.intern(Qual));
         }
         break;
       }
@@ -164,10 +258,20 @@ void ProcDataflow::computeUsesDefs(const Module &Mod,
     // lvalue pointer expression mentions the pointed-to variables; that is
     // acceptable over-approximation (a weak def keeps old values live, so
     // treating the cell as also-read is sound for taint purposes).
-    Uses[I] = std::move(U.Plain);
-    CrossUses[I] = std::move(U.Cross);
+    for (const std::string &Name : U.Plain)
+      Uses.Dat.push_back(Interner.intern(Name));
+    for (const std::string &Name : U.Cross)
+      CrossUses.Dat.push_back(Interner.intern(Name));
     NodeUsesUnknown[I] = U.UsesUnknown;
+    for (NodeIdLists *L : {&Uses, &CrossUses, &Defs, &CrossDefs})
+      closeNode(*L);
   }
+
+  std::vector<uint32_t> Remap = Interner.finish(Names);
+  finishNameSets(Uses, Remap);
+  finishNameSets(CrossUses, Remap);
+  finishNameSets(CrossDefs, Remap);
+  finishDefs(Defs, Remap);
 }
 
 namespace {
@@ -238,9 +342,21 @@ void ProcDataflow::computeReachingDefs() {
   // footprint minimal, which is what holds ns/unit flat to ~1M nodes.
   size_t N = Proc.Nodes.size();
 
-  auto internVar = [&](const std::string &Name) {
-    return DefVarId.try_emplace(Name, static_cast<uint32_t>(DefVarId.size()))
-        .first->second;
+  // DefVarOf[name id]: the name's def-site variable id, or NoVar.
+  constexpr uint32_t NoVar = ~uint32_t(0);
+  std::vector<uint32_t> DefVarOf(Names.size(), NoVar);
+  auto internVar = [&](uint32_t NameId) {
+    uint32_t &V = DefVarOf[NameId];
+    if (V == NoVar) {
+      V = static_cast<uint32_t>(DefVars.size());
+      DefVars.push_back(NameId);
+    }
+    return V;
+  };
+  auto paramVar = [&](const std::string &P) {
+    auto It = std::lower_bound(Names.begin(), Names.end(), P);
+    assert(It != Names.end() && *It == P && "parameters are always interned");
+    return internVar(static_cast<uint32_t>(It - Names.begin()));
   };
   auto packSite = [](uint64_t NodePlus1, uint32_t Var) {
     return NodePlus1 << 32 | Var;
@@ -251,7 +367,7 @@ void ProcDataflow::computeReachingDefs() {
   };
 
   for (const std::string &P : Proc.Params)
-    internVar(P);
+    paramVar(P);
 
   // Own def sites and strong kills, CSR over nodes (one reused scratch
   // buffer, two flat arrays — not 2N vectors).
@@ -264,10 +380,11 @@ void ProcDataflow::computeReachingDefs() {
     for (size_t I = 0; I != N; ++I) {
       TmpDefs.clear();
       TmpKills.clear();
-      for (const VarDef &D : Defs[I]) {
-        uint32_t V = internVar(D.Name);
+      for (const uint32_t *C = Defs.begin(I), *CE = Defs.end(I); C != CE;
+           ++C) {
+        uint32_t V = internVar(*C >> 1);
         TmpDefs.push_back(packSite(I + 1, V));
-        if (D.Strong)
+        if (*C & 1)
           TmpKills.push_back(V);
       }
       sortUnique(TmpDefs);
@@ -278,9 +395,6 @@ void ProcDataflow::computeReachingDefs() {
       KillOff[I + 1] = KillDat.size();
     }
   }
-  std::vector<const std::string *> VarName(DefVarId.size());
-  for (const auto &KV : DefVarId)
-    VarName[KV.second] = &KV.first;
 
   // Predecessor lists, CSR (count, prefix-sum, fill).
   std::vector<size_t> PredOff(N + 2, 0);
@@ -296,7 +410,7 @@ void ProcDataflow::computeReachingDefs() {
 
   std::vector<uint64_t> EntrySet;
   for (const std::string &P : Proc.Params)
-    EntrySet.push_back(packSite(0, DefVarId[P]));
+    EntrySet.push_back(packSite(0, paramVar(P)));
   sortUnique(EntrySet);
 
   // Only Out sets are stored; In is rebuilt per node by joining the final
@@ -368,46 +482,44 @@ void ProcDataflow::computeReachingDefs() {
 
   // Materialize define-use arcs. Each node's In set is rebuilt here from
   // the converged Outs; it is sorted by (node + 1, var), so entry
-  // pseudo-defs come first in var-id order and EntryReaching stays sorted
-  // for the binary search in paramEntryReaches. Arcs are emitted into one
-  // flat buffer first, then counting-sorted into the CSR arrays.
-  struct FlatArc {
-    NodeId From;
-    NodeId To;
-    uint32_t Var;
-  };
+  // pseudo-defs come first in var-id order and each node's EntryReaching
+  // slice comes out ascending.
   std::vector<FlatArc> Arcs;
   Arcs.reserve(N);
   std::vector<uint32_t> UseIds;
+  EntryReaching.Off.reserve(N + 1);
+  EntryReaching.Off.push_back(0);
   for (size_t I = 0; I != N; ++I) {
     UseIds.clear();
-    for (const std::string &U : Uses[I]) {
-      auto It = DefVarId.find(U);
-      if (It != DefVarId.end())
-        UseIds.push_back(It->second);
-    }
+    for (const uint32_t *U = Uses.begin(I), *UE = Uses.end(I); U != UE; ++U)
+      if (DefVarOf[*U] != NoVar)
+        UseIds.push_back(DefVarOf[*U]);
     std::sort(UseIds.begin(), UseIds.end());
-    if (UseIds.empty())
-      continue;
-    joinPreds(static_cast<NodeId>(I), NewIn);
-    for (uint64_t Site : NewIn) {
-      uint32_t V = static_cast<uint32_t>(Site);
-      if (!std::binary_search(UseIds.begin(), UseIds.end(), V))
-        continue;
-      uint64_t FromPlus1 = Site >> 32;
-      if (FromPlus1 == 0) {
-        EntryReaching[I].push_back(V);
-        continue;
+    if (!UseIds.empty()) {
+      joinPreds(static_cast<NodeId>(I), NewIn);
+      for (uint64_t Site : NewIn) {
+        uint32_t V = static_cast<uint32_t>(Site);
+        if (!std::binary_search(UseIds.begin(), UseIds.end(), V))
+          continue;
+        uint64_t FromPlus1 = Site >> 32;
+        if (FromPlus1 == 0)
+          EntryReaching.Dat.push_back(V);
+        else
+          Arcs.push_back({static_cast<NodeId>(FromPlus1 - 1),
+                          static_cast<NodeId>(I), V});
       }
-      Arcs.push_back({static_cast<NodeId>(FromPlus1 - 1),
-                      static_cast<NodeId>(I), V});
     }
+    closeNode(EntryReaching);
   }
-  // Counting-sort the flat buffer into both CSR directions. Flat order is
-  // (use node, In-site order), so per-defining-node arcs in DuSuccDat
-  // arrive with ascending use node and each node's DuPredDat slice
-  // preserves In-site order — the same arc order the former per-node
-  // vector construction produced.
+  dropIfEmpty(EntryReaching);
+  // Flat order is (use node, In-site order), so per-defining-node arcs in
+  // DuSuccDat arrive with ascending use node and each node's DuPredDat
+  // slice preserves In-site order.
+  buildArcs(Arcs);
+}
+
+void ProcDataflow::buildArcs(const std::vector<FlatArc> &Arcs) {
+  size_t N = Proc.Nodes.size();
   DuSuccOff.assign(N + 1, 0);
   DuPredOff.assign(N + 1, 0);
   for (const FlatArc &A : Arcs) {
@@ -420,13 +532,12 @@ void ProcDataflow::computeReachingDefs() {
   }
   DuSuccDat.resize(Arcs.size());
   DuPredDat.resize(Arcs.size());
-  {
-    std::vector<size_t> SuccAt(DuSuccOff.begin(), DuSuccOff.end() - 1);
-    std::vector<size_t> PredAt(DuPredOff.begin(), DuPredOff.end() - 1);
-    for (const FlatArc &A : Arcs) {
-      DuSuccDat[SuccAt[A.From]++] = {A.To, VarName[A.Var]};
-      DuPredDat[PredAt[A.To]++] = {A.From, VarName[A.Var]};
-    }
+  std::vector<size_t> SuccAt(DuSuccOff.begin(), DuSuccOff.end() - 1);
+  std::vector<size_t> PredAt(DuPredOff.begin(), DuPredOff.end() - 1);
+  for (const FlatArc &A : Arcs) {
+    const std::string *Var = &Names[DefVars[A.Var]];
+    DuSuccDat[SuccAt[A.From]++] = {A.To, Var};
+    DuPredDat[PredAt[A.To]++] = {A.From, Var};
   }
   NumArcs = Arcs.size();
 }
@@ -444,39 +555,39 @@ std::string ProcDataflow::serialize() const {
   size_t N = Proc.Nodes.size();
   Out << "du-v1\nnodes " << N << "\n";
 
-  // Interned def-site variables, in id order (ids index EntryReaching).
-  std::vector<const std::string *> VarName(DefVarId.size());
-  for (const auto &KV : DefVarId)
-    VarName[KV.second] = &KV.first;
-  Out << "vars " << VarName.size();
-  for (const std::string *Name : VarName)
-    Out << " " << *Name;
+  // Def-site variables, in id order (ids index the entry lines).
+  Out << "vars " << DefVars.size();
+  for (uint32_t Name : DefVars)
+    Out << " " << Names[Name];
   Out << "\n";
 
-  auto EmitSet = [&Out](const char *Tag, const std::set<std::string> &S) {
+  auto EmitSet = [&Out](const char *Tag, NameRange S) {
     Out << " " << Tag << " " << S.size();
     for (const std::string &Name : S)
       Out << " " << Name;
     Out << "\n";
   };
   for (size_t I = 0; I != N; ++I) {
+    NodeId Id = static_cast<NodeId>(I);
     Out << "node " << I << "\n";
-    EmitSet("uses", Uses[I]);
-    EmitSet("xuses", CrossUses[I]);
+    EmitSet("uses", uses(Id));
+    EmitSet("xuses", crossUses(Id));
     Out << " unk " << (NodeUsesUnknown[I] ? 1 : 0) << "\n";
-    Out << " defs " << Defs[I].size();
-    for (const VarDef &D : Defs[I])
-      Out << " " << D.Name << " " << (D.Strong ? 1 : 0);
+    DefRange D = defs(Id);
+    Out << " defs " << D.size();
+    for (const VarDef &Def : D)
+      Out << " " << Def.Name << " " << (Def.Strong ? 1 : 0);
     Out << "\n";
-    EmitSet("xdefs", CrossDefs[I]);
-    DuArcRange Succ = duSuccessors(static_cast<NodeId>(I));
+    EmitSet("xdefs", crossDefs(Id));
+    DuArcRange Succ = duSuccessors(Id);
     Out << " succ " << Succ.size();
     for (const DuArc &A : Succ)
       Out << " " << A.Node << " " << *A.Var;
     Out << "\n";
-    Out << " entry " << EntryReaching[I].size();
-    for (uint32_t V : EntryReaching[I])
-      Out << " " << V;
+    Out << " entry " << (EntryReaching.end(I) - EntryReaching.begin(I));
+    for (const uint32_t *V = EntryReaching.begin(I), *VE = EntryReaching.end(I);
+         V != VE; ++V)
+      Out << " " << *V;
     Out << "\n";
   }
   return Out.str();
@@ -493,25 +604,27 @@ ProcDataflow::deserialize(const ProcCfg &Proc, const std::string &Blob) {
     return nullptr;
 
   std::unique_ptr<ProcDataflow> DF(new ProcDataflow(Proc, RestoreTag{}));
+  // Names are interned provisionally while reading and sorted at the end;
+  // the def-site variables come first, so their provisional ids are their
+  // DefVars indices.
+  NameInterner Interner;
   if (!(In >> Word >> NVars) || Word != "vars")
     return nullptr;
   for (size_t V = 0; V != NVars; ++V) {
     std::string Name;
-    if (!(In >> Name))
+    if (!(In >> Name) || Interner.intern(Name) != V)
       return nullptr;
-    if (!DF->DefVarId.emplace(Name, static_cast<uint32_t>(V)).second)
-      return nullptr;
+    DF->DefVars.push_back(static_cast<uint32_t>(V));
   }
 
-  DF->Uses.resize(N);
-  DF->CrossUses.resize(N);
+  for (NodeIdLists *L : {&DF->Uses, &DF->CrossUses, &DF->Defs,
+                         &DF->CrossDefs, &DF->EntryReaching}) {
+    L->Off.reserve(N + 1);
+    L->Off.push_back(0);
+  }
   DF->NodeUsesUnknown.assign(N, false);
-  DF->Defs.resize(N);
-  DF->CrossDefs.resize(N);
-  DF->DuSuccOff.assign(N + 1, 0);
-  DF->EntryReaching.resize(N);
 
-  auto ReadSet = [&In](const char *Expect, std::set<std::string> &S) {
+  auto ReadSet = [&In, &Interner](const char *Expect, NodeIdLists &L) {
     std::string W, Name;
     size_t Count = 0;
     if (!(In >> W >> Count) || W != Expect)
@@ -519,16 +632,18 @@ ProcDataflow::deserialize(const ProcCfg &Proc, const std::string &Blob) {
     for (size_t K = 0; K != Count; ++K) {
       if (!(In >> Name))
         return false;
-      S.insert(Name);
+      L.Dat.push_back(Interner.intern(Name));
     }
+    closeNode(L);
     return true;
   };
+  std::vector<FlatArc> Arcs;
   for (size_t I = 0; I != N; ++I) {
     size_t Id = 0, Count = 0;
     int Flag = 0;
     if (!(In >> Word >> Id) || Word != "node" || Id != I)
       return nullptr;
-    if (!ReadSet("uses", DF->Uses[I]) || !ReadSet("xuses", DF->CrossUses[I]))
+    if (!ReadSet("uses", DF->Uses) || !ReadSet("xuses", DF->CrossUses))
       return nullptr;
     if (!(In >> Word >> Flag) || Word != "unk")
       return nullptr;
@@ -539,9 +654,10 @@ ProcDataflow::deserialize(const ProcCfg &Proc, const std::string &Blob) {
       std::string Name;
       if (!(In >> Name >> Flag))
         return nullptr;
-      DF->Defs[I].push_back({Name, Flag != 0});
+      DF->Defs.Dat.push_back(Interner.intern(Name) << 1 | (Flag != 0));
     }
-    if (!ReadSet("xdefs", DF->CrossDefs[I]))
+    closeNode(DF->Defs);
+    if (!ReadSet("xdefs", DF->CrossDefs))
       return nullptr;
     if (!(In >> Word >> Count) || Word != "succ")
       return nullptr;
@@ -551,46 +667,40 @@ ProcDataflow::deserialize(const ProcCfg &Proc, const std::string &Blob) {
       if (!(In >> To >> Var) || To >= N)
         return nullptr;
       // Arc labels are def-site variables, so they must appear in the
-      // interned table read above; anything else is a corrupt blob. The
-      // stored pointer aliases the table key (stable under rehash).
-      auto VarIt = DF->DefVarId.find(Var);
-      if (VarIt == DF->DefVarId.end())
+      // table read above; anything else is a corrupt blob.
+      uint32_t V = Interner.find(Var);
+      if (V >= NVars)
         return nullptr;
-      DF->DuSuccDat.push_back({static_cast<NodeId>(To), &VarIt->first});
+      Arcs.push_back({static_cast<NodeId>(I), static_cast<NodeId>(To), V});
     }
-    DF->DuSuccOff[I + 1] = DF->DuSuccDat.size();
     if (!(In >> Word >> Count) || Word != "entry")
       return nullptr;
     for (size_t K = 0; K != Count; ++K) {
       uint32_t V = 0;
       if (!(In >> V) || V >= NVars)
         return nullptr;
-      DF->EntryReaching[I].push_back(V);
+      DF->EntryReaching.Dat.push_back(V);
     }
+    closeNode(DF->EntryReaching);
   }
 
-  // Derived state: the predecessor CSR (counting sort over the successor
-  // arcs) and the arc count.
-  DF->NumArcs = DF->DuSuccDat.size();
-  DF->DuPredOff.assign(N + 1, 0);
-  for (const DuArc &A : DF->DuSuccDat)
-    ++DF->DuPredOff[A.Node + 1];
-  for (size_t I = 1; I != N + 1; ++I)
-    DF->DuPredOff[I] += DF->DuPredOff[I - 1];
-  DF->DuPredDat.resize(DF->NumArcs);
-  {
-    std::vector<size_t> At(DF->DuPredOff.begin(), DF->DuPredOff.end() - 1);
-    for (size_t I = 0; I != N; ++I)
-      for (const DuArc &A : DF->duSuccessors(static_cast<NodeId>(I)))
-        DF->DuPredDat[At[A.Node]++] = {static_cast<NodeId>(I), A.Var};
-  }
+  std::vector<uint32_t> Remap = Interner.finish(DF->Names);
+  finishNameSets(DF->Uses, Remap);
+  finishNameSets(DF->CrossUses, Remap);
+  finishNameSets(DF->CrossDefs, Remap);
+  finishDefs(DF->Defs, Remap);
+  for (uint32_t &Name : DF->DefVars)
+    Name = Remap[Name];
+  dropIfEmpty(DF->EntryReaching);
+  DF->buildArcs(Arcs);
   return DF;
 }
 
 bool ProcDataflow::paramEntryReaches(NodeId N, const std::string &Var) const {
-  auto It = DefVarId.find(Var);
-  if (It == DefVarId.end())
-    return false;
-  return std::binary_search(EntryReaching[N].begin(), EntryReaching[N].end(),
-                            It->second);
+  // Slices hold the few parameters live at the node, usually none.
+  for (const uint32_t *V = EntryReaching.begin(N), *VE = EntryReaching.end(N);
+       V != VE; ++V)
+    if (Names[DefVars[*V]] == Var)
+      return true;
+  return false;
 }

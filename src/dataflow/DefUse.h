@@ -23,6 +23,14 @@
 ///  * paramEntryReaches(n, v) — the incoming (environment-bindable) value
 ///                   of parameter v may still be live at n.
 ///
+/// Storage is flat. Every name a procedure's sets mention is interned once
+/// into a sorted name table; each kind of per-node set (uses, cross uses,
+/// defs, cross defs, entry-reaching parameters) is one offset array plus
+/// one id array in CSR form, like the define-use arcs. A node that uses
+/// nothing costs one offset per kind instead of five container headers,
+/// and the name-set accessors return views that iterate in lexicographic
+/// order because the table is sorted.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CLOSER_DATAFLOW_DEFUSE_H
@@ -31,11 +39,14 @@
 #include "cfg/Cfg.h"
 #include "dataflow/AliasAnalysis.h"
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <set>
 #include <string>
-#include <unordered_map>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace closer {
@@ -55,15 +66,16 @@ struct ExprUses {
 ExprUses collectExprUses(const Module &Mod, const ProcCfg &Proc,
                          const AliasAnalysis &Alias, const Expr *E);
 
-/// One definition performed by a node.
+/// One definition performed by a node, as defs() yields it. \c Name refers
+/// to the owning ProcDataflow's name table.
 struct VarDef {
-  std::string Name;  ///< Plain name (same-proc or global).
-  bool Strong = false; ///< Kills previous definitions of Name.
+  const std::string &Name; ///< Plain name (same-proc or global).
+  bool Strong;             ///< Kills previous definitions of Name.
 };
 
 /// One endpoint of a define-use arc: the node on the far side and the arc's
-/// variable label. \c Var points into the owning ProcDataflow's interned
-/// def-site name table and stays valid for the analysis' lifetime.
+/// variable label. \c Var points into the owning ProcDataflow's name table
+/// and stays valid for the analysis' lifetime.
 struct DuArc {
   NodeId Node;
   const std::string *Var;
@@ -85,6 +97,96 @@ private:
   const DuArc *E;
 };
 
+/// Id decoders for the two kinds of IdRange: a name-set entry is a plain
+/// name id; a def entry is (name id << 1) | strong.
+struct NameOfId {
+  const std::string &operator()(const std::string *Names, uint32_t Id) const {
+    return Names[Id];
+  }
+};
+struct DefOfCode {
+  VarDef operator()(const std::string *Names, uint32_t Code) const {
+    return {Names[Code >> 1], (Code & 1) != 0};
+  }
+};
+
+/// Read-only view over one slice of name-table ids; \p Decode turns an id
+/// into the element the view yields.
+template <class Decode> class IdRange {
+public:
+  class iterator {
+  public:
+    using iterator_category = std::forward_iterator_tag;
+    using reference = decltype(Decode{}(nullptr, 0));
+    using value_type = std::remove_cvref_t<reference>;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+
+    iterator() = default;
+    iterator(const uint32_t *P, const std::string *Names)
+        : P(P), Names(Names) {}
+    reference operator*() const { return Decode{}(Names, *P); }
+    iterator &operator++() {
+      ++P;
+      return *this;
+    }
+    iterator operator++(int) {
+      iterator Old = *this;
+      ++P;
+      return Old;
+    }
+    bool operator==(const iterator &O) const { return P == O.P; }
+
+  private:
+    const uint32_t *P = nullptr;
+    const std::string *Names = nullptr;
+  };
+
+  IdRange(const uint32_t *B, const uint32_t *E, const std::string *Names)
+      : B(B), E(E), Names(Names) {}
+  iterator begin() const { return {B, Names}; }
+  iterator end() const { return {E, Names}; }
+  size_t size() const { return static_cast<size_t>(E - B); }
+  bool empty() const { return B == E; }
+
+  /// 1 when the name set holds \p Name, else 0 (a binary search: name-set
+  /// ids ascend in name order).
+  size_t count(std::string_view Name) const
+    requires std::is_same_v<Decode, NameOfId>
+  {
+    const uint32_t *It = std::lower_bound(
+        B, E, Name, [this](uint32_t Id, std::string_view V) {
+          return std::string_view(Names[Id]) < V;
+        });
+    return It != E && Names[*It] == Name;
+  }
+
+private:
+  const uint32_t *B;
+  const uint32_t *E;
+  const std::string *Names;
+};
+
+/// A node's name set, in lexicographic order; supports count(name).
+using NameRange = IdRange<NameOfId>;
+/// A node's definitions, in the order the node performs them.
+using DefRange = IdRange<DefOfCode>;
+
+/// Per-node id lists in CSR form: node I's ids are Dat[Off[I] .. Off[I+1]).
+/// Off is empty when no node has an entry, so a kind of set that is empty
+/// everywhere costs nothing per node.
+struct NodeIdLists {
+  std::vector<uint32_t> Off;
+  std::vector<uint32_t> Dat;
+
+  const uint32_t *begin(size_t I) const {
+    return Off.empty() ? Dat.data() : Dat.data() + Off[I];
+  }
+  const uint32_t *end(size_t I) const {
+    return Off.empty() ? Dat.data() : Dat.data() + Off[I + 1];
+  }
+};
+
 /// The define-use graph of one procedure.
 class ProcDataflow {
 public:
@@ -104,15 +206,13 @@ public:
 
   const ProcCfg &proc() const { return Proc; }
 
-  const std::set<std::string> &uses(NodeId N) const { return Uses[N]; }
-  const std::set<std::string> &crossUses(NodeId N) const {
-    return CrossUses[N];
-  }
+  NameRange uses(NodeId N) const { return names(Uses, N); }
+  NameRange crossUses(NodeId N) const { return names(CrossUses, N); }
   bool usesUnknown(NodeId N) const { return NodeUsesUnknown[N]; }
-  const std::vector<VarDef> &defs(NodeId N) const { return Defs[N]; }
-  const std::set<std::string> &crossDefs(NodeId N) const {
-    return CrossDefs[N];
+  DefRange defs(NodeId N) const {
+    return {Defs.begin(N), Defs.end(N), Names.data()};
   }
+  NameRange crossDefs(NodeId N) const { return names(CrossDefs, N); }
 
   /// Define-use arcs out of \p N: (successor use node, variable).
   DuArcRange duSuccessors(NodeId N) const {
@@ -138,33 +238,45 @@ private:
   struct RestoreTag {};
   ProcDataflow(const ProcCfg &Proc, RestoreTag) : Proc(Proc) {}
 
+  NameRange names(const NodeIdLists &L, NodeId N) const {
+    return {L.begin(N), L.end(N), Names.data()};
+  }
+
+  /// A define-use arc labeled with its DefVars index, before it is filed
+  /// into the CSR arrays.
+  struct FlatArc;
+
   void computeUsesDefs(const Module &Mod, const AliasAnalysis &Alias);
   void computeReachingDefs();
+  /// Files \p Arcs into both CSR directions, keeping their relative order
+  /// within each node's slice.
+  void buildArcs(const std::vector<FlatArc> &Arcs);
 
   const ProcCfg &Proc;
-  std::vector<std::set<std::string>> Uses;
-  std::vector<std::set<std::string>> CrossUses;
+
+  /// Every name the sets below mention, sorted and unique; the id lists
+  /// hold indices into it. Parameters are always present.
+  std::vector<std::string> Names;
+  NodeIdLists Uses;      ///< Name ids, ascending.
+  NodeIdLists CrossUses; ///< Name ids, ascending.
+  NodeIdLists Defs;      ///< (name id << 1) | strong, in definition order.
+  NodeIdLists CrossDefs; ///< Name ids, ascending.
   std::vector<bool> NodeUsesUnknown;
-  std::vector<std::vector<VarDef>> Defs;
-  std::vector<std::set<std::string>> CrossDefs;
+
+  /// Def-site variables (parameters, then every other defined variable in
+  /// the order nodes first define it) as name ids. The reaching-definitions
+  /// solver numbers variables this way, and the analysis cache's text
+  /// format records both this table and EntryReaching against it.
+  std::vector<uint32_t> DefVars;
+  /// Per node, ascending DefVars indices: the parameters whose entry value
+  /// reaches the node and is used there.
+  NodeIdLists EntryReaching;
 
   /// Define-use arcs in CSR form, both directions: node I's arcs live in
   /// Du*Dat[Du*Off[I] .. Du*Off[I+1]). Two flat arrays per direction keep
   /// arc iteration sequential instead of chasing 2N per-node vectors.
   std::vector<size_t> DuSuccOff, DuPredOff;
   std::vector<DuArc> DuSuccDat, DuPredDat;
-
-  /// Def-site variables (parameters + anything some node defines) interned
-  /// to dense ids so the reaching-definitions solver can run over packed
-  /// integer sites instead of (NodeId, std::string) pairs. Key references
-  /// stay stable under unordered_map growth, so id -> name lookups hold
-  /// pointers into this map.
-  std::unordered_map<std::string, uint32_t> DefVarId;
-  std::vector<std::vector<uint32_t>> EntryReaching; ///< Per node, sorted:
-                                                    ///< interned params whose
-                                                    ///< entry value reaches
-                                                    ///< the node and is used
-                                                    ///< there.
   size_t NumArcs = 0;
 };
 

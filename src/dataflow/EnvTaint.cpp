@@ -9,7 +9,6 @@
 
 #include <cassert>
 #include <deque>
-#include <unordered_map>
 #include <unordered_set>
 
 using namespace closer;
@@ -130,13 +129,7 @@ void EnvAnalysis::runFixpoint(TaintOptions Options) {
   // findGlobal/procIndex are linear scans, which turns the fixpoint
   // quadratic on many-procedure corpora. Build hash indices once — the
   // module is not mutated while the analysis runs.
-  std::unordered_map<std::string, int> ProcIdxByName;
-  for (size_t P = 0; P != NumProcs; ++P)
-    ProcIdxByName.emplace(Mod.Procs[P].Name, static_cast<int>(P));
-  auto procIndex = [&](const std::string &Name) {
-    auto It = ProcIdxByName.find(Name);
-    return It == ProcIdxByName.end() ? -1 : It->second;
-  };
+  ProcIndex Procs(Mod);
   std::unordered_set<std::string> GlobalNames;
   for (const GlobalDecl &G : Mod.Globals)
     GlobalNames.insert(G.Name);
@@ -155,7 +148,7 @@ void EnvAnalysis::runFixpoint(TaintOptions Options) {
   // Seed: `env` process arguments bind environment values to top-level
   // parameters.
   for (const ProcessDecl &Inst : Mod.Processes) {
-    int ProcIdx = procIndex(Inst.ProcName);
+    int ProcIdx = Procs.lookup(Inst.ProcName);
     if (ProcIdx < 0)
       continue;
     for (size_t I = 0,
@@ -211,7 +204,7 @@ void EnvAnalysis::runFixpoint(TaintOptions Options) {
               PT.EnvSource[I] = true;
             break;
           case BuiltinKind::None: {
-            int CalleeIdx = procIndex(Node.Callee);
+            int CalleeIdx = Procs.lookup(Node.Callee);
             if (Node.Target && CalleeIdx >= 0 &&
                 Result.Procs[CalleeIdx].TaintedReturn)
               PT.EnvSource[I] = true;
@@ -349,7 +342,7 @@ void EnvAnalysis::runFixpoint(TaintOptions Options) {
           continue;
         switch (Node.Builtin) {
         case BuiltinKind::None: {
-          int CalleeIdx = procIndex(Node.Callee);
+          int CalleeIdx = Procs.lookup(Node.Callee);
           if (CalleeIdx < 0)
             break;
           ProcTaint &Callee = Result.Procs[CalleeIdx];

@@ -123,10 +123,3 @@ bool Expr::equals(const Expr *A, const Expr *B) {
   }
   return false;
 }
-
-const ProcDecl *Program::findProc(const std::string &Name) const {
-  for (const ProcDecl &P : Procs)
-    if (P.Name == Name)
-      return &P;
-  return nullptr;
-}

@@ -229,9 +229,6 @@ struct Program {
   std::vector<GlobalDecl> Globals;
   std::vector<ProcDecl> Procs;
   std::vector<ProcessDecl> Processes;
-
-  /// Returns the procedure named \p Name, or nullptr.
-  const ProcDecl *findProc(const std::string &Name) const;
 };
 
 } // namespace closer

@@ -19,6 +19,7 @@ using namespace closer;
 //===----------------------------------------------------------------------===//
 
 int64_t AtomTable::intern(const std::string &Spelling) {
+  std::lock_guard<std::mutex> Lock(Mutex);
   for (size_t I = 0, E = Spellings.size(); I != E; ++I)
     if (Spellings[I] == Spelling)
       return FirstAtomId + static_cast<int64_t>(I);
@@ -27,14 +28,18 @@ int64_t AtomTable::intern(const std::string &Spelling) {
 }
 
 std::string AtomTable::spelling(int64_t Id) const {
-  if (!isAtom(Id))
+  if (Id < FirstAtomId)
     return "";
-  return Spellings[static_cast<size_t>(Id - FirstAtomId)];
+  std::lock_guard<std::mutex> Lock(Mutex);
+  size_t Index = static_cast<size_t>(Id - FirstAtomId);
+  return Index < Spellings.size() ? Spellings[Index] : "";
 }
 
 bool AtomTable::isAtom(int64_t Id) const {
-  return Id >= FirstAtomId &&
-         Id < FirstAtomId + static_cast<int64_t>(Spellings.size());
+  if (Id < FirstAtomId)
+    return false;
+  std::lock_guard<std::mutex> Lock(Mutex);
+  return Id - FirstAtomId < static_cast<int64_t>(Spellings.size());
 }
 
 AtomTable &AtomTable::global() {
@@ -345,15 +350,18 @@ Token Lexer::lexToken() {
   }
 }
 
-std::vector<Token> Lexer::lexAll() {
-  std::vector<Token> Tokens;
+Token Lexer::next() {
   for (;;) {
     Token Tok = lexToken();
-    bool IsEof = Tok.is(TokenKind::Eof);
     if (!Tok.is(TokenKind::Invalid))
-      Tokens.push_back(std::move(Tok));
-    if (IsEof)
-      break;
+      return Tok;
   }
+}
+
+std::vector<Token> Lexer::lexAll() {
+  std::vector<Token> Tokens;
+  do
+    Tokens.push_back(next());
+  while (!Tokens.back().is(TokenKind::Eof));
   return Tokens;
 }

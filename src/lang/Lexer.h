@@ -20,6 +20,7 @@
 #include "lang/Token.h"
 #include "support/Diagnostics.h"
 
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -28,7 +29,8 @@ namespace closer {
 /// Maps atom spellings ('even', 'odd', ...) to small stable integers so that
 /// symbolic payloads can flow through the integer-valued runtime. The table
 /// is global to a compilation: the same spelling always lexes to the same
-/// value, and values can be rendered back for traces.
+/// value, and values can be rendered back for traces. Thread-safe: a batch
+/// close lexes and emits several modules at once against the global table.
 class AtomTable {
 public:
   /// Returns the unique id for \p Spelling, interning it if new. Ids start
@@ -38,7 +40,8 @@ public:
   /// Returns the spelling for \p Id, or empty if \p Id is not an atom.
   std::string spelling(int64_t Id) const;
 
-  /// True if \p Id falls in the atom id range and is interned.
+  /// True if \p Id falls in the atom id range and is interned. Ids below
+  /// the range (every ordinary integer literal) answer without locking.
   bool isAtom(int64_t Id) const;
 
   /// The process-wide table used by the default pipeline.
@@ -47,18 +50,24 @@ public:
   static constexpr int64_t FirstAtomId = 1000000;
 
 private:
-  std::vector<std::string> Spellings;
+  mutable std::mutex Mutex;
+  std::vector<std::string> Spellings; ///< Guarded by Mutex.
 };
 
-/// Lexes a full MiniC buffer into a token vector (terminated by Eof).
-/// Errors are reported to the DiagnosticEngine; lexing continues after
-/// errors so the parser can report more problems in one pass.
+/// Lexes a MiniC buffer one token at a time. Errors are reported to the
+/// DiagnosticEngine and the offending characters skipped, so lexing always
+/// reaches the end of the buffer and reports every lexical error.
 class Lexer {
 public:
   Lexer(std::string Source, DiagnosticEngine &Diags,
         AtomTable &Atoms = AtomTable::global());
 
-  /// Lexes the whole buffer. The result always ends with an Eof token.
+  /// The next token. Malformed input yields no token (only a diagnostic);
+  /// at the end of the buffer every call returns Eof.
+  Token next();
+
+  /// Lexes the rest of the buffer with next(). The result always ends with
+  /// an Eof token.
   std::vector<Token> lexAll();
 
 private:

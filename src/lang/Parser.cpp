@@ -15,24 +15,29 @@
 
 using namespace closer;
 
-Parser::Parser(std::vector<Token> Tokens, DiagnosticEngine &Diags)
-    : Tokens(std::move(Tokens)), Diags(Diags) {
-  assert(!this->Tokens.empty() &&
-         this->Tokens.back().is(TokenKind::Eof) &&
-         "token stream must be Eof-terminated");
+Parser::Parser(Lexer &Lex, DiagnosticEngine &Diags)
+    : Lex(Lex), Diags(Diags), Cur(Lex.next()) {}
+
+const Token &Parser::peek(unsigned Ahead) {
+  assert(Ahead <= 1 && "the parser keeps one token of lookahead");
+  if (Ahead == 0)
+    return Cur;
+  if (!HasNext) {
+    Next = Lex.next();
+    HasNext = true;
+  }
+  return Next;
 }
 
-const Token &Parser::peek(unsigned Ahead) const {
-  size_t Index = Pos + Ahead;
-  if (Index >= Tokens.size())
-    return Tokens.back(); // Eof.
-  return Tokens[Index];
-}
-
+// At Eof the lexer keeps returning Eof, so consuming it is a no-op.
 Token Parser::consume() {
-  Token Tok = current();
-  if (Pos + 1 < Tokens.size())
-    ++Pos;
+  Token Tok = std::move(Cur);
+  if (HasNext) {
+    Cur = std::move(Next);
+    HasNext = false;
+  } else {
+    Cur = Lex.next();
+  }
   return Tok;
 }
 
@@ -678,12 +683,17 @@ ExprPtr Parser::parsePrimary() {
 
 std::unique_ptr<Program> closer::parseMiniC(const std::string &Source,
                                             DiagnosticEngine &Diags) {
+  // The parser pulls tokens as it goes, so lexical errors surface in the
+  // middle of parsing. Hold the parser's diagnostics back; parseProgram()
+  // returns only at Eof, so by then every lexical error is reported, and
+  // one discards the parser's diagnostics, as if lexing ran first.
   Lexer Lex(Source, Diags);
-  std::vector<Token> Tokens = Lex.lexAll();
+  DiagnosticEngine ParseDiags;
+  Parser P(Lex, ParseDiags);
+  std::unique_ptr<Program> Prog = P.parseProgram();
   if (Diags.hasErrors())
     return nullptr;
-  Parser P(std::move(Tokens), Diags);
-  std::unique_ptr<Program> Prog = P.parseProgram();
+  Diags.append(ParseDiags);
   if (Diags.hasErrors())
     return nullptr;
   return Prog;

@@ -40,24 +40,26 @@
 #include "support/Diagnostics.h"
 
 #include <memory>
-#include <vector>
 
 namespace closer {
 
-/// Parses a token stream into a Program. On error, diagnostics are emitted
-/// and parsing recovers at statement/declaration boundaries; the caller must
-/// check Diags.hasErrors() before trusting the result.
+class Lexer;
+
+/// Parses the tokens it pulls from a Lexer into a Program, holding at most
+/// one token of lookahead. On error, diagnostics are emitted and parsing
+/// recovers at statement/declaration boundaries; the caller must check
+/// Diags.hasErrors() before trusting the result.
 class Parser {
 public:
-  Parser(std::vector<Token> Tokens, DiagnosticEngine &Diags);
+  Parser(Lexer &Lex, DiagnosticEngine &Diags);
 
   /// Parses a whole compilation unit.
   std::unique_ptr<Program> parseProgram();
 
 private:
-  // Token stream helpers.
-  const Token &peek(unsigned Ahead = 0) const;
-  const Token &current() const { return peek(0); }
+  // Token stream helpers. peek(1) is the only lookahead the grammar needs.
+  const Token &peek(unsigned Ahead = 0);
+  const Token &current() const { return Cur; }
   Token consume();
   bool check(TokenKind Kind) const { return current().is(Kind); }
   bool match(TokenKind Kind);
@@ -100,13 +102,16 @@ private:
   /// failure.
   int64_t parseConstInt(const char *Context);
 
-  std::vector<Token> Tokens;
+  Lexer &Lex;
   DiagnosticEngine &Diags;
-  size_t Pos = 0;
+  Token Cur;            ///< The current token.
+  Token Next;           ///< The token after it, once peek(1) pulled it.
+  bool HasNext = false;
 };
 
 /// Convenience entry point: lex + parse \p Source. Returns nullptr when the
-/// source has lexical or syntactic errors (details in \p Diags).
+/// source has lexical or syntactic errors (details in \p Diags). A source
+/// with lexical errors reports only those.
 std::unique_ptr<Program> parseMiniC(const std::string &Source,
                                     DiagnosticEngine &Diags);
 

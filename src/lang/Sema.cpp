@@ -10,6 +10,7 @@
 #include "lang/Builtins.h"
 
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -17,12 +18,22 @@ using namespace closer;
 
 namespace {
 
+/// Procedure name -> declaration, built once per checkProgram so call
+/// sites resolve with one hash lookup instead of a scan of Prog.Procs.
+/// Duplicate names resolve to the first declaration.
+using ProcDeclIndex = std::unordered_map<std::string_view, const ProcDecl *>;
+
+const ProcDecl *findProc(const ProcDeclIndex &Procs, std::string_view Name) {
+  auto It = Procs.find(Name);
+  return It == Procs.end() ? nullptr : It->second;
+}
+
 /// Walks one procedure body checking scoping and call discipline.
 class ProcChecker {
 public:
-  ProcChecker(const Program &Prog, const ProcDecl &Proc,
-              DiagnosticEngine &Diags)
-      : Prog(Prog), Proc(Proc), Diags(Diags) {}
+  ProcChecker(const Program &Prog, const ProcDeclIndex &Procs,
+              const ProcDecl &Proc, DiagnosticEngine &Diags)
+      : Prog(Prog), Procs(Procs), Proc(Proc), Diags(Diags) {}
 
   void run() {
     for (const ParamDecl &P : Proc.Params)
@@ -192,7 +203,7 @@ private:
   void checkCall(const Expr *Call, bool InExprPosition) {
     const BuiltinInfo &Info = lookupBuiltin(Call->Name);
     if (Info.Kind == BuiltinKind::None) {
-      const ProcDecl *Callee = Prog.findProc(Call->Name);
+      const ProcDecl *Callee = findProc(Procs, Call->Name);
       if (!Callee) {
         Diags.error(Call->Loc,
                     "call to undefined procedure '" + Call->Name + "'");
@@ -363,6 +374,7 @@ private:
   }
 
   const Program &Prog;
+  const ProcDeclIndex &Procs;
   const ProcDecl &Proc;
   DiagnosticEngine &Diags;
   std::unordered_map<std::string, VarInfo> Vars;
@@ -397,11 +409,16 @@ bool closer::checkProgram(const Program &Prog, DiagnosticEngine &Diags) {
   for (const ProcDecl &P : Prog.Procs)
     DeclareTop(P.Name, P.Loc, "procedure");
 
+  ProcDeclIndex Procs;
+  Procs.reserve(Prog.Procs.size());
+  for (const ProcDecl &P : Prog.Procs)
+    Procs.emplace(P.Name, &P);
+
   std::unordered_set<std::string> ProcessNames;
   for (const ProcessDecl &P : Prog.Processes) {
     if (!ProcessNames.insert(P.Name).second)
       Diags.error(P.Loc, "duplicate process name '" + P.Name + "'");
-    const ProcDecl *Callee = Prog.findProc(P.ProcName);
+    const ProcDecl *Callee = findProc(Procs, P.ProcName);
     if (!Callee) {
       Diags.error(P.Loc, "process '" + P.Name +
                              "' references undefined procedure '" +
@@ -417,7 +434,7 @@ bool closer::checkProgram(const Program &Prog, DiagnosticEngine &Diags) {
   }
 
   for (const ProcDecl &P : Prog.Procs) {
-    ProcChecker Checker(Prog, P, Diags);
+    ProcChecker Checker(Prog, Procs, P, Diags);
     Checker.run();
   }
 

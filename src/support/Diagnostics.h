@@ -57,6 +57,12 @@ public:
     Diags.push_back({DiagKind::Note, Loc, std::move(Message)});
   }
 
+  /// Appends every diagnostic of \p Other, in order.
+  void append(const DiagnosticEngine &Other) {
+    Diags.insert(Diags.end(), Other.Diags.begin(), Other.Diags.end());
+    NumErrors += Other.NumErrors;
+  }
+
   bool hasErrors() const { return NumErrors != 0; }
   unsigned errorCount() const { return NumErrors; }
   const std::vector<Diagnostic> &diagnostics() const { return Diags; }

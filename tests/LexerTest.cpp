@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
+
 using namespace closer;
 
 namespace {
@@ -80,6 +83,32 @@ TEST(LexerTest, AtomsInternConsistently) {
   EXPECT_NE(Tokens[0].IntValue, Tokens[1].IntValue);
   EXPECT_GE(Tokens[0].IntValue, AtomTable::FirstAtomId);
   EXPECT_EQ(AtomTable::global().spelling(Tokens[0].IntValue), "even");
+}
+
+TEST(LexerTest, AtomsInternedOnTwoThreadsRoundTrip) {
+  // A batch close lexes several modules at once against the global table;
+  // TsanTest runs this case to catch unsynchronized interning.
+  auto LexAtoms = [](const std::string &Prefix, std::vector<Token> &Out) {
+    std::string Source;
+    for (int I = 0; I != 200; ++I)
+      Source += "'" + Prefix + std::to_string(I) + "' ";
+    DiagnosticEngine Diags;
+    Lexer Lex(Source, Diags);
+    Out = Lex.lexAll();
+  };
+  std::vector<Token> Left, Right;
+  std::thread A(LexAtoms, "thread_left_", std::ref(Left));
+  std::thread B(LexAtoms, "thread_right_", std::ref(Right));
+  A.join();
+  B.join();
+  for (const std::vector<Token> *Tokens : {&Left, &Right}) {
+    ASSERT_EQ(Tokens->size(), 201u);
+    for (size_t I = 0; I + 1 != Tokens->size(); ++I) {
+      const Token &T = (*Tokens)[I];
+      EXPECT_TRUE(AtomTable::global().isAtom(T.IntValue));
+      EXPECT_EQ(AtomTable::global().spelling(T.IntValue), T.Text);
+    }
+  }
 }
 
 TEST(LexerTest, CommentsAreSkipped) {

@@ -96,61 +96,6 @@ TEST(RngTest, ChanceIsroughlyCalibrated) {
   EXPECT_LT(Hits, 3000);
 }
 
-TEST(ArenaTest, BumpAllocationAndGeometricGrowth) {
-  support::Arena A(64);
-  EXPECT_EQ(A.bytesFromUpstream(), 0u);
-  void *P1 = A.allocate(16, 8);
-  ASSERT_NE(P1, nullptr);
-  uint64_t AfterFirst = A.bytesFromUpstream();
-  EXPECT_GE(AfterFirst, 64u);
-  // Fits in the first block: no new upstream traffic.
-  void *P2 = A.allocate(16, 8);
-  EXPECT_NE(P1, P2);
-  EXPECT_EQ(A.bytesFromUpstream(), AfterFirst);
-  // Outgrows it: a new (geometrically larger) block is fetched.
-  A.allocate(512, 8);
-  EXPECT_GT(A.bytesFromUpstream(), AfterFirst);
-  EXPECT_GE(A.blocksFromUpstream(), 2u);
-}
-
-TEST(ArenaTest, AlignmentIsHonored) {
-  support::Arena A(128);
-  A.allocate(1, 1); // Skew the bump pointer.
-  for (size_t Align : {size_t{2}, size_t{8}, size_t{16}, size_t{64}}) {
-    void *P = A.allocate(8, Align);
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(P) % Align, 0u)
-        << "alignment " << Align;
-  }
-}
-
-TEST(ArenaTest, ResetReusesBlocksWithoutUpstreamTraffic) {
-  support::Arena A(256);
-  for (int I = 0; I != 8; ++I)
-    A.allocate(64, 8);
-  uint64_t Peak = A.bytesFromUpstream();
-  // Steady state: reset + same workload touches the heap zero times.
-  for (int Round = 0; Round != 10; ++Round) {
-    A.reset();
-    for (int I = 0; I != 8; ++I)
-      A.allocate(64, 8);
-    EXPECT_EQ(A.bytesFromUpstream(), Peak) << "round " << Round;
-  }
-}
-
-TEST(ArenaTest, PmrVectorRunsOnArena) {
-  support::Arena A(4096);
-  std::pmr::vector<uint64_t> V(&A);
-  V.resize(100, 7);
-  EXPECT_GT(A.bytesFromUpstream(), 0u);
-  EXPECT_EQ(V[99], 7u);
-  // Copy construction does NOT propagate the arena resource: a persistent
-  // copy of arena scratch lands on the default (heap) resource — the
-  // property Footprints.h's persistent-copy pattern depends on.
-  std::pmr::vector<uint64_t> Copy(V);
-  EXPECT_EQ(Copy.get_allocator().resource(),
-            std::pmr::get_default_resource());
-}
-
 TEST(ObjectPoolTest, RecyclesAndCountsFresh) {
   support::ObjectPool<std::string> Pool;
   EXPECT_EQ(Pool.fresh(), 0u);
