@@ -3,7 +3,7 @@
 #
 # Runs the tier-1 line (configure, build, full ctest), then validates the
 # machine-readable artifacts the tree emits:
-#   * the sanitizer suites (Tsan: state cache, scheduler, steal
+#   * the sanitizer suites (Tsan: state cache, work pool, steal
 #     equivalence, lexer atom table; Asan+UBSan: pass pipeline, vm,
 #     runtime, analysis cache, domain partition; all with asserts on) are
 #     re-run by name (the full ctest pass above includes them too; this
@@ -43,10 +43,10 @@ cmake --build "$BUILD" -j
 echo "== sanitizer suites =="
 # Re-run the sanitizer suites by name, so a suite that silently drops out
 # of discovery fails the gate instead of passing it vacuously:
-#   * Tsan: the concurrent state cache; the work-stealing scheduler layer
-#     (Chase–Lev deques, parking lot, termination protocol); the
-#     jobs x checkpoint x cache x exec equivalence matrix; and the lexer,
-#     whose global atom table a batch close's threads share;
+#   * Tsan: the concurrent state cache; the explorer's work pool (claim
+#     order, termination, stop delivery); the jobs x checkpoint x cache x
+#     exec equivalence matrix; and the lexer, whose global atom table a
+#     batch close's threads share;
 #   * Asan+UBSan: the pass pipeline (module replacement, in-place
 #     mutation); the bytecode VM, whose checked-arithmetic handlers (div/mod
 #     by zero, signed overflow) enforce "deterministic RuntimeError, never
@@ -56,7 +56,7 @@ echo "== sanitizer suites =="
 # Both sanitizer binaries compile src/ with asserts on.
 # (no `grep -q`: with pipefail, its early exit would SIGPIPE ctest)
 for filter in 'Tsan\.StateCache' \
-              'Tsan\.(ChaseLevDeque|ParkingLot|Scheduler|StealEquivalence)' \
+              'Tsan\.(Scheduler|StealEquivalence)' \
               'Tsan\.LexerTest\.' \
               'Asan\.PassPipeline' \
               'Asan\.Vm' \
@@ -229,8 +229,8 @@ echo "== work-stealing scheduler gate (bench_statespace --steal-only) =="
 # of those tripping. On top, gate the median throughput of each side (one
 # j1 sample swings +-30% on a shared host):
 #   (a) j1 must hold the cached-grid anchor (1,120,314 states/sec at PR 4)
-#       within a 0.80x noise floor — the scheduler layer must not tax the
-#       sequential path;
+#       within a 0.80x noise floor — the parallel machinery must not tax
+#       the sequential path;
 #   (b) only when the box has real parallelism (nproc > 1): jN must reach
 #       0.55 x jobs x j1 — near-linear scaling, with headroom for the
 #       shared fingerprint table. A single-core box runs the jN row for

@@ -328,9 +328,10 @@ size_t closer::dedupTossBranches(ProcCfg &Proc) {
           Arc.Target = It->second;
       }
     Removed += Remap.size();
-  }
-  if (Removed)
+    // The merged duplicates are unreachable now; prune them before the
+    // next round, which would otherwise find the same pairs again.
     pruneUnreachableNodes(Proc);
+  }
   return Removed;
 }
 

@@ -60,9 +60,8 @@ public:
       std::lock_guard<std::mutex> Lock(M);
       Done = true;
     }
-    // Exactly one waiter exists — the monitor thread itself — so a
-    // targeted wakeup is all that is needed (no broadcast anywhere on the
-    // shutdown path).
+    // Exactly one waiter exists — the monitor thread itself — so
+    // notify_one suffices.
     CV.notify_one();
     T.join();
   }
@@ -77,7 +76,7 @@ private:
     Interrupted.store(true, std::memory_order_release);
     Control.Stop.store(true, std::memory_order_release);
     if (Sched)
-      Sched->requestStop(); // Targeted unparks; workers observe Stop.
+      Sched->requestStop(); // Wakes every parked worker to observe Stop.
   }
 
   /// The explorers' progress slots, summed (MaxDepth: maximized).
@@ -289,11 +288,12 @@ bool Explorer::donateOne(ExploreScheduler &Sched, int W) {
       break;
     }
     ++D.DonatedTail;
-    // The parcel goes to the donor's own deque (a thief steals it from the
-    // top) and exactly one parked worker is woken. A donation racing a
-    // stop still lands on the deque: workers exit without claiming it, and
-    // drainRemaining() hands it to the resume-prefix collector — the
-    // subtree is reported as abandoned, never silently lost.
+    // The parcel goes to the donor's own deque (a thief steals the oldest
+    // parcel there) and one parked worker, if any, is woken. A donation
+    // racing a stop still lands on the deque: workers exit without
+    // claiming it, and drainRemaining() hands it to the resume-prefix
+    // collector — the subtree is reported as abandoned, never silently
+    // lost.
     Sched.donate(W, std::move(Item));
     return true;
   }
@@ -303,10 +303,10 @@ bool Explorer::donateOne(ExploreScheduler &Sched, int W) {
 void Explorer::drive(ExploreScheduler *Sched, int W) {
   // Donation throttling is demand-driven (Scheduler::wantDonation): a
   // parcel is shed only while more workers are parked than parcels are
-  // queued. A donation costs one lock-free deque push and at most one
-  // targeted unpark, so the throttle reacts to actual demand: zero
-  // donations while everyone is busy, immediate ones when a sibling
-  // starves, with no tuning knob to mis-set.
+  // queued. A donation costs one short critical section and at most one
+  // notify_one, so the throttle reacts to actual demand: zero donations
+  // while everyone is busy, immediate ones when a sibling starves, with no
+  // tuning knob to mis-set.
   for (;;) {
     bool Continue = runOnce();
     ++Stats.Runs;

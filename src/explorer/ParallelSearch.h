@@ -13,18 +13,18 @@
 /// by independent workers, each owning a private System.
 ///
 ///  * a sequential seeding pass expands the search tree to a split depth
-///    and seeds the frontier prefixes round-robin across per-worker
-///    work-stealing deques (sched/Scheduler.h). With one job there is no
-///    split depth, no scheduler and no thread: the seeding pass is the
-///    whole search;
+///    and seeds the frontier prefixes round-robin across the per-worker
+///    deques of a mutex-guarded work pool (explorer/Scheduler.h). With one
+///    job there is no split depth, no scheduler and no thread: the seeding
+///    pass is the whole search;
 ///  * N workers claim prefixes — own deque first, then stealing — and run
 ///    the same runOnce/backtrack loop below them, pinned so backtracking
 ///    never escapes the claimed subtree;
-///  * an idle worker parks on a wait node after its steal sweep fails;
-///    busy workers donate the highest unexplored sibling prefix of their
-///    current path whenever more workers are parked than parcels are
-///    queued, each donation waking exactly one sleeper, so load stays
-///    balanced on skewed trees without broadcast wakeups;
+///  * an idle worker parks on the pool's condition variable when every
+///    deque is empty; busy workers donate the highest unexplored sibling
+///    prefix of their current path whenever more workers are parked than
+///    parcels are queued, each donation waking one sleeper, so load stays
+///    balanced on skewed trees;
 ///  * explorers write no shared counter per state, transition or run
 ///    unless a budget needs it (see SharedSearchControl). The stop flag
 ///    (StopOnFirstError, budgets, the monitor) is loaded at every replay
@@ -56,7 +56,7 @@
 
 #include "explorer/Footprints.h"
 #include "explorer/Search.h"
-#include "sched/Scheduler.h"
+#include "explorer/Scheduler.h"
 #include "support/Arena.h"
 
 #include <algorithm>
@@ -143,8 +143,9 @@ struct WorkItem {
   SystemSnapshot Snap;
 };
 
-/// The scheduler a multi-job run works on: per-worker Chase–Lev deques of
-/// WorkItems plus a parking lot for idle workers.
+/// The scheduler a multi-job run works on: one deque of WorkItems per
+/// worker behind one lock, with idle workers parked on one condition
+/// variable.
 using ExploreScheduler = sched::Scheduler<WorkItem>;
 
 /// One depth-first search worker: a private System, the current DFS path

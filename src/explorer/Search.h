@@ -172,7 +172,8 @@ struct SearchStats {
   // them.
   /// Work items this worker stole from another worker's deque.
   uint64_t Steals = 0;
-  /// Targeted wakeups this worker received while parked.
+  /// Returns from a park: times this worker, idle with every deque empty,
+  /// was woken by a donation, the drain or a stop.
   uint64_t Wakeups = 0;
   /// Bytes of the worker's footprint scratch (one word row per process),
   /// allocated once and reused by every state expansion.

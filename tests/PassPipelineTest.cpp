@@ -18,6 +18,7 @@
 #include "closing/Pipeline.h"
 
 #include "cfg/CfgPrinter.h"
+#include "support/CorpusGen.h"
 
 #include "RandomProgram.h"
 #include "TestUtil.h"
@@ -256,6 +257,30 @@ TEST(PassPipeline, DedupTossNeverIncreasesTossCount) {
     ASSERT_TRUE(A.ok() && B.ok()) << Name;
     EXPECT_LE(countTossNodes(*B.M), countTossNodes(*A.M)) << Name;
   }
+}
+
+TEST(PassPipeline, DedupTossPassMatchesInlineDedupOnCorpus) {
+  // Regression: once a procedure had two identical toss nodes, every round
+  // of the pass remapped the duplicate but left it in place, so the next
+  // round found the same pair again and the pass never terminated.
+  CorpusConfig Config;
+  Config.Procs = 16;
+  Config.StmtsPerProc = 40;
+  Config.Seed = 1;
+  const std::string Src = generateCorpusSource(Config);
+  PipelineOptions Pass;
+  Pass.Passes = {"close", "dedup-toss"};
+  CompileResult A = compile(Src, Pass);
+  ASSERT_TRUE(A.ok()) << A.Diags.str();
+  EXPECT_GT(A.Closing.TossNodesDeduped, 0u) << "corpus has no duplicates";
+  Module Copy = A.M->clone();
+  EXPECT_EQ(dedupTossBranches(Copy), 0u);
+  // The pass and ClosingOptions::DedupTosses merge the same toss nodes.
+  PipelineOptions Inline;
+  Inline.Closing.DedupTosses = true;
+  CompileResult B = compile(Src, Inline);
+  ASSERT_TRUE(B.ok()) << B.Diags.str();
+  EXPECT_EQ(emitModuleSource(*A.M), emitModuleSource(*B.M));
 }
 
 //===----------------------------------------------------------------------===//

@@ -1,27 +1,22 @@
-//===- SchedulerTest.cpp - Chase–Lev deque, parking lot, scheduler ---------===//
+//===- SchedulerTest.cpp - The --jobs N work pool -------------------------===//
 //
 // Part of the closer project: a reproduction of "Automatically Closing Open
 // Reactive Programs" (Colby, Godefroid, Jagadeesan, PLDI 1998).
 //
-// Unit and stress tests for the exploration scheduler's three layers:
-// the lock-free Chase–Lev deque (owner/thief races, element conservation),
-// the wait-node parking lot (exactly-once targeted wakeups, cancel races),
-// and the assembled Scheduler (donation trees consumed exactly once,
-// drain-based termination, stop delivery). The whole file also runs under
+// Unit and stress tests for the exploration work pool: claim order (an
+// owner takes its newest parcel, a thief the victim's oldest, scanning
+// from the next worker), donation trees consumed exactly once across
+// threads, drain-based termination, stop delivery to parked workers and
+// the donation-throttle hint. The whole file also runs under
 // ThreadSanitizer as part of the Tsan gate (tests/CMakeLists.txt).
 //
 //===----------------------------------------------------------------------===//
 
-#include "sched/ChaseLev.h"
-#include "sched/ParkingLot.h"
-#include "sched/Scheduler.h"
+#include "explorer/Scheduler.h"
 
 #include "gtest/gtest.h"
 
-#include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -31,191 +26,81 @@ using namespace closer::sched;
 namespace {
 
 //===----------------------------------------------------------------------===//
-// ChaseLevDeque
+// Claim order
 //===----------------------------------------------------------------------===//
 
-TEST(ChaseLevDequeTest, OwnerPushPopIsLifo) {
-  ChaseLevDeque<int> D;
-  int A = 1, B = 2, C = 3;
-  D.push(&A);
-  D.push(&B);
-  D.push(&C);
-  EXPECT_EQ(D.pop(), &C);
-  EXPECT_EQ(D.pop(), &B);
-  EXPECT_EQ(D.pop(), &A);
-  EXPECT_EQ(D.pop(), nullptr);
-  EXPECT_EQ(D.pop(), nullptr) << "pop on empty must stay empty";
+/// Claims one parcel as worker \p W. Callers queue one first, so next()
+/// must return it without parking.
+int claimAs(Scheduler<int> &S, int W) {
+  int Out = -1;
+  EXPECT_TRUE(S.next(W, Out));
+  return Out;
 }
 
-TEST(ChaseLevDequeTest, StealTakesOldestFirst) {
-  ChaseLevDeque<int> D;
-  int A = 1, B = 2;
-  D.push(&A);
-  D.push(&B);
-  int *Out = nullptr;
-  ASSERT_EQ(D.steal(Out), ChaseLevDeque<int>::Steal::Stolen);
-  EXPECT_EQ(Out, &A) << "thieves take the bottom of the FIFO end";
-  EXPECT_EQ(D.pop(), &B);
-  EXPECT_EQ(D.steal(Out), ChaseLevDeque<int>::Steal::Empty);
+/// Retires \p N claimed parcels; the pool must then be drained.
+void finishAndExpectDrained(Scheduler<int> &S, int N) {
+  for (int I = 0; I != N; ++I)
+    S.finishItem();
+  int Item;
+  EXPECT_FALSE(S.next(0, Item)) << "every parcel finished: drained";
 }
 
-TEST(ChaseLevDequeTest, GrowthPreservesContents) {
-  // Push far past the initial capacity (2^3 here) so grow() runs several
-  // times, then check every element comes back exactly once.
-  ChaseLevDeque<int> D(3);
-  std::vector<int> Vals(1000);
-  std::iota(Vals.begin(), Vals.end(), 0);
-  for (int &V : Vals)
-    D.push(&V);
-  EXPECT_EQ(D.sizeHint(), 1000);
-  std::vector<bool> Seen(Vals.size(), false);
-  while (int *P = D.pop()) {
-    ASSERT_FALSE(Seen[static_cast<size_t>(*P)]);
-    Seen[static_cast<size_t>(*P)] = true;
-  }
-  EXPECT_TRUE(std::all_of(Seen.begin(), Seen.end(), [](bool B) { return B; }));
+TEST(SchedulerTest, OwnerClaimsItsNewestParcel) {
+  Scheduler<int> S(2);
+  for (int V : {1, 2, 3})
+    S.seed(0, V);
+  EXPECT_EQ(claimAs(S, 0), 3);
+  EXPECT_EQ(claimAs(S, 0), 2);
+  EXPECT_EQ(claimAs(S, 0), 1);
+  EXPECT_EQ(S.counters(0).Steals, 0u) << "own-deque claims are not steals";
+  finishAndExpectDrained(S, 3);
 }
 
-TEST(ChaseLevDequeTest, InterleavedPushPopSteal) {
-  // Single-threaded interleaving exercising the one-element owner/thief
-  // CAS path: push one, steal it, push two, pop one, steal one.
-  ChaseLevDeque<int> D;
-  int V[5] = {0, 1, 2, 3, 4};
-  int *Out = nullptr;
-  D.push(&V[0]);
-  ASSERT_EQ(D.steal(Out), ChaseLevDeque<int>::Steal::Stolen);
-  EXPECT_EQ(Out, &V[0]);
-  EXPECT_EQ(D.pop(), nullptr);
-  D.push(&V[1]);
-  D.push(&V[2]);
-  EXPECT_EQ(D.pop(), &V[2]);
-  ASSERT_EQ(D.steal(Out), ChaseLevDeque<int>::Steal::Stolen);
-  EXPECT_EQ(Out, &V[1]);
+TEST(SchedulerTest, ThiefTakesTheVictimsOldestParcel) {
+  Scheduler<int> S(2);
+  S.seed(0, 1);
+  S.seed(0, 2);
+  EXPECT_EQ(claimAs(S, 1), 1) << "a thief takes the oldest parcel";
+  EXPECT_EQ(claimAs(S, 0), 2);
+  EXPECT_EQ(S.counters(1).Steals, 1u);
+  EXPECT_EQ(S.counters(0).Steals, 0u);
+  finishAndExpectDrained(S, 2);
 }
 
-/// The core concurrent property: with one owner pushing/popping and many
-/// thieves stealing, every element is consumed exactly once and none is
-/// lost. Runs under Tsan in the sanitizer gate, where it doubles as the
-/// data-race check for the seq_cst formulation.
-TEST(ChaseLevDequeTest, ConcurrentStealConservesElements) {
-  const int NumThieves = 3;
-  const int NumItems = 20000;
-  ChaseLevDeque<int> D;
-  std::vector<int> Items(NumItems);
-  std::iota(Items.begin(), Items.end(), 0);
-  std::vector<std::atomic<int>> Taken(NumItems);
-  for (auto &T : Taken)
-    T.store(0, std::memory_order_relaxed);
-  std::atomic<bool> Done{false};
+TEST(SchedulerTest, ThiefScansFromTheNextWorker) {
+  // Worker 1 owns nothing; workers 2 and 0 hold parcels. The scan starts
+  // at W+1, so worker 1 empties worker 2 before it wraps to worker 0.
+  Scheduler<int> S(3);
+  S.seed(0, 10);
+  S.seed(2, 20);
+  S.seed(2, 21);
+  EXPECT_EQ(claimAs(S, 1), 20);
+  EXPECT_EQ(claimAs(S, 1), 21);
+  EXPECT_EQ(claimAs(S, 1), 10);
+  EXPECT_EQ(S.counters(1).Steals, 3u);
+  finishAndExpectDrained(S, 3);
+}
 
-  std::vector<std::thread> Thieves;
-  for (int T = 0; T != NumThieves; ++T)
-    Thieves.emplace_back([&] {
-      int *Out = nullptr;
-      while (!Done.load(std::memory_order_acquire)) {
-        if (D.steal(Out) == ChaseLevDeque<int>::Steal::Stolen)
-          Taken[static_cast<size_t>(*Out)].fetch_add(1,
-                                                     std::memory_order_relaxed);
-      }
-      // Final sweep: the owner may have finished while items remain.
-      while (D.steal(Out) != ChaseLevDeque<int>::Steal::Empty)
-        if (Out)
-          Taken[static_cast<size_t>(*Out)].fetch_add(1,
-                                                     std::memory_order_relaxed);
-    });
-
-  // Owner: push everything, popping a few in between to exercise the
-  // owner-vs-thief race on the last element.
-  for (int I = 0; I != NumItems; ++I) {
-    D.push(&Items[static_cast<size_t>(I)]);
-    if (I % 7 == 0) {
-      if (int *P = D.pop())
-        Taken[static_cast<size_t>(*P)].fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  while (int *P = D.pop())
-    Taken[static_cast<size_t>(*P)].fetch_add(1, std::memory_order_relaxed);
-  Done.store(true, std::memory_order_release);
-  for (std::thread &T : Thieves)
-    T.join();
-
-  for (int I = 0; I != NumItems; ++I)
-    ASSERT_EQ(Taken[static_cast<size_t>(I)].load(), 1)
-        << "item " << I << " consumed a wrong number of times";
+TEST(SchedulerTest, InterleavedOwnerAndThiefClaims) {
+  // Worker 1 steals the only parcel and donates two children to its own
+  // deque while processing it: it claims the newer child back, and worker
+  // 0 steals the older one.
+  Scheduler<int> S(2);
+  S.seed(0, 0);
+  EXPECT_EQ(claimAs(S, 1), 0);
+  S.donate(1, 1);
+  S.donate(1, 2);
+  EXPECT_EQ(claimAs(S, 1), 2);
+  EXPECT_EQ(claimAs(S, 0), 1);
+  EXPECT_EQ(S.counters(0).Steals, 1u);
+  EXPECT_EQ(S.counters(1).Steals, 1u);
+  EXPECT_EQ(S.counters(0).Wakeups + S.counters(1).Wakeups, 0u)
+      << "nobody parked";
+  finishAndExpectDrained(S, 3);
 }
 
 //===----------------------------------------------------------------------===//
-// ParkingLot
-//===----------------------------------------------------------------------===//
-
-TEST(ParkingLotTest, UnparkOnNobodyParkedReturnsMinusOne) {
-  ParkingLot Lot(2);
-  EXPECT_EQ(Lot.unparkOne(7), -1);
-  EXPECT_EQ(Lot.unparkAll(7), 0);
-  EXPECT_EQ(Lot.idleHint(), 0);
-}
-
-TEST(ParkingLotTest, CleanCancelConsumesNoToken) {
-  ParkingLot Lot(1);
-  Lot.beginPark(0);
-  EXPECT_EQ(Lot.idleHint(), 1);
-  EXPECT_FALSE(Lot.cancelPark(0)) << "nobody unparked us; no token consumed";
-  EXPECT_EQ(Lot.idleHint(), 0);
-  EXPECT_EQ(Lot.unparkOne(3), -1) << "cancel must remove us from the list";
-}
-
-TEST(ParkingLotTest, TargetedWakeupDeliversTokenExactlyOnce) {
-  ParkingLot Lot(2);
-  std::atomic<int> Got{-100};
-  std::thread Sleeper([&] {
-    Lot.beginPark(1);
-    Got.store(Lot.completePark(1), std::memory_order_release);
-  });
-  // Wait until the sleeper is actually parked, then wake it.
-  while (Lot.idleHint() == 0)
-    std::this_thread::yield();
-  EXPECT_EQ(Lot.unparkOne(42), 1);
-  Sleeper.join();
-  EXPECT_EQ(Got.load(), 42);
-  EXPECT_EQ(Lot.unparkOne(43), -1) << "the token was delivered exactly once";
-}
-
-/// Hammer the cancel-vs-unpark race: a worker repeatedly begins a park and
-/// immediately cancels while another thread fires targeted unparks. Every
-/// fired token must be consumed exactly once — either by a completePark or
-/// by a cancel that reports consumption — and no park cycle may observe a
-/// stale wakeup from a previous cycle.
-TEST(ParkingLotTest, CancelRaceConsumesEachTokenOnce) {
-  const int Cycles = 5000;
-  ParkingLot Lot(1);
-  std::atomic<uint64_t> Fired{0}, Consumed{0};
-  std::atomic<bool> Done{false};
-
-  std::thread Waker([&] {
-    while (!Done.load(std::memory_order_acquire))
-      if (Lot.unparkOne(1) >= 0)
-        Fired.fetch_add(1, std::memory_order_relaxed);
-  });
-
-  for (int I = 0; I != Cycles; ++I) {
-    Lot.beginPark(0);
-    if (I % 2 == 0) {
-      if (Lot.cancelPark(0))
-        Consumed.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      // Complete the park; the waker will get us eventually.
-      Lot.completePark(0);
-      Consumed.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  Done.store(true, std::memory_order_release);
-  Waker.join();
-  EXPECT_EQ(Fired.load(), Consumed.load())
-      << "every successful unpark must be consumed exactly once";
-}
-
-//===----------------------------------------------------------------------===//
-// Scheduler
+// Concurrency: conservation, termination, stop
 //===----------------------------------------------------------------------===//
 
 /// Donation tree: each seeded item spawns children via donate() until a
@@ -291,30 +176,36 @@ TEST(SchedulerTest, EmptySeedDrainsImmediately) {
 }
 
 TEST(SchedulerTest, StopWakesAllParkedWorkers) {
-  // Workers park on an empty scheduler that is NOT drained (one live item
-  // is held, unfinished, by the main thread); requestStop must wake and
-  // release all of them.
-  Scheduler<int> S(2);
+  // Workers park on a pool that is empty but NOT drained (the main thread
+  // holds one live parcel, unfinished); requestStop must wake and release
+  // all of them.
+  Scheduler<int> S(3);
   S.seed(0, 1);
   int Held;
-  ASSERT_TRUE(S.next(0, Held)); // Main claims the only item; Live stays 1.
+  ASSERT_TRUE(S.next(0, Held)); // Main claims the only parcel; Live stays 1.
 
   std::vector<std::thread> Threads;
   std::atomic<int> Exited{0};
-  for (int W = 0; W != 2; ++W)
+  for (int W = 1; W != 3; ++W)
     Threads.emplace_back([&, W] {
       int Item;
       while (S.next(W, Item))
         S.finishItem();
       Exited.fetch_add(1);
     });
-  // Let the workers reach their parked state, then stop.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  // Stop only once both workers are observably parked, so the stop is
+  // what wakes them (not something they see before ever sleeping).
+  while (S.parkedHint() != 2)
+    std::this_thread::yield();
   S.requestStop();
   for (std::thread &T : Threads)
     T.join();
   EXPECT_EQ(Exited.load(), 2);
-  EXPECT_TRUE(S.stopRequested());
+  for (int W = 1; W != 3; ++W)
+    EXPECT_EQ(S.counters(W).Wakeups, 1u) << "worker " << W;
+  EXPECT_EQ(S.parkedHint(), 0);
+  int Item;
+  EXPECT_FALSE(S.next(0, Item)) << "a live parcel does not outlast a stop";
 }
 
 TEST(SchedulerTest, DonationAfterStopIsDrainedNotLost) {

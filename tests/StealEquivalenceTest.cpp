@@ -5,8 +5,8 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The scheduler-layer contract: moving exploration onto per-worker
-// Chase–Lev deques with targeted wakeups must not change which tree gets
+// The work-pool contract: handing subtrees between workers (own deque
+// first, stealing when it runs dry) must not change which tree gets
 // explored. Every tree-shaped statistic and the error-report set must be
 // bit-identical to the one-job search's across the full configuration
 // matrix — job count x checkpoint interval x state cache x execution
