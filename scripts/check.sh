@@ -4,10 +4,10 @@
 # Runs the tier-1 line (configure, build, full ctest), then validates the
 # machine-readable artifacts the tree emits:
 #   * the sanitizer suites (Tsan: state cache, work pool, steal
-#     equivalence, lexer atom table; Asan+UBSan: pass pipeline, vm,
-#     runtime, analysis cache, domain partition; all with asserts on) are
-#     re-run by name (the full ctest pass above includes them too; this
-#     step fails if one drops out of discovery);
+#     equivalence, lexer atom table, name table; Asan+UBSan: pass
+#     pipeline, vm, runtime, analysis cache, domain partition; all with
+#     asserts on) are re-run by name (the full ctest pass above includes
+#     them too; this step fails if one drops out of discovery);
 #   * the benchmark's own smoke mode (`perfbench/run.py --smoke`) builds
 #     perfbench/ against src/ and checks every workload's verdict;
 #   * bench_experiments' rows must uphold each paper claim (E1-E3, E5-E9);
@@ -45,8 +45,8 @@ echo "== sanitizer suites =="
 # of discovery fails the gate instead of passing it vacuously:
 #   * Tsan: the concurrent state cache; the explorer's work pool (claim
 #     order, termination, stop delivery); the jobs x checkpoint x cache x
-#     exec equivalence matrix; and the lexer, whose global atom table a
-#     batch close's threads share;
+#     exec equivalence matrix; and the lexer's atom table and the AST's
+#     name table (support/Symbol), which a batch close's threads share;
 #   * Asan+UBSan: the pass pipeline (module replacement, in-place
 #     mutation); the bytecode VM, whose checked-arithmetic handlers (div/mod
 #     by zero, signed overflow) enforce "deterministic RuntimeError, never
@@ -58,6 +58,7 @@ echo "== sanitizer suites =="
 for filter in 'Tsan\.StateCache' \
               'Tsan\.(Scheduler|StealEquivalence)' \
               'Tsan\.LexerTest\.' \
+              'Tsan\.SymbolTest\.' \
               'Asan\.PassPipeline' \
               'Asan\.Vm' \
               'Asan\.RuntimeTest\.' \

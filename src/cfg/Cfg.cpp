@@ -15,6 +15,7 @@ void closer::pruneUnreachableNodes(ProcCfg &Proc) {
   std::vector<bool> Reachable(Proc.Nodes.size(), false);
   std::vector<NodeId> Work = {Proc.Entry};
   Reachable[Proc.Entry] = true;
+  size_t NumReachable = 1;
   while (!Work.empty()) {
     NodeId Id = Work.back();
     Work.pop_back();
@@ -22,12 +23,15 @@ void closer::pruneUnreachableNodes(ProcCfg &Proc) {
       assert(Arc.Target != InvalidNode && "dangling arc while pruning");
       if (!Reachable[Arc.Target]) {
         Reachable[Arc.Target] = true;
+        ++NumReachable;
         Work.push_back(Arc.Target);
       }
     }
   }
   std::vector<NodeId> Remap(Proc.Nodes.size(), InvalidNode);
   std::vector<CfgNode> Kept;
+  // Exactly: growing by doubling can leave twice the capacity needed.
+  Kept.reserve(NumReachable);
   for (size_t I = 0, E = Proc.Nodes.size(); I != E; ++I) {
     if (!Reachable[I])
       continue;

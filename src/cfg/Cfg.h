@@ -19,6 +19,9 @@
 /// "testing the value of VS_toss(k)" that Step 4 of the paper's algorithm
 /// introduces.
 ///
+/// Like the AST's, the records are packed: one-byte kinds next to each
+/// other and interned callee names, so a node fits 96 bytes and an arc 16.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CLOSER_CFG_CFG_H
@@ -41,7 +44,7 @@ namespace closer {
 using NodeId = uint32_t;
 constexpr NodeId InvalidNode = ~static_cast<NodeId>(0);
 
-enum class CfgNodeKind {
+enum class CfgNodeKind : uint8_t {
   Start,      ///< Unique procedure entry; uses and defines nothing.
   Assign,     ///< Target = Value (Value is a non-call expression).
   Branch,     ///< Two-way conditional on Value.
@@ -53,7 +56,7 @@ enum class CfgNodeKind {
               ///< distinguished local __retval before the Return node).
 };
 
-enum class ArcKind {
+enum class ArcKind : uint8_t {
   Always,      ///< Unconditional fallthrough.
   IfTrue,      ///< Branch condition nonzero.
   IfFalse,     ///< Branch condition zero.
@@ -62,24 +65,29 @@ enum class ArcKind {
   TossEq,      ///< TossBranch outcome equals Value.
 };
 
-/// One labeled control-flow arc.
+/// One labeled control-flow arc, built as {Kind, Value, Target}. The
+/// fields are stored kind and target first so the arc packs into 16 bytes.
 struct CfgArc {
   ArcKind Kind = ArcKind::Always;
-  int64_t Value = 0; ///< CaseEq / TossEq payload.
   NodeId Target = InvalidNode;
+  int64_t Value = 0; ///< CaseEq / TossEq payload.
+
+  constexpr CfgArc() = default;
+  constexpr CfgArc(ArcKind Kind, int64_t Value, NodeId Target)
+      : Kind(Kind), Target(Target), Value(Value) {}
 };
 
 struct CfgNode {
   CfgNodeKind Kind = CfgNodeKind::Start;
   SourceLoc Loc;
+  BuiltinKind Builtin = BuiltinKind::None; ///< Call: builtin classifier.
 
   ExprPtr Target; ///< Assign / Call result lvalue (VarRef, ArrayIndex or
                   ///< Deref expression), or null.
   ExprPtr Value;  ///< Assign RHS; Branch condition; Switch scrutinee.
 
-  std::string Callee;                        ///< Call: procedure name.
-  BuiltinKind Builtin = BuiltinKind::None;   ///< Call: builtin classifier.
-  std::vector<ExprPtr> Args;                 ///< Call arguments.
+  Symbol Callee;             ///< Call: procedure name.
+  std::vector<ExprPtr> Args; ///< Call arguments.
 
   int64_t TossBound = 0; ///< TossBranch: outcomes range over [0, TossBound].
 
@@ -100,6 +108,10 @@ struct CfgNode {
            builtinInfo(Builtin).IsVisible;
   }
 };
+
+// A module holds one node per statement; a new field past 96 bytes gives
+// back the memory the packing saved.
+static_assert(sizeof(CfgNode) <= 96, "CfgNode outgrew its packed layout");
 
 /// A local variable slot of a procedure frame.
 struct LocalVar {

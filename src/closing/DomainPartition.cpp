@@ -197,7 +197,7 @@ bool closer::partitionInputsInPlace(Module &Mod, AnalysisManager &AM,
       CfgNode &Orig = Proc.Nodes[I]; // Re-index: vector may have grown.
       Orig.Kind = CfgNodeKind::Assign;
       Orig.Builtin = BuiltinKind::None;
-      Orig.Callee.clear();
+      Orig.Callee = Symbol();
       Orig.Args.clear();
       Orig.Target = Expr::varRef(Var, Loc);
       Orig.Value = Expr::intLit(0, Loc);

@@ -110,6 +110,7 @@ void CompilationContext::replaceModule(std::unique_ptr<Module> NewM) {
   // analyses hold pointers into it.
   if (AM)
     AM->rebind(*NewM);
+  ClosingDescribesM = false;
   if (RetainedOpen)
     M = std::move(NewM); // Old intermediate module dies here.
   else {
@@ -166,6 +167,7 @@ public:
       return false;
     }
     Ctx.M = buildModule(*Ctx.AST, Ctx.Diags);
+    Ctx.ClosingDescribesM = false;
     // The module owns clones of every expression and no later pass reads
     // the AST, so release it now instead of carrying it (about as large as
     // the module) through the analyses and the close.
@@ -202,6 +204,7 @@ public:
       return false;
     partitionInputsInPlace(*Ctx.M, *Ctx.AM, Ctx.Opts.Partition,
                            &Ctx.Partition);
+    Ctx.ClosingDescribesM = false;
     return true;
   }
 };
@@ -227,6 +230,7 @@ public:
       return false;
     }
     Ctx.replaceModule(std::move(Closed));
+    Ctx.ClosingDescribesM = true;
     return true;
   }
 };
@@ -238,7 +242,16 @@ public:
     if (!requireModule(Ctx, name()))
       return false;
     std::vector<size_t> Changed;
-    Ctx.Closing.TossNodesDeduped += dedupTossBranches(*Ctx.M, &Changed);
+    size_t Removed = dedupTossBranches(*Ctx.M, &Changed);
+    Ctx.Closing.TossNodesDeduped += Removed;
+    // On the close's own output, keep the closing counters describing the
+    // merged module, as `--dedup-toss` (the same merge, inline in the
+    // close) reports it.
+    if (Ctx.ClosingDescribesM) {
+      Ctx.Closing.NodesAfter = Ctx.M->totalNodes();
+      Ctx.Closing.TossNodesInserted -=
+          std::min(Removed, Ctx.Closing.TossNodesInserted);
+    }
     // Merging toss nodes rewires arcs but touches no variable, so the
     // points-to facts of the rewritten procedures are intact.
     for (size_t ProcIdx : Changed)

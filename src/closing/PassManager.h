@@ -127,6 +127,11 @@ public:
 
   // Result-stat slots, filled by the passes that run.
   ClosingStats Closing;
+  /// True while *M is the close pass's output, edited since only by
+  /// dedup-toss, which then keeps Closing.NodesAfter and
+  /// Closing.TossNodesInserted describing *M. Any other pass that builds,
+  /// replaces or edits the module clears it.
+  bool ClosingDescribesM = false;
   PartitionStats Partition;
   NaiveCloseStats Naive;
   std::optional<InterfaceReport> Interface;

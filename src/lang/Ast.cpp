@@ -37,13 +37,13 @@ ExprPtr Expr::intLit(int64_t Value, SourceLoc Loc) {
   return E;
 }
 
-ExprPtr Expr::varRef(std::string Name, SourceLoc Loc) {
+ExprPtr Expr::varRef(Symbol Name, SourceLoc Loc) {
   auto E = std::make_unique<Expr>(ExprKind::VarRef, Loc);
   E->Name = std::move(Name);
   return E;
 }
 
-ExprPtr Expr::arrayIndex(std::string Name, ExprPtr Index, SourceLoc Loc) {
+ExprPtr Expr::arrayIndex(Symbol Name, ExprPtr Index, SourceLoc Loc) {
   auto E = std::make_unique<Expr>(ExprKind::ArrayIndex, Loc);
   E->Name = std::move(Name);
   E->Lhs = std::move(Index);
@@ -80,7 +80,7 @@ ExprPtr Expr::deref(ExprPtr Pointer, SourceLoc Loc) {
   return E;
 }
 
-ExprPtr Expr::call(std::string Callee, std::vector<ExprPtr> Args,
+ExprPtr Expr::call(Symbol Callee, std::vector<ExprPtr> Args,
                    SourceLoc Loc) {
   auto E = std::make_unique<Expr>(ExprKind::Call, Loc);
   E->Name = std::move(Callee);

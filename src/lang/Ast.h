@@ -17,12 +17,18 @@
 /// enum (no RTTI). Ownership is by unique_ptr; Expr supports deep clone()
 /// because the control-flow graph IR owns copies of expression trees.
 ///
+/// The records are packed because a large source holds millions of them:
+/// kinds and operators are one byte each and sit together, names are
+/// interned Symbols (8 bytes), and a call's arguments are one pointer that
+/// is null when there are none.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CLOSER_LANG_AST_H
 #define CLOSER_LANG_AST_H
 
 #include "support/SourceLoc.h"
+#include "support/Symbol.h"
 
 #include <cstdint>
 #include <memory>
@@ -35,7 +41,7 @@ namespace closer {
 // Expressions
 //===----------------------------------------------------------------------===//
 
-enum class ExprKind {
+enum class ExprKind : uint8_t {
   IntLit,     ///< 42 or an interned atom like 'even'
   Unknown,    ///< The distinguished placeholder the closing transformation
               ///< substitutes for an eliminated environment-dependent value
@@ -53,9 +59,9 @@ enum class ExprKind {
               ///< assignment, matching the paper's statement taxonomy
 };
 
-enum class UnaryOp { Neg, Not };
+enum class UnaryOp : uint8_t { Neg, Not };
 
-enum class BinaryOp {
+enum class BinaryOp : uint8_t {
   Add,
   Sub,
   Mul,
@@ -75,18 +81,56 @@ enum class BinaryOp {
 struct Expr;
 using ExprPtr = std::unique_ptr<Expr>;
 
+/// A call's argument list in one pointer: null when the list is empty, so
+/// the expressions that are not calls (all but a handful) pay 8 bytes for
+/// it. Reads like the std::vector<ExprPtr> it owns.
+class ExprList {
+public:
+  ExprList &operator=(std::vector<ExprPtr> Args) {
+    Items = Args.empty()
+                ? nullptr
+                : std::make_unique<std::vector<ExprPtr>>(std::move(Args));
+    return *this;
+  }
+
+  size_t size() const { return Items ? Items->size() : 0; }
+  bool empty() const { return !Items || Items->empty(); }
+  ExprPtr &operator[](size_t I) { return (*Items)[I]; }
+  const ExprPtr &operator[](size_t I) const { return (*Items)[I]; }
+  const ExprPtr *begin() const { return Items ? Items->data() : nullptr; }
+  const ExprPtr *end() const {
+    return Items ? Items->data() + Items->size() : nullptr;
+  }
+
+  void push_back(ExprPtr Arg) { items().push_back(std::move(Arg)); }
+  void reserve(size_t N) {
+    if (N)
+      items().reserve(N);
+  }
+  void clear() { Items.reset(); }
+
+private:
+  std::vector<ExprPtr> &items() {
+    if (!Items)
+      Items = std::make_unique<std::vector<ExprPtr>>();
+    return *Items;
+  }
+
+  std::unique_ptr<std::vector<ExprPtr>> Items;
+};
+
 struct Expr {
   ExprKind Kind;
+  UnaryOp UOp = UnaryOp::Neg;
+  BinaryOp BOp = BinaryOp::Add;
   SourceLoc Loc;
 
   int64_t IntValue = 0; ///< IntLit.
-  std::string Name;     ///< VarRef / ArrayIndex array / Call callee.
-  UnaryOp UOp = UnaryOp::Neg;
-  BinaryOp BOp = BinaryOp::Add;
+  Symbol Name;          ///< VarRef / ArrayIndex array / Call callee.
   ExprPtr Lhs; ///< Unary operand, ArrayIndex index, AddrOf place, Deref
                ///< pointer, Binary left.
-  ExprPtr Rhs; ///< Binary right.
-  std::vector<ExprPtr> Args; ///< Call arguments.
+  ExprPtr Rhs;   ///< Binary right.
+  ExprList Args; ///< Call arguments.
 
   explicit Expr(ExprKind Kind, SourceLoc Loc = SourceLoc())
       : Kind(Kind), Loc(Loc) {}
@@ -97,26 +141,30 @@ struct Expr {
   // Factories.
   static ExprPtr unknown(SourceLoc Loc = SourceLoc());
   static ExprPtr intLit(int64_t Value, SourceLoc Loc = SourceLoc());
-  static ExprPtr varRef(std::string Name, SourceLoc Loc = SourceLoc());
-  static ExprPtr arrayIndex(std::string Name, ExprPtr Index,
+  static ExprPtr varRef(Symbol Name, SourceLoc Loc = SourceLoc());
+  static ExprPtr arrayIndex(Symbol Name, ExprPtr Index,
                             SourceLoc Loc = SourceLoc());
   static ExprPtr unary(UnaryOp Op, ExprPtr Sub, SourceLoc Loc = SourceLoc());
   static ExprPtr binary(BinaryOp Op, ExprPtr Lhs, ExprPtr Rhs,
                         SourceLoc Loc = SourceLoc());
   static ExprPtr addrOf(ExprPtr Place, SourceLoc Loc = SourceLoc());
   static ExprPtr deref(ExprPtr Pointer, SourceLoc Loc = SourceLoc());
-  static ExprPtr call(std::string Callee, std::vector<ExprPtr> Args,
+  static ExprPtr call(Symbol Callee, std::vector<ExprPtr> Args,
                       SourceLoc Loc = SourceLoc());
 
   /// Structural equality (used by tests comparing transformed programs).
   static bool equals(const Expr *A, const Expr *B);
 };
 
+// Every phase of the close pipeline holds millions of these; a new field
+// that outgrows a 64-byte malloc chunk gives that memory back.
+static_assert(sizeof(Expr) <= 56, "Expr no longer fits a 64-byte chunk");
+
 //===----------------------------------------------------------------------===//
 // Statements
 //===----------------------------------------------------------------------===//
 
-enum class StmtKind {
+enum class StmtKind : uint8_t {
   VarDecl,  ///< var x; / var x = e; / var a[N];
   Assign,   ///< lvalue = expr; (expr may be a Call)
   If,       ///< if (c) A else B
@@ -145,9 +193,10 @@ struct SwitchCase {
 
 struct Stmt {
   StmtKind Kind;
+  bool HasDefault = false; ///< Switch has a default arm.
   SourceLoc Loc;
 
-  std::string Name;       ///< VarDecl/Goto/Label name.
+  Symbol Name;            ///< VarDecl/Goto/Label name.
   int64_t ArraySize = -1; ///< VarDecl: >= 0 when declaring an array.
   ExprPtr Cond;           ///< If/While/For/Switch condition or scrutinee;
                           ///< Return value; VarDecl initializer.
@@ -159,7 +208,6 @@ struct Stmt {
   StmtPtr StepStmt;       ///< For step.
   std::vector<StmtPtr> Body;        ///< Block statements.
   std::vector<SwitchCase> Cases;    ///< Switch arms.
-  bool HasDefault = false;          ///< Switch has a default arm.
   std::vector<StmtPtr> DefaultBody; ///< Switch default arm.
 
   explicit Stmt(StmtKind Kind, SourceLoc Loc = SourceLoc())

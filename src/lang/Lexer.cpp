@@ -20,11 +20,14 @@ using namespace closer;
 
 int64_t AtomTable::intern(const std::string &Spelling) {
   std::lock_guard<std::mutex> Lock(Mutex);
-  for (size_t I = 0, E = Spellings.size(); I != E; ++I)
-    if (Spellings[I] == Spelling)
-      return FirstAtomId + static_cast<int64_t>(I);
-  Spellings.push_back(Spelling);
-  return FirstAtomId + static_cast<int64_t>(Spellings.size() - 1);
+  auto It = Index.find(Spelling);
+  if (It == Index.end()) {
+    // Takes the Symbol table's lock inside Mutex; that table takes no
+    // other lock, so the order is fixed.
+    Spellings.emplace_back(Spelling);
+    It = Index.emplace(Spellings.back().str(), Spellings.size() - 1).first;
+  }
+  return FirstAtomId + static_cast<int64_t>(It->second);
 }
 
 std::string AtomTable::spelling(int64_t Id) const {
@@ -32,7 +35,7 @@ std::string AtomTable::spelling(int64_t Id) const {
     return "";
   std::lock_guard<std::mutex> Lock(Mutex);
   size_t Index = static_cast<size_t>(Id - FirstAtomId);
-  return Index < Spellings.size() ? Spellings[Index] : "";
+  return Index < Spellings.size() ? Spellings[Index].str() : std::string();
 }
 
 bool AtomTable::isAtom(int64_t Id) const {

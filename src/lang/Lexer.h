@@ -19,9 +19,12 @@
 
 #include "lang/Token.h"
 #include "support/Diagnostics.h"
+#include "support/Symbol.h"
 
 #include <mutex>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace closer {
@@ -51,7 +54,11 @@ public:
 
 private:
   mutable std::mutex Mutex;
-  std::vector<std::string> Spellings; ///< Guarded by Mutex.
+  /// Indexed by id - FirstAtomId. Guarded by Mutex.
+  std::vector<Symbol> Spellings;
+  /// Id - FirstAtomId of each spelling, keyed by the interned spelling
+  /// (which outlives the caller's string). Guarded by Mutex.
+  std::unordered_map<std::string_view, size_t> Index;
 };
 
 /// Lexes a MiniC buffer one token at a time. Errors are reported to the

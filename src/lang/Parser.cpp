@@ -41,6 +41,15 @@ Token Parser::consume() {
   return Tok;
 }
 
+Symbol Parser::name(std::string_view Spelling) {
+  auto It = Names.find(Spelling);
+  if (It != Names.end())
+    return It->second;
+  Symbol S(Spelling);
+  Names.emplace(S.str(), S);
+  return S;
+}
+
 bool Parser::match(TokenKind Kind) {
   if (!check(Kind))
     return false;
@@ -321,7 +330,7 @@ StmtPtr Parser::parseStmt() {
   case TokenKind::KwGoto: {
     auto S = std::make_unique<Stmt>(StmtKind::Goto, consume().Loc);
     if (check(TokenKind::Identifier))
-      S->Name = consume().Text;
+      S->Name = name(consume().Text);
     else
       Diags.error(current().Loc, "expected label after 'goto'");
     expect(TokenKind::Semicolon, "after goto target");
@@ -335,7 +344,7 @@ StmtPtr Parser::parseStmt() {
     // Label?  "name : stmt"
     if (peek(1).is(TokenKind::Colon)) {
       auto S = std::make_unique<Stmt>(StmtKind::Label, current().Loc);
-      S->Name = consume().Text;
+      S->Name = name(consume().Text);
       consume(); // ':'
       S->ThenBody = parseStmt();
       return S;
@@ -357,7 +366,7 @@ StmtPtr Parser::parseVarDeclStmt() {
     Diags.error(current().Loc, "expected variable name after 'var'");
     return nullptr;
   }
-  S->Name = consume().Text;
+  S->Name = name(consume().Text);
   if (match(TokenKind::LBracket)) {
     S->ArraySize = parseConstInt("as array size");
     if (S->ArraySize < 1) {
@@ -500,7 +509,7 @@ StmtPtr Parser::parseAssignOrCall(bool ExpectSemicolon) {
   if (match(TokenKind::Star)) {
     Target = Expr::deref(parseUnary(), Loc);
   } else if (check(TokenKind::Identifier)) {
-    std::string Name = consume().Text;
+    Symbol Name = name(consume().Text);
     if (match(TokenKind::LBracket)) {
       ExprPtr Index = parseExpr();
       expect(TokenKind::RBracket, "after array index");
@@ -653,7 +662,7 @@ ExprPtr Parser::parsePrimary() {
     return Sub;
   }
   if (check(TokenKind::Identifier)) {
-    std::string Name = consume().Text;
+    Symbol Name = name(consume().Text);
     if (match(TokenKind::LParen)) {
       std::vector<ExprPtr> Args;
       if (!check(TokenKind::RParen)) {

@@ -40,6 +40,8 @@
 #include "support/Diagnostics.h"
 
 #include <memory>
+#include <string_view>
+#include <unordered_map>
 
 namespace closer {
 
@@ -102,11 +104,18 @@ private:
   /// failure.
   int64_t parseConstInt(const char *Context);
 
+  /// Interns \p Spelling through Names, so the process-wide Symbol table's
+  /// lock is taken once per distinct name in the source, not once per
+  /// occurrence: a batch `close --jobs N` parses N sources at once.
+  Symbol name(std::string_view Spelling);
+
   Lexer &Lex;
   DiagnosticEngine &Diags;
   Token Cur;            ///< The current token.
   Token Next;           ///< The token after it, once peek(1) pulled it.
   bool HasNext = false;
+  /// The names this parse has interned, keyed by their interned spelling.
+  std::unordered_map<std::string_view, Symbol> Names;
 };
 
 /// Convenience entry point: lex + parse \p Source. Returns nullptr when the

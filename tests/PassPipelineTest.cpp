@@ -259,15 +259,21 @@ TEST(PassPipeline, DedupTossNeverIncreasesTossCount) {
   }
 }
 
-TEST(PassPipeline, DedupTossPassMatchesInlineDedupOnCorpus) {
-  // Regression: once a procedure had two identical toss nodes, every round
-  // of the pass remapped the duplicate but left it in place, so the next
-  // round found the same pair again and the pass never terminated.
+/// gen-corpus 16 procs x 40 stmts, seed 1: its closed module has
+/// procedures with identical toss nodes.
+std::string tossDuplicatesCorpus() {
   CorpusConfig Config;
   Config.Procs = 16;
   Config.StmtsPerProc = 40;
   Config.Seed = 1;
-  const std::string Src = generateCorpusSource(Config);
+  return generateCorpusSource(Config);
+}
+
+TEST(PassPipeline, DedupTossPassMatchesInlineDedupOnCorpus) {
+  // Regression: once a procedure had two identical toss nodes, every round
+  // of the pass remapped the duplicate but left it in place, so the next
+  // round found the same pair again and the pass never terminated.
+  const std::string Src = tossDuplicatesCorpus();
   PipelineOptions Pass;
   Pass.Passes = {"close", "dedup-toss"};
   CompileResult A = compile(Src, Pass);
@@ -281,6 +287,30 @@ TEST(PassPipeline, DedupTossPassMatchesInlineDedupOnCorpus) {
   CompileResult B = compile(Src, Inline);
   ASSERT_TRUE(B.ok()) << B.Diags.str();
   EXPECT_EQ(emitModuleSource(*A.M), emitModuleSource(*B.M));
+  // Both leave the closing counters (and so `closer close`'s summary
+  // line) describing the merged module; the pass used to leave them
+  // describing the close's output, one toss node more.
+  EXPECT_EQ(A.Closing.NodesAfter, B.Closing.NodesAfter);
+  EXPECT_EQ(A.Closing.NodesAfter, A.M->totalNodes());
+  EXPECT_EQ(A.Closing.TossNodesInserted, B.Closing.TossNodesInserted);
+}
+
+TEST(PassPipeline, DedupTossKeepsCloseCountersAfterAnotherTransform) {
+  // Once another transform has replaced the close's output, the closing
+  // counters keep describing the close's module whether or not dedup-toss
+  // merges anything in the later one.
+  const std::string Src = tossDuplicatesCorpus();
+  PipelineOptions Between;
+  Between.Passes = {"close", "naive-close", "dedup-toss"};
+  CompileResult A = compile(Src, Between);
+  ASSERT_TRUE(A.ok()) << A.Diags.str();
+  EXPECT_GT(A.Closing.TossNodesDeduped, 0u) << "nothing merged";
+  PipelineOptions CloseOnly;
+  CloseOnly.Passes = {"close"};
+  CompileResult B = compile(Src, CloseOnly);
+  ASSERT_TRUE(B.ok()) << B.Diags.str();
+  EXPECT_EQ(A.Closing.NodesAfter, B.Closing.NodesAfter);
+  EXPECT_EQ(A.Closing.TossNodesInserted, B.Closing.TossNodesInserted);
 }
 
 //===----------------------------------------------------------------------===//
