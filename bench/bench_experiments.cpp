@@ -50,9 +50,11 @@ std::string readExample(const std::string &Name) {
   return Out.str();
 }
 
-/// Closes \p Source with the default pipeline, or aborts with diagnostics.
-CompileResult closeOrAbort(const std::string &Source) {
-  CompileResult R = compile(Source);
+/// Closes \p Source with the pipeline \p Options (by default parse through
+/// close), or aborts with diagnostics.
+CompileResult closeOrAbort(const std::string &Source,
+                           const PipelineOptions &Options = {}) {
+  CompileResult R = compile(Source, Options);
   if (!R.ok()) {
     std::fprintf(stderr, "bench workload failed to close:\n%s\n",
                  R.Diags.str().c_str());
@@ -319,11 +321,12 @@ void runAblations(BenchJson &Json) {
   }
   {
     auto Mod = benchCompile(TossDedupWorkload);
-    ClosingStats Plain, Dedup;
-    ClosingOptions DedupOpts;
-    DedupOpts.DedupTosses = true;
+    ClosingStats Plain;
     Row("e8_toss_plain", closeModule(*Mod, {}, &Plain), Plain);
-    Row("e8_toss_dedup", closeModule(*Mod, DedupOpts, &Dedup), Dedup);
+    PipelineOptions DedupOpts;
+    DedupOpts.Passes = {"close", "dedup-toss"};
+    CompileResult Dedup = closeOrAbort(TossDedupWorkload, DedupOpts);
+    Row("e8_toss_dedup", *Dedup.M, Dedup.Closing);
   }
   // E9: the §7 resource manager, naive over a domain spanning both
   // thresholds {10, 100}, Figure 1 closing, and partitioned closing.

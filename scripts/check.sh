@@ -26,7 +26,9 @@
 #   * `closer close --stats-json` runs must produce well-formed
 #     closer-close-stats-v1 artifacts: per-pass timings, analysis
 #     computed/reused counters (cold close computes each analysis exactly
-#     once; partition -> close shows genuine reuse) and the closing stats.
+#     once; partition -> close shows genuine reuse) and the closing stats;
+#   * `closer close --dedup-toss` must run the dedup-toss pass right after
+#     close and report the merged module.
 #
 # Usage: scripts/check.sh [build-dir]   (default: build)
 
@@ -395,6 +397,30 @@ reused = sum(analyses[a]["reused"] for a in ("alias", "defuse", "envtaint"))
 assert reused > 0, analyses
 assert analyses["alias"]["computed"] == 1, analyses
 print(f"ok: {path} (reused={reused})")
+EOF
+
+echo "== close --dedup-toss gate =="
+# `--dedup-toss` schedules the dedup-toss pass right after close. No
+# example has duplicate toss nodes; this corpus closes to exactly one pair,
+# and the merge must leave the closing counters describing the merged
+# module (663 nodes, one fewer than the close's output).
+"$CLOSER" gen-corpus --procs 16 --stmts 40 --seed 1 > "$TMP/dups.mc"
+"$CLOSER" close "$TMP/dups.mc" --dedup-toss \
+  --stats-json "$TMP/dedup.json" >/dev/null 2>&1
+python3 - "$TMP/dedup.json" <<'EOF'
+import json, sys
+path = sys.argv[1]
+with open(path) as f:
+    art = json.load(f)
+assert art["schema"] == "closer-close-stats-v1", art.get("schema")
+assert art["ok"] is True
+names = [p["name"] for p in art["passes"]]
+assert names[-2:] == ["close", "dedup-toss"], names
+closing = art["closing"]
+assert closing["toss_nodes_deduped"] == 1, closing
+assert closing["nodes_after"] == 663, closing
+print(f"ok: {path} (passes end {names[-2:]}, toss_nodes_deduped=1, "
+      f"nodes_after=663)")
 EOF
 
 echo "== incremental close gate (analysis cache) =="

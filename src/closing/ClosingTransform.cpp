@@ -80,10 +80,9 @@ std::vector<NodeId> succSet(const ProcCfg &Proc,
 class ProcCloser {
 public:
   ProcCloser(const Module &Mod, const EnvAnalysis &Analysis, size_t ProcIdx,
-             const ClosingOptions &Options, ClosingStats &Stats,
-             const ProcIndex &Procs)
-      : Mod(Mod), Analysis(Analysis), ProcIdx(ProcIdx), Options(Options),
-        Stats(Stats), Procs(Procs), Proc(Mod.Procs[ProcIdx]),
+             ClosingStats &Stats, const ProcIndex &Procs)
+      : Mod(Mod), Analysis(Analysis), ProcIdx(ProcIdx), Stats(Stats),
+        Procs(Procs), Proc(Mod.Procs[ProcIdx]),
         PT(Analysis.taint().Procs[ProcIdx]) {}
 
   ProcCfg run() {
@@ -189,9 +188,6 @@ private:
   /// Step 4: reconstruct control flow, inserting VS_toss conditionals where
   /// the eliminated region had several marked continuations.
   void wireArcs(ProcCfg &Out) {
-    // Optional memoization of toss nodes by successor set (E8 ablation).
-    std::map<std::vector<NodeId>, NodeId> TossMemo;
-
     for (size_t I = 0, E = Proc.Nodes.size(); I != E; ++I) {
       if (!Marked[I])
         continue;
@@ -210,26 +206,16 @@ private:
           continue;
         }
         // Point 2.3: conditional on VS_toss(|succ(a)| - 1).
-        NodeId TossId = InvalidNode;
-        if (Options.DedupTosses) {
-          auto It = TossMemo.find(Succ);
-          if (It != TossMemo.end())
-            TossId = It->second;
-        }
-        if (TossId == InvalidNode) {
-          CfgNode Toss;
-          Toss.Kind = CfgNodeKind::TossBranch;
-          Toss.Loc = Proc.Nodes[I].Loc;
-          Toss.TossBound = static_cast<int64_t>(Succ.size()) - 1;
-          for (size_t S = 0, SE = Succ.size(); S != SE; ++S)
-            Toss.Arcs.push_back({ArcKind::TossEq, static_cast<int64_t>(S),
-                                 NewId[Succ[S]]});
-          TossId = static_cast<NodeId>(Out.Nodes.size());
-          Out.Nodes.push_back(std::move(Toss));
-          ++Stats.TossNodesInserted;
-          if (Options.DedupTosses)
-            TossMemo.emplace(Succ, TossId);
-        }
+        CfgNode Toss;
+        Toss.Kind = CfgNodeKind::TossBranch;
+        Toss.Loc = Proc.Nodes[I].Loc;
+        Toss.TossBound = static_cast<int64_t>(Succ.size()) - 1;
+        for (size_t S = 0, SE = Succ.size(); S != SE; ++S)
+          Toss.Arcs.push_back({ArcKind::TossEq, static_cast<int64_t>(S),
+                               NewId[Succ[S]]});
+        NodeId TossId = static_cast<NodeId>(Out.Nodes.size());
+        Out.Nodes.push_back(std::move(Toss));
+        ++Stats.TossNodesInserted;
         // NewNode reference may be stale after push_back; reindex.
         Out.Nodes[NewId[I]].Arcs.push_back({Arc.Kind, Arc.Value, TossId});
       }
@@ -239,7 +225,6 @@ private:
   const Module &Mod;
   const EnvAnalysis &Analysis;
   size_t ProcIdx;
-  const ClosingOptions &Options;
   ClosingStats &Stats;
   const ProcIndex &Procs;
   const ProcCfg &Proc;
@@ -251,7 +236,7 @@ private:
 } // namespace
 
 Module closer::closeModule(const Module &Mod, const EnvAnalysis &Analysis,
-                           const ClosingOptions &Options,
+                           const ClosingOptions & /*Options*/,
                            ClosingStats *Stats) {
   ClosingStats Local;
   ClosingStats &S = Stats ? *Stats : Local;
@@ -263,7 +248,7 @@ Module closer::closeModule(const Module &Mod, const EnvAnalysis &Analysis,
 
   ProcIndex Procs(Mod);
   for (size_t P = 0, E = Mod.Procs.size(); P != E; ++P) {
-    ProcCloser Closer(Mod, Analysis, P, Options, S, Procs);
+    ProcCloser Closer(Mod, Analysis, P, S, Procs);
     Out.Procs.push_back(Closer.run());
   }
 

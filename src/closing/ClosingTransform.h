@@ -43,13 +43,11 @@
 
 namespace closer {
 
-/// Transformation knobs (ablation switches for experiment E8).
+/// Options of the closing transform: only the taint analysis's (its coarse
+/// mode is experiment E8's ablation). The redundant-toss merge is the
+/// separate dedup-toss pass, dedupTossBranches().
 struct ClosingOptions {
   TaintOptions Taint;
-  /// Merge TossBranch nodes with identical successor sets within a
-  /// procedure (the redundant-toss elimination the paper's §5/§7 sketches
-  /// as future work).
-  bool DedupTosses = false;
 };
 
 /// Counters describing one closing run.
@@ -63,11 +61,12 @@ struct ClosingStats {
   size_t PayloadsSanitized = 0; ///< Visible-op arguments replaced by unknown.
   size_t EnvCallsRemoved = 0;   ///< env_input/env_output nodes eliminated.
   size_t NodesEliminated = 0;   ///< Unmarked assignment/conditional nodes.
-  size_t TossNodesDeduped = 0;  ///< Removed by the standalone dedup pass.
+  size_t TossNodesDeduped = 0;  ///< Removed by the dedup-toss pass.
 };
 
 /// Closes \p Mod with its most general environment: returns the transformed
-/// module S'. \p Analysis must have been computed on \p Mod.
+/// module S'. \p Analysis must have been computed on \p Mod, and it
+/// carries every knob the transform depends on, so \p Options is unused.
 Module closeModule(const Module &Mod, const EnvAnalysis &Analysis,
                    const ClosingOptions &Options = {},
                    ClosingStats *Stats = nullptr);
@@ -81,12 +80,11 @@ Module closeModule(const Module &Mod, const ClosingOptions &Options = {},
 bool isMarkedNode(const Module &Mod, const EnvAnalysis &Analysis,
                   size_t ProcIdx, NodeId N);
 
-/// Standalone form of the §5/§7 redundant-toss elimination, applicable to
-/// any module (ClosingOptions::DedupTosses performs the same merge inline
-/// during closing): TossBranch nodes of a procedure with identical bound
-/// and successor arcs are merged, iterated to a fixpoint so chains of
-/// tosses collapse too, and unreachable nodes are pruned. Returns the
-/// number of toss nodes removed.
+/// The §5/§7 redundant-toss elimination (the dedup-toss pass), applicable
+/// to any module: TossBranch nodes of a procedure with identical bound and
+/// successor arcs are merged, iterated to a fixpoint so chains of tosses
+/// collapse too, and unreachable nodes are pruned. Returns the number of
+/// toss nodes removed.
 size_t dedupTossBranches(ProcCfg &Proc);
 
 /// Whole-module variant; when \p ChangedProcs is non-null it receives the

@@ -22,104 +22,6 @@
 using namespace closer;
 
 //===----------------------------------------------------------------------===//
-// PipelineOptions
-//===----------------------------------------------------------------------===//
-
-std::vector<std::string> PipelineOptions::expandedPasses() const {
-  if (!Passes.empty() && Passes.front() == "parse")
-    return Passes;
-  std::vector<std::string> Full = {"parse", "sema", "lower", "verify"};
-  if (Passes.empty())
-    Full.push_back("close");
-  else
-    Full.insert(Full.end(), Passes.begin(), Passes.end());
-  return Full;
-}
-
-std::vector<Diagnostic> PipelineOptions::validate() const {
-  std::vector<Diagnostic> Out;
-  auto Error = [&Out](std::string Msg) {
-    Out.push_back({DiagKind::Error, SourceLoc(), std::move(Msg)});
-  };
-
-  const std::vector<std::string> Full = expandedPasses();
-  // Hash the registry once; the former per-name std::find over the full
-  // list was linear in the registry per lookup.
-  static const std::unordered_set<std::string> KnownSet(
-      knownPassNames().begin(), knownPassNames().end());
-  for (const std::string &Name : Full)
-    if (!KnownSet.count(Name))
-      Error("unknown pass '" + Name + "' (known: parse, sema, lower, verify, "
-            "partition, close, dedup-toss, naive-close, interface, "
-            "lower-bytecode)");
-  if (!Out.empty())
-    return Out;
-
-  // Transform passes mutate the module, so scheduling one twice is almost
-  // always a mistyped --passes list — and running it anyway would silently
-  // re-transform and double-count stats. Read-only / snapshot passes
-  // (verify, interface, lower-bytecode) may legitimately repeat.
-  static const std::unordered_set<std::string> TransformPasses = {
-      "partition", "close", "dedup-toss", "naive-close"};
-  std::unordered_set<std::string> SeenTransforms;
-  for (const std::string &Name : Full)
-    if (TransformPasses.count(Name) && !SeenTransforms.insert(Name).second)
-      Error("duplicate pass '" + Name +
-            "' in --passes (transform passes run at most once per pipeline)");
-  if (!Out.empty())
-    return Out;
-
-  // The frontend passes build state later passes depend on; they only make
-  // sense once each, in their canonical prefix positions. ("verify" is a
-  // module pass and may appear anywhere after "lower".)
-  static const char *Frontend[] = {"parse", "sema", "lower"};
-  for (size_t I = 0; I != 3; ++I) {
-    size_t Count = std::count(Full.begin(), Full.end(), Frontend[I]);
-    if (Count != 1 || Full[I] != Frontend[I]) {
-      Error("pipeline must begin with 'parse, sema, lower' exactly once "
-            "each; got '" + Full[std::min(I, Full.size() - 1)] +
-            "' at position " + std::to_string(I));
-      break;
-    }
-  }
-
-  if (!PrintAfter.empty() &&
-      std::find(Full.begin(), Full.end(), PrintAfter) == Full.end())
-    Error("--print-after names pass '" + PrintAfter +
-          "' which is not in the pipeline");
-
-  if (std::find(Full.begin(), Full.end(), "naive-close") != Full.end() &&
-      Naive.DomainBound < 0)
-    Error("naive-close domain bound must be non-negative");
-
-  return Out;
-}
-
-//===----------------------------------------------------------------------===//
-// CompilationContext
-//===----------------------------------------------------------------------===//
-
-CompilationContext::CompilationContext(std::string SourceText,
-                                       PipelineOptions Options)
-    : Source(std::move(SourceText)), Opts(std::move(Options)) {}
-
-CompilationContext::~CompilationContext() = default;
-
-void CompilationContext::replaceModule(std::unique_ptr<Module> NewM) {
-  // Rebind while the old module is still alive: the manager's cached
-  // analyses hold pointers into it.
-  if (AM)
-    AM->rebind(*NewM);
-  ClosingDescribesM = false;
-  if (RetainedOpen)
-    M = std::move(NewM); // Old intermediate module dies here.
-  else {
-    RetainedOpen = std::move(M);
-    M = std::move(NewM);
-  }
-}
-
-//===----------------------------------------------------------------------===//
 // Pass implementations
 //===----------------------------------------------------------------------===//
 
@@ -175,12 +77,13 @@ public:
     if (!Ctx.M)
       return false;
     Ctx.AM = std::make_unique<AnalysisManager>(*Ctx.M);
-    if (!Ctx.Opts.AnalysisCacheDir.empty()) {
+    const PipelineOptions &O = Ctx.EffectiveOptions;
+    if (!O.AnalysisCacheDir.empty()) {
       // Prefill the fresh manager from the on-disk cache; later passes see
       // hits as Reused, exactly as with the in-process cache.
-      Ctx.CacheStats.Enabled = true;
-      AnalysisCache(Ctx.Opts.AnalysisCacheDir)
-          .restore(*Ctx.AM, Ctx.Opts.Closing.Taint, Ctx.CacheStats);
+      Ctx.Cache.Enabled = true;
+      AnalysisCache(O.AnalysisCacheDir)
+          .restore(*Ctx.AM, O.Closing.Taint, Ctx.Cache);
     }
     return true;
   }
@@ -202,7 +105,7 @@ public:
   bool run(CompilationContext &Ctx) override {
     if (!requireModule(Ctx, name()))
       return false;
-    partitionInputsInPlace(*Ctx.M, *Ctx.AM, Ctx.Opts.Partition,
+    partitionInputsInPlace(*Ctx.M, *Ctx.AM, Ctx.EffectiveOptions.Partition,
                            &Ctx.Partition);
     Ctx.ClosingDescribesM = false;
     return true;
@@ -215,15 +118,16 @@ public:
   bool run(CompilationContext &Ctx) override {
     if (!requireModule(Ctx, name()))
       return false;
-    const EnvAnalysis &Analysis = Ctx.AM->getEnvTaint(Ctx.Opts.Closing.Taint);
+    const PipelineOptions &O = Ctx.EffectiveOptions;
+    const EnvAnalysis &Analysis = Ctx.AM->getEnvTaint(O.Closing.Taint);
     // Persist now, while every analysis is still materialized — the
     // closing transform replaces the module, which rebinds the manager and
     // drops them all.
-    if (!Ctx.Opts.AnalysisCacheDir.empty())
-      AnalysisCache(Ctx.Opts.AnalysisCacheDir)
-          .save(*Ctx.AM, Ctx.Opts.Closing.Taint, Ctx.CacheStats);
+    if (!O.AnalysisCacheDir.empty())
+      AnalysisCache(O.AnalysisCacheDir)
+          .save(*Ctx.AM, O.Closing.Taint, Ctx.Cache);
     auto Closed = std::make_unique<Module>(
-        closeModule(*Ctx.M, Analysis, Ctx.Opts.Closing, &Ctx.Closing));
+        closeModule(*Ctx.M, Analysis, O.Closing, &Ctx.Closing));
     if (!verifyModule(*Closed, Ctx.Diags)) {
       Ctx.Diags.error(SourceLoc(),
                       "internal error: closed module failed verification");
@@ -245,8 +149,8 @@ public:
     size_t Removed = dedupTossBranches(*Ctx.M, &Changed);
     Ctx.Closing.TossNodesDeduped += Removed;
     // On the close's own output, keep the closing counters describing the
-    // merged module, as `--dedup-toss` (the same merge, inline in the
-    // close) reports it.
+    // merged module, so `closer close --dedup-toss` summarizes the module
+    // it prints.
     if (Ctx.ClosingDescribesM) {
       Ctx.Closing.NodesAfter = Ctx.M->totalNodes();
       Ctx.Closing.TossNodesInserted -=
@@ -267,7 +171,7 @@ public:
     if (!requireModule(Ctx, name()))
       return false;
     auto Closed = std::make_unique<Module>(
-        naiveCloseModule(*Ctx.M, Ctx.Opts.Naive, &Ctx.Naive));
+        naiveCloseModule(*Ctx.M, Ctx.EffectiveOptions.Naive, &Ctx.Naive));
     if (!verifyModule(*Closed, Ctx.Diags)) {
       Ctx.Diags.error(
           SourceLoc(),
@@ -301,13 +205,165 @@ public:
   bool run(CompilationContext &Ctx) override {
     if (!requireModule(Ctx, name()))
       return false;
-    Ctx.Interface =
-        buildInterfaceReport(*Ctx.M, Ctx.AM->getEnvTaint(Ctx.Opts.Closing.Taint));
+    Ctx.Interface = buildInterfaceReport(
+        *Ctx.M, Ctx.AM->getEnvTaint(Ctx.EffectiveOptions.Closing.Taint));
     return true;
   }
 };
 
+//===----------------------------------------------------------------------===//
+// Registry
+//===----------------------------------------------------------------------===//
+
+/// How validate() treats a pass: the frontend passes run once each, first,
+/// in table order; a transform runs at most once; the others (read-only
+/// or snapshot passes) may repeat.
+enum class PassKind { Frontend, Transform, ReadOnly };
+
+struct PassInfo {
+  const char *Name;
+  PassKind Kind;
+  std::unique_ptr<Pass> (*Create)();
+};
+
+template <typename P> std::unique_ptr<Pass> makePass() {
+  return std::make_unique<P>();
+}
+
+/// Every pass createPass() accepts, in canonical pipeline order.
+const PassInfo PassTable[] = {
+    {"parse", PassKind::Frontend, makePass<ParsePass>},
+    {"sema", PassKind::Frontend, makePass<SemaPass>},
+    {"lower", PassKind::Frontend, makePass<LowerPass>},
+    {"verify", PassKind::ReadOnly, makePass<VerifyPass>},
+    {"partition", PassKind::Transform, makePass<PartitionPass>},
+    {"close", PassKind::Transform, makePass<ClosePass>},
+    {"dedup-toss", PassKind::Transform, makePass<DedupTossPass>},
+    {"naive-close", PassKind::Transform, makePass<NaiveClosePass>},
+    {"interface", PassKind::ReadOnly, makePass<InterfacePass>},
+    {"lower-bytecode", PassKind::ReadOnly, makePass<LowerBytecodePass>},
+};
+
+const PassInfo *findPass(const std::string &Name) {
+  for (const PassInfo &P : PassTable)
+    if (Name == P.Name)
+      return &P;
+  return nullptr;
+}
+
+/// The registered names (only the frontend's when \p FrontendOnly), comma
+/// separated, for diagnostics.
+std::string passNames(bool FrontendOnly) {
+  std::string Out;
+  for (const PassInfo &P : PassTable) {
+    if (FrontendOnly && P.Kind != PassKind::Frontend)
+      continue;
+    if (!Out.empty())
+      Out += ", ";
+    Out += P.Name;
+  }
+  return Out;
+}
+
 } // namespace
+
+std::unique_ptr<Pass> closer::createPass(const std::string &Name) {
+  const PassInfo *P = findPass(Name);
+  return P ? P->Create() : nullptr;
+}
+
+//===----------------------------------------------------------------------===//
+// PipelineOptions
+//===----------------------------------------------------------------------===//
+
+std::vector<std::string> PipelineOptions::expandedPasses() const {
+  if (!Passes.empty() && Passes.front() == "parse")
+    return Passes;
+  std::vector<std::string> Full = {"parse", "sema", "lower", "verify"};
+  if (Passes.empty())
+    Full.push_back("close");
+  else
+    Full.insert(Full.end(), Passes.begin(), Passes.end());
+  return Full;
+}
+
+std::vector<Diagnostic> PipelineOptions::validate() const {
+  std::vector<Diagnostic> Out;
+  auto Error = [&Out](std::string Msg) {
+    Out.push_back({DiagKind::Error, SourceLoc(), std::move(Msg)});
+  };
+
+  const std::vector<std::string> Full = expandedPasses();
+  for (const std::string &Name : Full)
+    if (!findPass(Name))
+      Error("unknown pass '" + Name + "' (known: " +
+            passNames(/*FrontendOnly=*/false) + ")");
+  if (!Out.empty())
+    return Out;
+
+  // Transform passes mutate the module, so scheduling one twice is almost
+  // always a mistyped --passes list — and running it anyway would silently
+  // re-transform and double-count stats. Read-only / snapshot passes
+  // (verify, interface, lower-bytecode) may legitimately repeat.
+  std::unordered_set<std::string> SeenTransforms;
+  for (const std::string &Name : Full)
+    if (findPass(Name)->Kind == PassKind::Transform &&
+        !SeenTransforms.insert(Name).second)
+      Error("duplicate pass '" + Name +
+            "' in --passes (transform passes run at most once per pipeline)");
+  if (!Out.empty())
+    return Out;
+
+  // The frontend passes build state later passes depend on; they only make
+  // sense once each, in their canonical prefix positions. ("verify" is a
+  // module pass and may appear anywhere after "lower".)
+  size_t Pos = 0;
+  for (const PassInfo &P : PassTable) {
+    if (P.Kind != PassKind::Frontend)
+      continue;
+    if (std::count(Full.begin(), Full.end(), P.Name) != 1 ||
+        Full[Pos] != P.Name) {
+      Error("pipeline must begin with '" + passNames(/*FrontendOnly=*/true) +
+            "' exactly once each; got '" +
+            Full[std::min(Pos, Full.size() - 1)] + "' at position " +
+            std::to_string(Pos));
+      break;
+    }
+    ++Pos;
+  }
+
+  if (!PrintAfter.empty() &&
+      std::find(Full.begin(), Full.end(), PrintAfter) == Full.end())
+    Error("--print-after names pass '" + PrintAfter +
+          "' which is not in the pipeline");
+
+  if (std::find(Full.begin(), Full.end(), "naive-close") != Full.end() &&
+      Naive.DomainBound < 0)
+    Error("naive-close domain bound must be non-negative");
+
+  return Out;
+}
+
+//===----------------------------------------------------------------------===//
+// CompilationContext
+//===----------------------------------------------------------------------===//
+
+CompilationContext::CompilationContext(std::string SourceText,
+                                       PipelineOptions Options)
+    : Source(std::move(SourceText)) {
+  EffectiveOptions = std::move(Options);
+}
+
+CompilationContext::~CompilationContext() = default;
+
+void CompilationContext::replaceModule(std::unique_ptr<Module> NewM) {
+  // Rebind while the old module is still alive: the manager's cached
+  // analyses hold pointers into it.
+  if (AM)
+    AM->rebind(*NewM);
+  ClosingDescribesM = false;
+  M = std::move(NewM); // The old module dies here.
+}
 
 //===----------------------------------------------------------------------===//
 // PassPipeline
@@ -323,57 +379,22 @@ bool PassPipeline::run(CompilationContext &Ctx) {
     bool Ok = P->run(Ctx);
     std::chrono::duration<double> Elapsed =
         std::chrono::steady_clock::now() - Start;
-    Stats.push_back({P->name(), Elapsed.count()});
+    Ctx.Passes.push_back({P->name(), Elapsed.count()});
     if (!Ok) {
       if (!Ctx.Diags.hasErrors())
         Ctx.Diags.error(SourceLoc(),
                         std::string("pass '") + P->name() + "' failed");
       return false;
     }
-    if (Ctx.Opts.VerifyEach && Ctx.M && !verifyModule(*Ctx.M, Ctx.Diags)) {
+    const PipelineOptions &O = Ctx.EffectiveOptions;
+    if (O.VerifyEach && Ctx.M && !verifyModule(*Ctx.M, Ctx.Diags)) {
       Ctx.Diags.error(SourceLoc(),
                       std::string("module verification failed after pass '") +
                           P->name() + "'");
       return false;
     }
-    if (Ctx.M && !Ctx.Opts.PrintAfter.empty() &&
-        Ctx.Opts.PrintAfter == P->name())
-      Printed.emplace_back(P->name(), emitModuleSource(*Ctx.M));
+    if (Ctx.M && O.PrintAfter == P->name())
+      Ctx.Printed.emplace_back(P->name(), emitModuleSource(*Ctx.M));
   }
   return true;
-}
-
-//===----------------------------------------------------------------------===//
-// Registry
-//===----------------------------------------------------------------------===//
-
-const std::vector<std::string> &closer::knownPassNames() {
-  static const std::vector<std::string> Names = {
-      "parse",      "sema",       "lower",       "verify",    "partition",
-      "close",      "dedup-toss", "naive-close", "interface", "lower-bytecode"};
-  return Names;
-}
-
-std::unique_ptr<Pass> closer::createPass(const std::string &Name) {
-  if (Name == "parse")
-    return std::make_unique<ParsePass>();
-  if (Name == "sema")
-    return std::make_unique<SemaPass>();
-  if (Name == "lower")
-    return std::make_unique<LowerPass>();
-  if (Name == "verify")
-    return std::make_unique<VerifyPass>();
-  if (Name == "partition")
-    return std::make_unique<PartitionPass>();
-  if (Name == "close")
-    return std::make_unique<ClosePass>();
-  if (Name == "dedup-toss")
-    return std::make_unique<DedupTossPass>();
-  if (Name == "naive-close")
-    return std::make_unique<NaiveClosePass>();
-  if (Name == "interface")
-    return std::make_unique<InterfacePass>();
-  if (Name == "lower-bytecode")
-    return std::make_unique<LowerBytecodePass>();
-  return nullptr;
 }

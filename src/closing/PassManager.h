@@ -27,7 +27,7 @@
 ///    so cached per-procedure analyses of untouched procedures stay valid.
 ///  * Transform passes that rebuild the module wholesale (close,
 ///    naive-close) go through `CompilationContext::replaceModule`, which
-///    rebinds the analysis manager *before* the old module dies.
+///    rebinds the analysis manager, then frees the old module.
 ///  * A pass returning false aborts the pipeline; it must have explained
 ///    why through Ctx.Diags.
 ///
@@ -104,49 +104,68 @@ struct PassStat {
   double WallSeconds = 0;
 };
 
-/// All state a pipeline run threads through its passes.
-class CompilationContext {
+/// Everything one pipeline run produces: the result closer::compile()
+/// returns, and the slots the passes fill in (CompilationContext derives
+/// from it).
+struct CompileResult {
+  DiagnosticEngine Diags;
+  /// The current module: set by the lower pass, replaced by wholesale
+  /// transforms; after compile(), the final module, or null when the
+  /// pipeline aborted.
+  std::unique_ptr<Module> M;
+
+  // Stats from whichever passes ran (zero-initialized otherwise).
+  ClosingStats Closing;
+  PartitionStats Partition;
+  NaiveCloseStats Naive;
+  std::optional<InterfaceReport> Interface;
+  /// Bytecode compiled by the optional lower-bytecode pass (null when the
+  /// pass did not run). The pass snapshots the module at its position in
+  /// the pipeline, so run it after the transforms whose output should be
+  /// executed. Feed into SearchOptions::VmCode to explore with the VM
+  /// without recompiling.
+  std::shared_ptr<const vm::CompiledModule> Bytecode;
+
+  /// Wall time of every executed pass, in execution order.
+  std::vector<PassStat> Passes;
+  /// Computed/Reused counters of the cached analyses.
+  AnalysisStats Analyses;
+  /// On-disk analysis cache traffic (Enabled only when
+  /// PipelineOptions::AnalysisCacheDir was set).
+  AnalysisCacheStats Cache;
+  /// (pass name, module source) captures from PrintAfter.
+  std::vector<std::pair<std::string, std::string>> Printed;
+
+  /// Options as actually executed (compile() expands Passes to the full
+  /// pipeline); the passes read their knobs here.
+  PipelineOptions EffectiveOptions;
+  double WallSeconds = 0;
+
+  bool ok() const { return M != nullptr && !Diags.hasErrors(); }
+};
+
+/// All state a pipeline run threads through its passes: the result slots,
+/// plus what only the passes need.
+class CompilationContext : public CompileResult {
 public:
   CompilationContext(std::string SourceText, PipelineOptions Options);
   ~CompilationContext();
 
   std::string Source;
-  PipelineOptions Opts;
-  DiagnosticEngine Diags;
-
   /// Set by the parse pass; released by the lower pass once the module
   /// exists.
   std::unique_ptr<Program> AST;
-  /// Set by the lower pass; replaced by wholesale transforms.
-  std::unique_ptr<Module> M;
   /// Created by the lower pass, bound to *M from then on.
   std::unique_ptr<AnalysisManager> AM;
-  /// The module as it was before the first wholesale transform — the
-  /// "open" program a caller may want alongside the closed result.
-  std::unique_ptr<Module> RetainedOpen;
-
-  // Result-stat slots, filled by the passes that run.
-  ClosingStats Closing;
   /// True while *M is the close pass's output, edited since only by
   /// dedup-toss, which then keeps Closing.NodesAfter and
   /// Closing.TossNodesInserted describing *M. Any other pass that builds,
   /// replaces or edits the module clears it.
   bool ClosingDescribesM = false;
-  PartitionStats Partition;
-  NaiveCloseStats Naive;
-  std::optional<InterfaceReport> Interface;
-  /// Restore/save traffic of the analysis cache (Enabled only when
-  /// Opts.AnalysisCacheDir is set).
-  AnalysisCacheStats CacheStats;
-  /// Set by the lower-bytecode pass: the current module compiled to the
-  /// vm/ register bytecode (shareable across any number of VM instances).
-  /// Note the pass snapshots the module at its position in the pipeline;
-  /// run it after the transforms whose output should be executed.
-  std::shared_ptr<const vm::CompiledModule> Bytecode;
 
   /// Installs \p NewM as the context's module: rebinds the analysis
-  /// manager first (cached analyses reference the old module), then
-  /// retains the old module in RetainedOpen if nothing is retained yet.
+  /// manager first (cached analyses reference the old module), then frees
+  /// the old module.
   void replaceModule(std::unique_ptr<Module> NewM);
 };
 
@@ -164,39 +183,25 @@ public:
   virtual bool run(CompilationContext &Ctx) = 0;
 };
 
-/// Runs a sequence of passes, recording per-pass wall time, optionally
-/// verifying the module between passes and capturing printed module
-/// source after requested passes.
+/// Runs a sequence of passes, recording per-pass wall time in Ctx.Passes,
+/// optionally verifying the module between passes and capturing printed
+/// module source into Ctx.Printed after requested passes.
 class PassPipeline {
 public:
   void add(std::unique_ptr<Pass> P);
 
   /// Runs every pass in order against \p Ctx; stops at the first failure.
-  /// VerifyEach / PrintAfter behavior comes from Ctx.Opts.
+  /// VerifyEach / PrintAfter behavior comes from Ctx.EffectiveOptions.
   bool run(CompilationContext &Ctx);
-
-  /// Wall time of each pass that ran, in execution order.
-  const std::vector<PassStat> &stats() const { return Stats; }
-
-  /// (pass name, module source) captures from --print-after.
-  const std::vector<std::pair<std::string, std::string>> &printed() const {
-    return Printed;
-  }
 
 private:
   std::vector<std::unique_ptr<Pass>> Passes;
-  std::vector<PassStat> Stats;
-  std::vector<std::pair<std::string, std::string>> Printed;
 };
 
-/// Instantiates the pass registered under \p Name (see knownPassNames());
-/// null for an unknown name.
+/// Instantiates the pass registered under \p Name in PassManager.cpp's
+/// pass table; null for an unknown name (PipelineOptions::validate()'s
+/// diagnostic lists the registered names).
 std::unique_ptr<Pass> createPass(const std::string &Name);
-
-/// Every name createPass() accepts, in canonical pipeline order:
-/// parse, sema, lower, verify, partition, close, dedup-toss, naive-close,
-/// interface, lower-bytecode.
-const std::vector<std::string> &knownPassNames();
 
 } // namespace closer
 

@@ -27,54 +27,41 @@ std::unique_ptr<Module> closer::compileAndVerify(const std::string &Source,
 
 CompileResult closer::compile(const std::string &Source,
                               const PipelineOptions &Options) {
-  CompileResult R;
-  R.EffectiveOptions = Options;
-  R.EffectiveOptions.Passes = Options.expandedPasses();
+  PipelineOptions Effective = Options;
+  Effective.Passes = Options.expandedPasses();
+  CompilationContext Ctx(Source, std::move(Effective));
 
-  for (const Diagnostic &D : R.EffectiveOptions.validate()) {
+  for (const Diagnostic &D : Ctx.EffectiveOptions.validate()) {
     switch (D.Kind) {
     case DiagKind::Error:
-      R.Diags.error(D.Loc, D.Message);
+      Ctx.Diags.error(D.Loc, D.Message);
       break;
     case DiagKind::Warning:
-      R.Diags.warning(D.Loc, D.Message);
+      Ctx.Diags.warning(D.Loc, D.Message);
       break;
     case DiagKind::Note:
-      R.Diags.note(D.Loc, D.Message);
+      Ctx.Diags.note(D.Loc, D.Message);
       break;
     }
   }
-  if (R.Diags.hasErrors())
-    return R;
+  // Returning Ctx moves its CompileResult slots out and drops the rest.
+  if (Ctx.Diags.hasErrors())
+    return Ctx;
 
-  CompilationContext Ctx(Source, R.EffectiveOptions);
   PassPipeline Pipeline;
-  for (const std::string &Name : R.EffectiveOptions.Passes)
+  for (const std::string &Name : Ctx.EffectiveOptions.Passes)
     Pipeline.add(createPass(Name)); // validate() vetted every name.
 
   auto Start = std::chrono::steady_clock::now();
   bool Ok = Pipeline.run(Ctx);
   std::chrono::duration<double> Elapsed =
       std::chrono::steady_clock::now() - Start;
-  R.WallSeconds = Elapsed.count();
-
-  R.Diags = std::move(Ctx.Diags);
-  R.Passes = Pipeline.stats();
-  R.Printed = Pipeline.printed();
+  Ctx.WallSeconds = Elapsed.count();
   if (Ctx.AM)
-    R.Analyses = Ctx.AM->stats();
-  R.Cache = Ctx.CacheStats;
-  R.Closing = Ctx.Closing;
-  R.Partition = Ctx.Partition;
-  R.Naive = Ctx.Naive;
-  R.Interface = std::move(Ctx.Interface);
-  R.Bytecode = std::move(Ctx.Bytecode);
-  R.Open = std::move(Ctx.RetainedOpen);
-  if (Ok)
-    R.M = std::move(Ctx.M);
-  else if (!R.Open)
-    R.Open = std::move(Ctx.M); // Last good module, for post-mortems.
-  return R;
+    Ctx.Analyses = Ctx.AM->stats();
+  if (!Ok)
+    Ctx.M.reset();
+  return Ctx;
 }
 
 json::Value closer::compileArtifactToJson(const CompileResult &R) {
@@ -92,7 +79,6 @@ json::Value closer::compileArtifactToJson(const CompileResult &R) {
   Opts.add("verify_each", O.VerifyEach);
   Opts.add("print_after", O.PrintAfter);
   Opts.add("coarse_taint", O.Closing.Taint.CoarseMode);
-  Opts.add("dedup_tosses", O.Closing.DedupTosses);
   Opts.add("max_representatives",
            static_cast<uint64_t>(O.Partition.MaxRepresentatives));
   Opts.add("naive_domain_bound", O.Naive.DomainBound);

@@ -39,45 +39,9 @@
 
 namespace closer {
 
-/// Everything produced by one compile() pipeline run.
-struct CompileResult {
-  DiagnosticEngine Diags;
-  /// The module before the first wholesale transform (the open program),
-  /// when a transform ran; null for pipelines that never replace the
-  /// module. On a mid-pipeline failure this holds the last good module.
-  std::unique_ptr<Module> Open;
-  /// The final module; null when the pipeline aborted.
-  std::unique_ptr<Module> M;
-
-  // Stats from whichever passes ran (zero-initialized otherwise).
-  ClosingStats Closing;
-  PartitionStats Partition;
-  NaiveCloseStats Naive;
-  std::optional<InterfaceReport> Interface;
-  /// Bytecode compiled by the optional lower-bytecode pass (null when the
-  /// pass did not run). Feed into SearchOptions::VmCode to explore with
-  /// the VM without recompiling.
-  std::shared_ptr<const vm::CompiledModule> Bytecode;
-
-  /// Wall time of every executed pass, in execution order.
-  std::vector<PassStat> Passes;
-  /// Computed/Reused counters of the cached analyses.
-  AnalysisStats Analyses;
-  /// On-disk analysis cache traffic (Enabled only when
-  /// PipelineOptions::AnalysisCacheDir was set).
-  AnalysisCacheStats Cache;
-  /// (pass name, module source) captures from PrintAfter.
-  std::vector<std::pair<std::string, std::string>> Printed;
-
-  /// Options as actually executed (Passes expanded to the full pipeline).
-  PipelineOptions EffectiveOptions;
-  double WallSeconds = 0;
-
-  bool ok() const { return M != nullptr && !Diags.hasErrors(); }
-};
-
 /// Runs the pass pipeline described by \p Options over \p Source. Never
-/// throws; inspect CompileResult::ok() and Diags.
+/// throws; inspect CompileResult::ok() and Diags. Each wholesale transform
+/// frees the module it replaces, so only the final module comes back.
 CompileResult compile(const std::string &Source,
                       const PipelineOptions &Options = {});
 

@@ -358,7 +358,10 @@ process m = main();
   EXPECT_EQ(R.Closing.ParamsRemoved, 0u);
   EXPECT_EQ(R.Closing.TossNodesInserted, 0u);
   EXPECT_EQ(R.Closing.NodesEliminated, 0u);
-  EXPECT_EQ(printModule(*R.M), printModule(*R.Open));
+  DiagnosticEngine Diags;
+  std::unique_ptr<Module> Open = compileAndVerify(Src, Diags);
+  ASSERT_TRUE(Open) << Diags.str();
+  EXPECT_EQ(printModule(*R.M), printModule(*Open));
 }
 
 TEST(ClosingTransformTest, AssertionPayloadNotPreservedWhenTainted) {

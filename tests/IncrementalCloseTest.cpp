@@ -10,8 +10,9 @@
 // emitted module is byte-identical to an uncached compile, and a damaged
 // cache degrades to recomputation — never to wrong output. The batch
 // contract: `closer close A B C --jobs N` is byte-identical to sequential
-// per-module runs. Library-level tests drive closer::compile(); subprocess
-// tests drive the real binary (CLOSER_BIN).
+// per-module runs. `--dedup-toss` schedules the dedup-toss pass at most
+// once. Library-level tests drive closer::compile(); subprocess tests
+// drive the real binary (CLOSER_BIN).
 //
 //===----------------------------------------------------------------------===//
 
@@ -171,11 +172,14 @@ TEST(AnalysisCacheTest, FingerprintsSeparateProcsAndModules) {
   A.StmtsPerProc = 16;
   CorpusConfig B = A;
   B.TweakProc = 1;
-  CompileResult Ra = compile(generateCorpusSource(A));
-  CompileResult Rb = compile(generateCorpusSource(B));
-  ASSERT_TRUE(Ra.ok() && Rb.ok());
-  const Module &Ma = *Ra.Open;
-  const Module &Mb = *Rb.Open;
+  DiagnosticEngine Diags;
+  std::unique_ptr<Module> OpenA =
+      compileAndVerify(generateCorpusSource(A), Diags);
+  std::unique_ptr<Module> OpenB =
+      compileAndVerify(generateCorpusSource(B), Diags);
+  ASSERT_TRUE(OpenA && OpenB) << Diags.str();
+  const Module &Ma = *OpenA;
+  const Module &Mb = *OpenB;
   EXPECT_NE(fingerprintModule(Ma), fingerprintModule(Mb));
   ASSERT_EQ(Ma.Procs.size(), Mb.Procs.size());
   for (size_t P = 0; P != Ma.Procs.size(); ++P) {
@@ -316,6 +320,29 @@ TEST(BatchCloseTest, BatchSharesAnalysisCacheSafely) {
              " >/dev/null 2>/dev/null");
   std::string Stats = readAll(StatsFile);
   EXPECT_NE(Stats.find("\"defuse_restored\": 4"), std::string::npos) << Stats;
+}
+
+TEST(CloseCliTest, DedupTossFlagKeepsAnExplicitDedupPass) {
+  // `--dedup-toss` adds the dedup-toss pass right after close only when
+  // the pipeline has none yet: a second one would fail validation, since a
+  // transform pass runs at most once.
+  TempDir Dir("dedup_flag");
+  CorpusConfig Config; // gen-corpus 16 x 40, seed 1: one duplicate toss.
+  Config.Procs = 16;
+  Config.StmtsPerProc = 40;
+  Config.Seed = 1;
+  std::string Path = (Dir.Path / "dups.mc").string();
+  std::ofstream(Path) << generateCorpusSource(Config);
+  std::string Close = std::string(CLOSER_BIN) + " close " + Path;
+  int FlagExit = -1, BothExit = -1;
+  std::string Flag = runCommand(Close + " --dedup-toss 2>/dev/null", &FlagExit);
+  std::string Both = runCommand(
+      Close + " --passes close,dedup-toss --dedup-toss 2>/dev/null",
+      &BothExit);
+  EXPECT_EQ(FlagExit, 0);
+  EXPECT_EQ(BothExit, 0);
+  EXPECT_FALSE(Flag.empty());
+  EXPECT_EQ(Both, Flag);
 }
 
 } // namespace

@@ -111,7 +111,7 @@ TEST(VmTest, CompilesEveryBundledExample) {
   }
   // The paper's figure programs (test fixtures rather than example files),
   // both open and closed.
-  for (const std::string &Source : {figure2Source(), figure3Source()}) {
+  for (const char *Source : {figure2Source(), figure3Source()}) {
     auto Open = mustCompile(Source);
     ASSERT_TRUE(Open);
     EXPECT_GT(vm::compileModule(*Open)->instructionCount(), 0u);

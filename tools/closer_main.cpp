@@ -35,6 +35,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <future>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -59,10 +60,11 @@ void usage() {
       (partition, close, dedup-toss, naive-close, interface, verify)
       replacing the default tail. --verify-each re-verifies the module
       after every pass and names the offending pass on failure.
-      --print-after PASS dumps the module source to stderr after each
-      run of PASS. --stats-json FILE writes a closer-close-stats-v1
-      artifact: per-pass wall times, analysis cache computed/reused
-      counters and all transform stats.
+      --dedup-toss runs the dedup-toss pass right after close (also on
+      cfg, dot, explore and replay). --print-after PASS dumps the module
+      source to stderr after each run of PASS. --stats-json FILE writes
+      a closer-close-stats-v1 artifact: per-pass wall times, analysis
+      cache computed/reused counters and all transform stats.
       Several input files compile as one batch sharing the pass registry;
       --jobs N closes them on N worker threads. Output order and bytes
       are identical to closing each file in its own process, and
@@ -189,12 +191,24 @@ std::string readFile(const char *Path) {
   return Out.str();
 }
 
+/// `--dedup-toss`: schedules the dedup-toss pass right after close, when
+/// \p Passes has a close and no dedup-toss yet.
+void scheduleDedupToss(const Args &A, std::vector<std::string> &Passes) {
+  if (!A.has("--dedup-toss") ||
+      std::find(Passes.begin(), Passes.end(), "dedup-toss") != Passes.end())
+    return;
+  auto Close = std::find(Passes.begin(), Passes.end(), "close");
+  if (Close != Passes.end())
+    Passes.insert(Close + 1, "dedup-toss");
+}
+
 /// Closes \p Path with the default pipeline; exits on failure. Writes no
 /// artifact: `explore --stats-json` names the explore artifact.
 CompileResult closeFileOrDie(const std::string &Path, const Args &A) {
   PipelineOptions Options;
   Options.Closing.Taint.CoarseMode = A.has("--coarse");
-  Options.Closing.DedupTosses = A.has("--dedup-toss");
+  Options.Passes = {"close"};
+  scheduleDedupToss(A, Options.Passes);
   CompileResult R = compile(readFile(Path.c_str()), Options);
   if (!R.ok()) {
     std::fprintf(stderr, "%s", R.Diags.str().c_str());
@@ -221,19 +235,31 @@ std::vector<std::string> splitPassList(const std::string &List) {
   return Out;
 }
 
-/// The pipeline knobs every pipeline-backed subcommand shares.
-PipelineOptions pipelineOptionsFromArgs(const Args &A) {
+/// The pipeline knobs every pipeline-backed subcommand shares; a missing
+/// or empty --passes list runs the subcommand's \p DefaultTail.
+PipelineOptions pipelineOptionsFromArgs(const Args &A,
+                                        std::vector<std::string> DefaultTail) {
   PipelineOptions Opts;
   Opts.Closing.Taint.CoarseMode = A.has("--coarse");
-  Opts.Closing.DedupTosses = A.has("--dedup-toss");
   Opts.Partition.MaxRepresentatives =
       static_cast<size_t>(A.countOf("--max-reps", 16));
   Opts.Naive.DomainBound = A.intOf("-D", 1);
   Opts.VerifyEach = A.has("--verify-each");
   Opts.PrintAfter = A.strOf("--print-after", "");
   Opts.Passes = splitPassList(A.strOf("--passes", ""));
+  if (Opts.Passes.empty())
+    Opts.Passes = std::move(DefaultTail);
+  scheduleDedupToss(A, Opts.Passes);
   Opts.AnalysisCacheDir = A.strOf("--analysis-cache", "");
   return Opts;
+}
+
+/// The --print-after captures of \p R, as printed to stderr.
+std::string renderCaptures(const CompileResult &R) {
+  std::string Out;
+  for (const auto &[Pass, Text] : R.Printed)
+    Out += "// --- module after pass '" + Pass + "' ---\n" + Text;
+  return Out;
 }
 
 /// Runs compile(), dumps --print-after captures to stderr and writes the
@@ -242,9 +268,7 @@ PipelineOptions pipelineOptionsFromArgs(const Args &A) {
 CompileResult compileFileOrDie(const std::string &Path,
                                const PipelineOptions &Opts, const Args &A) {
   CompileResult R = compile(readFile(Path.c_str()), Opts);
-  for (const auto &[Pass, Text] : R.Printed)
-    std::fprintf(stderr, "// --- module after pass '%s' ---\n%s",
-                 Pass.c_str(), Text.c_str());
+  std::fputs(renderCaptures(R).c_str(), stderr);
   std::string StatsJsonPath = A.strOf("--stats-json", "");
   if (!StatsJsonPath.empty()) {
     std::string Err;
@@ -266,35 +290,46 @@ bool pipelineHasPass(const CompileResult &R, const char *Name) {
   return std::find(P.begin(), P.end(), Name) != P.end();
 }
 
-/// Prints one compiled module exactly as the historical single-file
-/// `closer close` did: --print-after captures and diagnostics to stderr,
-/// the closed source to stdout, the transform summary comments to stderr.
-/// Batch mode reports every file through this in input order, so the
-/// combined output is byte-identical to closing each file in sequence.
-bool reportCloseResult(const CompileResult &R) {
-  for (const auto &[Pass, Text] : R.Printed)
-    std::fprintf(stderr, "// --- module after pass '%s' ---\n%s",
-                 Pass.c_str(), Text.c_str());
-  if (!R.ok()) {
-    std::fprintf(stderr, "%s", R.Diags.str().c_str());
-    return false;
+/// One file's `closer close` output, rendered so that its modules can be
+/// freed before it is printed.
+struct ClosedFile {
+  std::string Captures; ///< --print-after dumps: stderr, before Source.
+  std::string Source;   ///< The closed program: stdout.
+  std::string Notes;    ///< Diagnostics or the summary lines: stderr, last.
+  json::Value Stats;    ///< Its stats block, when --stats-json asked.
+  bool Ok = false;
+};
+
+/// Renders \p R exactly as the historical single-file `closer close`
+/// printed it: --print-after captures and diagnostics to stderr, the closed
+/// source to stdout, the transform summary comments to stderr. Batch mode
+/// prints every file's rendering in input order, so the combined output is
+/// byte-identical to closing each file in sequence.
+ClosedFile renderClose(const CompileResult &R, bool WantStats) {
+  ClosedFile F;
+  F.Captures = renderCaptures(R);
+  if (WantStats)
+    F.Stats = compileArtifactToJson(R);
+  F.Ok = R.ok();
+  if (!F.Ok) {
+    F.Notes = R.Diags.str();
+    return F;
   }
-  std::printf("%s", emitModuleSource(*R.M).c_str());
+  F.Source = emitModuleSource(*R.M);
+  auto N = [](size_t V) { return std::to_string(V); };
   if (pipelineHasPass(R, "partition"))
-    std::fprintf(stderr,
-                 "// partitioned %zu input(s) + %zu parameter(s) "
-                 "(%zu representatives), %zu left for elimination\n",
-                 R.Partition.InputsPartitioned, R.Partition.ParamsPartitioned,
-                 R.Partition.RepresentativesTotal,
-                 R.Partition.InputsLeftOpen);
+    F.Notes += "// partitioned " + N(R.Partition.InputsPartitioned) +
+               " input(s) + " + N(R.Partition.ParamsPartitioned) +
+               " parameter(s) (" + N(R.Partition.RepresentativesTotal) +
+               " representatives), " + N(R.Partition.InputsLeftOpen) +
+               " left for elimination\n";
   if (pipelineHasPass(R, "close"))
-    std::fprintf(stderr,
-                 "// closed: %zu -> %zu nodes, %zu toss node(s), "
-                 "%zu parameter(s) removed, %zu env call(s) eliminated\n",
-                 R.Closing.NodesBefore, R.Closing.NodesAfter,
-                 R.Closing.TossNodesInserted, R.Closing.ParamsRemoved,
-                 R.Closing.EnvCallsRemoved);
-  return true;
+    F.Notes += "// closed: " + N(R.Closing.NodesBefore) + " -> " +
+               N(R.Closing.NodesAfter) + " nodes, " +
+               N(R.Closing.TossNodesInserted) + " toss node(s), " +
+               N(R.Closing.ParamsRemoved) + " parameter(s) removed, " +
+               N(R.Closing.EnvCallsRemoved) + " env call(s) eliminated\n";
+  return F;
 }
 
 int cmdClose(const Args &A) {
@@ -302,14 +337,10 @@ int cmdClose(const Args &A) {
     usage();
     return 1;
   }
-  PipelineOptions Opts = pipelineOptionsFromArgs(A);
-  if (A.has("--partition")) {
-    if (Opts.Passes.empty())
-      Opts.Passes = {"partition", "close"};
-    else if (std::find(Opts.Passes.begin(), Opts.Passes.end(),
-                       "partition") == Opts.Passes.end())
-      Opts.Passes.insert(Opts.Passes.begin(), "partition");
-  }
+  PipelineOptions Opts = pipelineOptionsFromArgs(A, {"close"});
+  if (A.has("--partition") && std::find(Opts.Passes.begin(), Opts.Passes.end(),
+                                        "partition") == Opts.Passes.end())
+    Opts.Passes.insert(Opts.Passes.begin(), "partition");
   size_t Jobs = static_cast<size_t>(std::max(A.countOf("--jobs", 1), 1L));
   std::string StatsJsonPath = A.strOf("--stats-json", "");
   if (!argsOk(A))
@@ -318,46 +349,54 @@ int cmdClose(const Args &A) {
   // Batch compile: every positional file runs the same pipeline (one pass
   // registry, one options struct, optionally one shared analysis-cache
   // directory) inside this process. Reads happen up front on the main
-  // thread so a missing file dies with the usual diagnostic.
+  // thread so a missing file dies with the usual diagnostic. A worker
+  // renders each file's output as soon as it is compiled, freeing its
+  // modules, and the main thread prints the renderings in input order as
+  // they arrive, so a batch holds about one compile per worker in memory.
   const std::vector<std::string> &Files = A.Positional;
   std::vector<std::string> Sources;
   Sources.reserve(Files.size());
   for (const std::string &File : Files)
     Sources.push_back(readFile(File.c_str()));
 
-  std::vector<CompileResult> Results(Files.size());
+  bool WantStats = !StatsJsonPath.empty();
+  auto CloseOne = [&](size_t I) {
+    return renderClose(compile(Sources[I], Opts), WantStats);
+  };
   size_t Workers = std::min(Jobs, Files.size());
-  if (Workers <= 1) {
-    for (size_t I = 0; I != Files.size(); ++I)
-      Results[I] = compile(Sources[I], Opts);
-  } else {
-    std::atomic<size_t> Next{0};
-    std::vector<std::thread> Pool;
-    for (size_t W = 0; W != Workers; ++W)
-      Pool.emplace_back([&] {
-        for (size_t I; (I = Next.fetch_add(1)) < Files.size();)
-          Results[I] = compile(Sources[I], Opts);
-      });
-    for (std::thread &T : Pool)
-      T.join();
-  }
+  std::vector<std::promise<ClosedFile>> Done(Files.size());
+  std::atomic<size_t> Next{0};
+  std::vector<std::thread> Pool;
+  for (size_t W = 0; Workers > 1 && W != Workers; ++W)
+    Pool.emplace_back([&] {
+      for (size_t I; (I = Next.fetch_add(1)) < Files.size();)
+        Done[I].set_value(CloseOne(I));
+    });
 
-  // Ordered reporting, independent of completion order.
   bool AnyFailed = false;
-  for (const CompileResult &R : Results)
-    AnyFailed |= !reportCloseResult(R);
+  std::vector<json::Value> Stats;
+  for (size_t I = 0; I != Files.size(); ++I) {
+    ClosedFile F = Pool.empty() ? CloseOne(I) : Done[I].get_future().get();
+    std::fputs(F.Captures.c_str(), stderr);
+    std::fputs(F.Source.c_str(), stdout);
+    std::fputs(F.Notes.c_str(), stderr);
+    AnyFailed |= !F.Ok;
+    Stats.push_back(std::move(F.Stats));
+  }
+  for (std::thread &T : Pool)
+    T.join();
 
   if (!StatsJsonPath.empty()) {
     json::Value Doc;
     if (Files.size() == 1) {
-      Doc = compileArtifactToJson(Results[0]);
+      Doc = std::move(Stats[0]);
     } else {
       Doc = json::Value::object();
       Doc.add("schema", "closer-close-batch-stats-v1");
       Doc.add("jobs", static_cast<uint64_t>(Jobs));
       json::Value Modules = json::Value::array();
       for (size_t I = 0; I != Files.size(); ++I) {
-        json::Value Entry = compileArtifactToJson(Results[I]);
+        json::Value Entry = std::move(Stats[I]);
         Entry.add("file", Files[I]);
         Modules.push(std::move(Entry));
       }
@@ -541,9 +580,7 @@ int cmdNaive(const Args &A) {
     usage();
     return 1;
   }
-  PipelineOptions Opts = pipelineOptionsFromArgs(A);
-  if (Opts.Passes.empty())
-    Opts.Passes = {"naive-close"};
+  PipelineOptions Opts = pipelineOptionsFromArgs(A, {"naive-close"});
   if (!argsOk(A))
     return 1;
   CompileResult R = compileFileOrDie(A.Positional[0], Opts, A);
@@ -562,9 +599,7 @@ int cmdInterface(const Args &A) {
     usage();
     return 1;
   }
-  PipelineOptions Opts = pipelineOptionsFromArgs(A);
-  if (Opts.Passes.empty())
-    Opts.Passes = {"interface"};
+  PipelineOptions Opts = pipelineOptionsFromArgs(A, {"interface"});
   if (!argsOk(A))
     return 1;
   CompileResult R = compileFileOrDie(A.Positional[0], Opts, A);
