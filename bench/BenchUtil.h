@@ -73,7 +73,7 @@ private:
 };
 
 /// Events-per-second that is always finite: zero-elapsed (sub-tick) runs
-/// report 0 instead of inf/nan, so rates are safe to serialize and to
+/// report 0 instead of inf/nan, so rates are safe to write as JSON and to
 /// divide by each other.
 inline double safeRate(uint64_t Count, double Seconds) {
   double R = Seconds > 0 ? static_cast<double>(Count) / Seconds : 0;

@@ -5,9 +5,9 @@
 # machine-readable artifacts the tree emits:
 #   * the sanitizer suites (Tsan: state cache, work pool, steal
 #     equivalence, lexer atom table, name table; Asan+UBSan: pass
-#     pipeline, vm, runtime, analysis cache, domain partition; all with
-#     asserts on) are re-run by name (the full ctest pass above includes
-#     them too; this step fails if one drops out of discovery);
+#     pipeline, vm, runtime, domain partition; all with asserts on) are
+#     re-run by name (the full ctest pass above includes them too; this
+#     step fails if one drops out of discovery);
 #   * the benchmark's own smoke mode (`perfbench/run.py --smoke`) builds
 #     perfbench/ against src/ and checks every workload's verdict;
 #   * bench_experiments' rows must uphold each paper claim (E1-E3, E5-E9);
@@ -52,9 +52,8 @@ echo "== sanitizer suites =="
 #   * Asan+UBSan: the pass pipeline (module replacement, in-place
 #     mutation); the bytecode VM, whose checked-arithmetic handlers (div/mod
 #     by zero, signed overflow) enforce "deterministic RuntimeError, never
-#     UB"; the runtime's flat cell arrays and channel rings; the analysis
-#     cache (stale/garbled blobs) and the domain partition (multi-param
-#     erase compaction).
+#     UB"; the runtime's flat cell arrays and channel rings; and the domain
+#     partition (multi-param erase compaction).
 # Both sanitizer binaries compile src/ with asserts on.
 # (no `grep -q`: with pipefail, its early exit would SIGPIPE ctest)
 for filter in 'Tsan\.StateCache' \
@@ -65,7 +64,7 @@ for filter in 'Tsan\.StateCache' \
               'Asan\.Vm' \
               'Asan\.RuntimeTest\.' \
               'Asan\.RuntimeEdgeTest\.' \
-              'Asan\.(AnalysisCache|BatchClose|DomainPartition)'; do
+              'Asan\.DomainPartition'; do
   if ! (cd "$BUILD" && ctest -N -R "$filter" | grep -E "$filter" >/dev/null); then
     echo "error: no tests match '$filter'" >&2
     exit 1
@@ -372,7 +371,7 @@ print(f"ok: {path} (passes={names}, "
       f"defuse_computed={art['analyses']['defuse']['computed']})")
 EOF
 
-echo "== close --partition --stats-json smoke (warm cache) =="
+echo "== close --partition --stats-json smoke (reused analyses) =="
 "$CLOSER" close examples/minic/resource_manager.mc --partition \
   --verify-each --stats-json "$TMP/partition.json" >/dev/null 2>&1
 python3 - "$TMP/partition.json" <<'EOF'
@@ -391,7 +390,7 @@ assert names == ["parse", "sema", "lower", "verify", "partition", "close"], name
 assert art["options"]["verify_each"] is True
 assert art["partition"]["inputs_partitioned"] + \
        art["partition"]["params_partitioned"] > 0, art["partition"]
-# partition warmed the cache; close must have reused, not recomputed.
+# partition computed the analyses; close must have reused, not recomputed.
 analyses = art["analyses"]
 reused = sum(analyses[a]["reused"] for a in ("alias", "defuse", "envtaint"))
 assert reused > 0, analyses
@@ -421,58 +420,6 @@ assert closing["toss_nodes_deduped"] == 1, closing
 assert closing["nodes_after"] == 663, closing
 print(f"ok: {path} (passes end {names[-2:]}, toss_nodes_deduped=1, "
       f"nodes_after=663)")
-EOF
-
-echo "== incremental close gate (analysis cache) =="
-# Cold -> warm -> one-proc edit over a persistent --analysis-cache DIR.
-# The warm run must restore everything; the edited run must recompute only
-# the touched procedure's def-use graph (plus the interprocedural taint
-# fixpoint, which legitimately depends on every procedure) and reuse the
-# rest from the cache.
-"$CLOSER" gen-corpus --procs 6 --stmts 24 --seed 3 > "$TMP/corpus.mc"
-"$CLOSER" gen-corpus --procs 6 --stmts 24 --seed 3 --tweak 2 \
-  > "$TMP/corpus_tweaked.mc"
-if cmp -s "$TMP/corpus.mc" "$TMP/corpus_tweaked.mc"; then
-  echo "error: --tweak produced an identical corpus" >&2
-  exit 1
-fi
-"$CLOSER" close "$TMP/corpus.mc" --analysis-cache "$TMP/acache" \
-  --stats-json "$TMP/incr_cold.json" >/dev/null 2>&1
-"$CLOSER" close "$TMP/corpus.mc" --analysis-cache "$TMP/acache" \
-  --stats-json "$TMP/incr_warm.json" >/dev/null 2>&1
-"$CLOSER" close "$TMP/corpus_tweaked.mc" --analysis-cache "$TMP/acache" \
-  --stats-json "$TMP/incr_edit.json" >/dev/null 2>&1
-python3 - "$TMP/incr_cold.json" "$TMP/incr_warm.json" "$TMP/incr_edit.json" <<'EOF'
-import json, sys
-cold, warm, edit = (json.load(open(p)) for p in sys.argv[1:4])
-for art in (cold, warm, edit):
-    assert art["schema"] == "closer-close-stats-v1", art.get("schema")
-    assert art["ok"] is True
-    assert "analysis_cache" in art, "cache enabled but no analysis_cache block"
-
-# Cold: nothing to restore, everything computed, entries persisted.
-assert cold["analysis_cache"]["defuse_restored"] == 0, cold["analysis_cache"]
-assert cold["analysis_cache"]["entries_saved"] > 0, cold["analysis_cache"]
-assert cold["analyses"]["defuse"]["computed"] == 6, cold["analyses"]
-
-# Warm: everything served from the cache, nothing recomputed.
-assert warm["analysis_cache"]["alias_restored"] == 1, warm["analysis_cache"]
-assert warm["analysis_cache"]["defuse_restored"] == 6, warm["analysis_cache"]
-assert warm["analysis_cache"]["taint_restored"] == 1, warm["analysis_cache"]
-assert warm["analyses"]["alias"]["computed"] == 0, warm["analyses"]
-assert warm["analyses"]["defuse"]["computed"] == 0, warm["analyses"]
-assert warm["analyses"]["envtaint"]["computed"] == 0, warm["analyses"]
-
-# One-proc edit: only the touched procedure's def-use graph recomputes;
-# the other five restore. Taint is interprocedural, so it recomputes.
-assert edit["analysis_cache"]["defuse_restored"] == 5, edit["analysis_cache"]
-assert edit["analyses"]["defuse"]["computed"] == 1, edit["analyses"]
-assert edit["analyses"]["defuse"]["reused"] == 5, edit["analyses"]
-assert edit["analyses"]["envtaint"]["computed"] == 1, edit["analyses"]
-print(f"ok: incremental close (warm restored {warm['analysis_cache']['defuse_restored']} "
-      f"defuse graphs; one-proc edit recomputed "
-      f"{edit['analyses']['defuse']['computed']}, reused "
-      f"{edit['analyses']['defuse']['reused']})")
 EOF
 
 echo "== all checks passed =="

@@ -77,14 +77,6 @@ public:
     if (!Ctx.M)
       return false;
     Ctx.AM = std::make_unique<AnalysisManager>(*Ctx.M);
-    const PipelineOptions &O = Ctx.EffectiveOptions;
-    if (!O.AnalysisCacheDir.empty()) {
-      // Prefill the fresh manager from the on-disk cache; later passes see
-      // hits as Reused, exactly as with the in-process cache.
-      Ctx.Cache.Enabled = true;
-      AnalysisCache(O.AnalysisCacheDir)
-          .restore(*Ctx.AM, O.Closing.Taint, Ctx.Cache);
-    }
     return true;
   }
 };
@@ -120,12 +112,6 @@ public:
       return false;
     const PipelineOptions &O = Ctx.EffectiveOptions;
     const EnvAnalysis &Analysis = Ctx.AM->getEnvTaint(O.Closing.Taint);
-    // Persist now, while every analysis is still materialized — the
-    // closing transform replaces the module, which rebinds the manager and
-    // drops them all.
-    if (!O.AnalysisCacheDir.empty())
-      AnalysisCache(O.AnalysisCacheDir)
-          .save(*Ctx.AM, O.Closing.Taint, Ctx.Cache);
     auto Closed = std::make_unique<Module>(
         closeModule(*Ctx.M, Analysis, O.Closing, &Ctx.Closing));
     if (!verifyModule(*Closed, Ctx.Diags)) {

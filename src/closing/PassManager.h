@@ -15,9 +15,7 @@
 ///
 /// The context owns the module *and* an AnalysisManager, so a pipeline such
 /// as `partition → close` shares cached alias / define-use / taint results
-/// across passes instead of recomputing them per entry point — previously
-/// `closer partition | closer close` round-tripped through source text
-/// twice and re-ran every analysis from scratch each time.
+/// across passes instead of recomputing them per entry point.
 ///
 /// Contracts passes rely on:
 ///
@@ -43,7 +41,6 @@
 #include "closing/ClosingTransform.h"
 #include "closing/DomainPartition.h"
 #include "closing/InterfaceReport.h"
-#include "dataflow/AnalysisCache.h"
 #include "dataflow/AnalysisManager.h"
 #include "envgen/NaiveClose.h"
 #include "support/Diagnostics.h"
@@ -75,13 +72,6 @@ struct PipelineOptions {
 
   /// Capture emitModuleSource() after each run of the named pass.
   std::string PrintAfter;
-
-  /// Directory of the on-disk analysis cache (dataflow/AnalysisCache.h).
-  /// Empty disables persistence. When set, the lower pass restores every
-  /// matching entry into the AnalysisManager and the close pass saves the
-  /// materialized results back, so re-closing an edited corpus recomputes
-  /// only the touched procedures.
-  std::string AnalysisCacheDir;
 
   ClosingOptions Closing;
   PartitionOptions Partition;
@@ -130,9 +120,6 @@ struct CompileResult {
   std::vector<PassStat> Passes;
   /// Computed/Reused counters of the cached analyses.
   AnalysisStats Analyses;
-  /// On-disk analysis cache traffic (Enabled only when
-  /// PipelineOptions::AnalysisCacheDir was set).
-  AnalysisCacheStats Cache;
   /// (pass name, module source) captures from PrintAfter.
   std::vector<std::pair<std::string, std::string>> Printed;
 

@@ -82,7 +82,6 @@ json::Value closer::compileArtifactToJson(const CompileResult &R) {
   Opts.add("max_representatives",
            static_cast<uint64_t>(O.Partition.MaxRepresentatives));
   Opts.add("naive_domain_bound", O.Naive.DomainBound);
-  Opts.add("analysis_cache_dir", O.AnalysisCacheDir);
   Root.add("options", std::move(Opts));
 
   json::Value Passes = json::Value::array();
@@ -105,15 +104,6 @@ json::Value closer::compileArtifactToJson(const CompileResult &R) {
   Analyses.add("defuse", CounterToJson(R.Analyses.DefUse));
   Analyses.add("envtaint", CounterToJson(R.Analyses.EnvTaint));
   Root.add("analyses", std::move(Analyses));
-
-  if (R.Cache.Enabled) {
-    json::Value Cache = json::Value::object();
-    Cache.add("alias_restored", R.Cache.AliasRestored);
-    Cache.add("defuse_restored", R.Cache.DefUseRestored);
-    Cache.add("taint_restored", R.Cache.TaintRestored);
-    Cache.add("entries_saved", R.Cache.EntriesSaved);
-    Root.add("analysis_cache", std::move(Cache));
-  }
 
   json::Value Closing = json::Value::object();
   Closing.add("nodes_before", static_cast<uint64_t>(R.Closing.NodesBefore));

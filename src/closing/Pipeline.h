@@ -10,9 +10,9 @@
 ///
 /// closer::compile() mirrors closer::explore(): source text plus a
 /// PipelineOptions in, a CompileResult out — the final module, every stat
-/// the executed passes produced, per-pass wall times and the analysis
-/// cache counters, ready to serialize as a `closer-close-stats-v1` JSON
-/// artifact:
+/// the executed passes produced, per-pass wall times and the analyses'
+/// computed/reused counters, ready to write out as a
+/// `closer-close-stats-v1` JSON artifact:
 ///
 /// \code
 ///   closer::PipelineOptions Opts;
@@ -49,8 +49,8 @@ CompileResult compile(const std::string &Source,
 inline const char *closeStatsJsonSchema() { return "closer-close-stats-v1"; }
 
 /// Renders \p R as a `closer-close-stats-v1` document: effective options,
-/// per-pass wall times, analysis cache counters and the per-transform
-/// stats blocks.
+/// per-pass wall times, the analyses' computed/reused counters and the
+/// per-transform stats blocks.
 json::Value compileArtifactToJson(const CompileResult &R);
 
 /// Compiles \p Source and returns the (possibly open) module, or nullptr

@@ -9,8 +9,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <sstream>
-#include <unordered_set>
 
 using namespace closer;
 
@@ -291,138 +289,4 @@ std::vector<std::string> AliasAnalysis::derefTargets(const ProcCfg &Proc,
 bool AliasAnalysis::procUsesPointers(const ProcCfg &Proc) const {
   auto It = ProcHasPointers.find(Proc.Name);
   return It != ProcHasPointers.end() && It->second;
-}
-
-//===----------------------------------------------------------------------===//
-// Serialization (analysis cache)
-//===----------------------------------------------------------------------===//
-
-// Cell names are qualified variable names ("f::x", "::g") and never contain
-// whitespace, so a whitespace-separated token stream round-trips them;
-// anonymous cells serialize as "-".
-
-std::string AliasAnalysis::serialize() const {
-  std::ostringstream Out;
-  Out << "alias-v1\n";
-  Out << "cells " << Parent.size() << "\n";
-  for (size_t C = 0; C != Parent.size(); ++C)
-    Out << (CellNames[C].empty() ? "-" : CellNames[C]) << " "
-        << find(static_cast<Cell>(C)) << " " << Pointee[C] << "\n";
-  Out << "prochasptr " << ProcHasPointers.size() << "\n";
-  // Sorted for deterministic bytes (unordered_map iteration order is not).
-  std::vector<const std::string *> ProcNames;
-  ProcNames.reserve(ProcHasPointers.size());
-  for (const auto &KV : ProcHasPointers)
-    ProcNames.push_back(&KV.first);
-  std::sort(ProcNames.begin(), ProcNames.end(),
-            [](const std::string *A, const std::string *B) { return *A < *B; });
-  for (const std::string *Name : ProcNames)
-    Out << *Name << " " << (ProcHasPointers.at(*Name) ? 1 : 0) << "\n";
-  return Out.str();
-}
-
-std::unique_ptr<AliasAnalysis>
-AliasAnalysis::deserialize(const Module &Mod, const std::string &Blob) {
-  std::istringstream In(Blob);
-  std::string Tag, Word;
-  size_t NCells = 0;
-  if (!(In >> Tag) || Tag != "alias-v1")
-    return nullptr;
-  if (!(In >> Word >> NCells) || Word != "cells")
-    return nullptr;
-
-  std::unique_ptr<AliasAnalysis> A(new AliasAnalysis(Mod, RestoreTag{}));
-  A->Parent.resize(NCells);
-  A->Pointee.resize(NCells);
-  A->CellNames.resize(NCells);
-  for (size_t C = 0; C != NCells; ++C) {
-    std::string Name;
-    long long Par = 0, Pt = 0;
-    if (!(In >> Name >> Par >> Pt))
-      return nullptr;
-    if (Par < 0 || static_cast<size_t>(Par) >= NCells || Pt < -1 ||
-        Pt >= static_cast<long long>(NCells))
-      return nullptr;
-    A->CellNames[C] = Name == "-" ? std::string() : Name;
-    A->Parent[C] = static_cast<Cell>(Par);
-    A->Pointee[C] = static_cast<Cell>(Pt);
-    if (!A->CellNames[C].empty())
-      A->VarCells.emplace(A->CellNames[C], static_cast<Cell>(C));
-  }
-  size_t NProcs = 0;
-  if (!(In >> Word >> NProcs) || Word != "prochasptr")
-    return nullptr;
-  for (size_t I = 0; I != NProcs; ++I) {
-    std::string Name;
-    int Flag = 0;
-    if (!(In >> Name >> Flag))
-      return nullptr;
-    A->ProcHasPointers[Name] = Flag != 0;
-  }
-  // Rebuild the representative -> members index exactly as the analyzing
-  // constructor does.
-  for (const auto &[Qual, Cell] : A->VarCells)
-    A->Members[A->find(Cell)].push_back(Qual);
-  for (auto &[Rep, Names] : A->Members)
-    std::sort(Names.begin(), Names.end());
-  return A;
-}
-
-uint64_t AliasAnalysis::resultFingerprint() const {
-  // FNV-1a over a canonical rendering of the solved facts.
-  uint64_t H = 0xcbf29ce484222325ull;
-  auto Mix = [&H](const std::string &S) {
-    for (unsigned char C : S) {
-      H ^= C;
-      H *= 1099511628211ull;
-    }
-    H ^= '\n';
-    H *= 1099511628211ull;
-  };
-  Mix("alias-fp-v1");
-
-  // Canonical class names: the smallest member of each named class
-  // (Members lists are sorted), "@k" for anonymous pointee classes in
-  // discovery order below. Both are independent of cell numbering.
-  std::unordered_map<Cell, const std::string *> RootName;
-  for (const auto &KV : Members)
-    RootName.emplace(find(KV.first), &KV.second.front());
-
-  std::vector<const std::string *> Quals;
-  Quals.reserve(VarCells.size());
-  for (const auto &KV : VarCells)
-    Quals.push_back(&KV.first);
-  std::sort(Quals.begin(), Quals.end(),
-            [](const std::string *A, const std::string *B) { return *A < *B; });
-
-  std::vector<Cell> Order; ///< Class roots in canonical discovery order.
-  std::unordered_set<Cell> Seen;
-  for (const std::string *Qual : Quals) {
-    Cell Root = find(VarCells.at(*Qual));
-    Mix(*Qual + "=" + *RootName.at(Root));
-    if (Seen.insert(Root).second)
-      Order.push_back(Root);
-  }
-
-  // Pointee edges, chasing through anonymous classes (Order grows as they
-  // are discovered; each root is visited once).
-  std::vector<std::string> AnonNames;
-  // Reserve up front: RootName keeps pointers into AnonNames, which must
-  // not reallocate. At most one anonymous class per cell exists.
-  AnonNames.reserve(Parent.size());
-  for (size_t I = 0; I != Order.size(); ++I) {
-    Cell Root = Order[I];
-    Cell Pt = Pointee[Root];
-    if (Pt < 0)
-      continue;
-    Cell PtRoot = find(Pt);
-    auto It = RootName.find(PtRoot);
-    if (It == RootName.end()) {
-      AnonNames.push_back("@" + std::to_string(AnonNames.size()));
-      It = RootName.emplace(PtRoot, &AnonNames.back()).first;
-      Order.push_back(PtRoot);
-    }
-    Mix(*RootName.at(Root) + ">" + *It->second);
-  }
-  return H;
 }

@@ -26,8 +26,6 @@
 
 #include "cfg/Cfg.h"
 
-#include <cstdint>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -55,26 +53,6 @@ public:
   /// Runs the analysis over \p Mod.
   explicit AliasAnalysis(const Module &Mod);
 
-  /// Serializes the solved analysis (union-find cells, pointee edges,
-  /// per-procedure pointer flags) as a self-describing text blob for the
-  /// on-disk analysis cache.
-  std::string serialize() const;
-
-  /// Rebuilds an analysis from a serialize() blob. Returns null on any
-  /// structural mismatch; the caller guarantees (by fingerprint keying)
-  /// that \p Mod is the module the blob was computed on.
-  static std::unique_ptr<AliasAnalysis> deserialize(const Module &Mod,
-                                                    const std::string &Blob);
-
-  /// A fingerprint of the *solved facts* — alias classes canonicalized by
-  /// their lexicographically smallest member and pointee edges between the
-  /// canonical class names — independent of union order, path compression
-  /// and cell numbering. Two modules with equal result fingerprints have
-  /// byte-identical pointsTo()/derefTargets() answers for shared variable
-  /// names, which is what keys the define-use entries of the analysis
-  /// cache.
-  uint64_t resultFingerprint() const;
-
   /// Qualified names of the variables `*p` may reference when \p PtrVar is
   /// evaluated inside \p Proc. Empty when \p PtrVar provably never holds an
   /// address.
@@ -92,11 +70,6 @@ public:
 
 private:
   using Cell = int;
-
-  /// Deserialization shell: binds the module, leaves the state empty for
-  /// deserialize() to fill in.
-  struct RestoreTag {};
-  AliasAnalysis(const Module &Mod, RestoreTag) : Mod(Mod) {}
 
   Cell cellOf(const std::string &Qual);
   Cell find(Cell C) const;

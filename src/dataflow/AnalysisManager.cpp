@@ -58,33 +58,6 @@ const EnvAnalysis &AnalysisManager::getEnvTaint(const TaintOptions &Options) {
   return *Taint;
 }
 
-void AnalysisManager::preloadAlias(std::unique_ptr<AliasAnalysis> A) {
-  Alias = std::move(A);
-}
-
-void AnalysisManager::preloadDefUse(size_t ProcIdx,
-                                    std::unique_ptr<ProcDataflow> DF) {
-  assert(ProcIdx < DefUse.size() && "procedure index out of range");
-  DefUse[ProcIdx] = std::move(DF);
-}
-
-bool AnalysisManager::preloadEnvTaint(TaintResult Restored,
-                                      const TaintOptions &Options) {
-  if (!Alias)
-    return false;
-  std::vector<const ProcDataflow *> Dataflows;
-  Dataflows.reserve(DefUse.size());
-  for (const std::unique_ptr<ProcDataflow> &DF : DefUse) {
-    if (!DF)
-      return false;
-    Dataflows.push_back(DF.get());
-  }
-  Taint = std::make_unique<EnvAnalysis>(*M, *Alias, std::move(Dataflows),
-                                        std::move(Restored));
-  TaintOpts = Options;
-  return true;
-}
-
 void AnalysisManager::invalidateProc(size_t ProcIdx, bool AliasPreserved) {
   // The taint fixpoint spans the whole module and borrows the dropped
   // define-use graph; it never survives a CFG mutation.

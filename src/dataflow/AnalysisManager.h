@@ -75,30 +75,6 @@ public:
   /// when \p Options match the ones it was computed with.
   const EnvAnalysis &getEnvTaint(const TaintOptions &Options = {});
 
-  /// Cache-restore hooks (dataflow/AnalysisCache.h): install results that
-  /// an earlier process computed on an identical module, without touching
-  /// the Computed/Reused counters — a later get*() then counts as a reuse,
-  /// which is exactly the payoff the cache claims. The caller certifies
-  /// validity by fingerprint keying.
-  void preloadAlias(std::unique_ptr<AliasAnalysis> A);
-  void preloadDefUse(size_t ProcIdx, std::unique_ptr<ProcDataflow> DF);
-
-  /// Installs a restored taint fixpoint over the already-materialized
-  /// alias and define-use results; returns false (and installs nothing)
-  /// when any of those are missing.
-  bool preloadEnvTaint(TaintResult Restored, const TaintOptions &Options);
-
-  /// Cache-save accessors: the currently materialized results, if any,
-  /// without computing or counting anything.
-  const AliasAnalysis *cachedAlias() const { return Alias.get(); }
-  const ProcDataflow *cachedDefUse(size_t ProcIdx) const {
-    return ProcIdx < DefUse.size() ? DefUse[ProcIdx].get() : nullptr;
-  }
-  const EnvAnalysis *cachedEnvTaint(const TaintOptions &Options) const {
-    return Taint && TaintOpts.CoarseMode == Options.CoarseMode ? Taint.get()
-                                                               : nullptr;
-  }
-
   /// A transform pass rewrote procedure \p ProcIdx in place (the ProcCfg
   /// object was assigned to; no other procedure moved). \p AliasPreserved
   /// asserts that no points-to fact changed.

@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
-#include <sstream>
 #include <unordered_map>
 
 using namespace closer;
@@ -103,12 +102,6 @@ public:
     return It->second;
   }
 
-  /// The provisional id of \p Name, or NoId.
-  uint32_t find(const std::string &Name) const {
-    auto It = Ids.find(Name);
-    return It == Ids.end() ? NoId : It->second;
-  }
-
   std::vector<uint32_t> finish(std::vector<std::string> &Names) {
     std::vector<uint32_t> Sorted(Order.size());
     std::iota(Sorted.begin(), Sorted.end(), 0u);
@@ -123,8 +116,6 @@ public:
     }
     return Remap;
   }
-
-  static constexpr uint32_t NoId = ~uint32_t(0);
 
 private:
   std::unordered_map<std::string, uint32_t> Ids;
@@ -540,160 +531,6 @@ void ProcDataflow::buildArcs(const std::vector<FlatArc> &Arcs) {
     DuPredDat[PredAt[A.To]++] = {A.From, Var};
   }
   NumArcs = Arcs.size();
-}
-
-//===----------------------------------------------------------------------===//
-// Serialization (analysis cache)
-//===----------------------------------------------------------------------===//
-
-// Variable names (plain or qualified "p::x") never contain whitespace, so a
-// whitespace-separated token stream round-trips everything. DuPred and
-// NumArcs are derived from DuSucc on load.
-
-std::string ProcDataflow::serialize() const {
-  std::ostringstream Out;
-  size_t N = Proc.Nodes.size();
-  Out << "du-v1\nnodes " << N << "\n";
-
-  // Def-site variables, in id order (ids index the entry lines).
-  Out << "vars " << DefVars.size();
-  for (uint32_t Name : DefVars)
-    Out << " " << Names[Name];
-  Out << "\n";
-
-  auto EmitSet = [&Out](const char *Tag, NameRange S) {
-    Out << " " << Tag << " " << S.size();
-    for (const std::string &Name : S)
-      Out << " " << Name;
-    Out << "\n";
-  };
-  for (size_t I = 0; I != N; ++I) {
-    NodeId Id = static_cast<NodeId>(I);
-    Out << "node " << I << "\n";
-    EmitSet("uses", uses(Id));
-    EmitSet("xuses", crossUses(Id));
-    Out << " unk " << (NodeUsesUnknown[I] ? 1 : 0) << "\n";
-    DefRange D = defs(Id);
-    Out << " defs " << D.size();
-    for (const VarDef &Def : D)
-      Out << " " << Def.Name << " " << (Def.Strong ? 1 : 0);
-    Out << "\n";
-    EmitSet("xdefs", crossDefs(Id));
-    DuArcRange Succ = duSuccessors(Id);
-    Out << " succ " << Succ.size();
-    for (const DuArc &A : Succ)
-      Out << " " << A.Node << " " << *A.Var;
-    Out << "\n";
-    Out << " entry " << (EntryReaching.end(I) - EntryReaching.begin(I));
-    for (const uint32_t *V = EntryReaching.begin(I), *VE = EntryReaching.end(I);
-         V != VE; ++V)
-      Out << " " << *V;
-    Out << "\n";
-  }
-  return Out.str();
-}
-
-std::unique_ptr<ProcDataflow>
-ProcDataflow::deserialize(const ProcCfg &Proc, const std::string &Blob) {
-  std::istringstream In(Blob);
-  std::string Tag, Word;
-  size_t N = 0, NVars = 0;
-  if (!(In >> Tag) || Tag != "du-v1")
-    return nullptr;
-  if (!(In >> Word >> N) || Word != "nodes" || N != Proc.Nodes.size())
-    return nullptr;
-
-  std::unique_ptr<ProcDataflow> DF(new ProcDataflow(Proc, RestoreTag{}));
-  // Names are interned provisionally while reading and sorted at the end;
-  // the def-site variables come first, so their provisional ids are their
-  // DefVars indices.
-  NameInterner Interner;
-  if (!(In >> Word >> NVars) || Word != "vars")
-    return nullptr;
-  for (size_t V = 0; V != NVars; ++V) {
-    std::string Name;
-    if (!(In >> Name) || Interner.intern(Name) != V)
-      return nullptr;
-    DF->DefVars.push_back(static_cast<uint32_t>(V));
-  }
-
-  for (NodeIdLists *L : {&DF->Uses, &DF->CrossUses, &DF->Defs,
-                         &DF->CrossDefs, &DF->EntryReaching}) {
-    L->Off.reserve(N + 1);
-    L->Off.push_back(0);
-  }
-  DF->NodeUsesUnknown.assign(N, false);
-
-  auto ReadSet = [&In, &Interner](const char *Expect, NodeIdLists &L) {
-    std::string W, Name;
-    size_t Count = 0;
-    if (!(In >> W >> Count) || W != Expect)
-      return false;
-    for (size_t K = 0; K != Count; ++K) {
-      if (!(In >> Name))
-        return false;
-      L.Dat.push_back(Interner.intern(Name));
-    }
-    closeNode(L);
-    return true;
-  };
-  std::vector<FlatArc> Arcs;
-  for (size_t I = 0; I != N; ++I) {
-    size_t Id = 0, Count = 0;
-    int Flag = 0;
-    if (!(In >> Word >> Id) || Word != "node" || Id != I)
-      return nullptr;
-    if (!ReadSet("uses", DF->Uses) || !ReadSet("xuses", DF->CrossUses))
-      return nullptr;
-    if (!(In >> Word >> Flag) || Word != "unk")
-      return nullptr;
-    DF->NodeUsesUnknown[I] = Flag != 0;
-    if (!(In >> Word >> Count) || Word != "defs")
-      return nullptr;
-    for (size_t K = 0; K != Count; ++K) {
-      std::string Name;
-      if (!(In >> Name >> Flag))
-        return nullptr;
-      DF->Defs.Dat.push_back(Interner.intern(Name) << 1 | (Flag != 0));
-    }
-    closeNode(DF->Defs);
-    if (!ReadSet("xdefs", DF->CrossDefs))
-      return nullptr;
-    if (!(In >> Word >> Count) || Word != "succ")
-      return nullptr;
-    for (size_t K = 0; K != Count; ++K) {
-      size_t To = 0;
-      std::string Var;
-      if (!(In >> To >> Var) || To >= N)
-        return nullptr;
-      // Arc labels are def-site variables, so they must appear in the
-      // table read above; anything else is a corrupt blob.
-      uint32_t V = Interner.find(Var);
-      if (V >= NVars)
-        return nullptr;
-      Arcs.push_back({static_cast<NodeId>(I), static_cast<NodeId>(To), V});
-    }
-    if (!(In >> Word >> Count) || Word != "entry")
-      return nullptr;
-    for (size_t K = 0; K != Count; ++K) {
-      uint32_t V = 0;
-      if (!(In >> V) || V >= NVars)
-        return nullptr;
-      DF->EntryReaching.Dat.push_back(V);
-    }
-    closeNode(DF->EntryReaching);
-  }
-
-  std::vector<uint32_t> Remap = Interner.finish(DF->Names);
-  finishNameSets(DF->Uses, Remap);
-  finishNameSets(DF->CrossUses, Remap);
-  finishNameSets(DF->CrossDefs, Remap);
-  finishDefs(DF->Defs, Remap);
-  for (uint32_t &Name : DF->DefVars)
-    Name = Remap[Name];
-  dropIfEmpty(DF->EntryReaching);
-  DF->buildArcs(Arcs);
-  return DF;
 }
 
 bool ProcDataflow::paramEntryReaches(NodeId N, const std::string &Var) const {

@@ -42,7 +42,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <iterator>
-#include <memory>
 #include <set>
 #include <string>
 #include <string_view>
@@ -193,17 +192,6 @@ public:
   ProcDataflow(const Module &Mod, const ProcCfg &Proc,
                const AliasAnalysis &Alias);
 
-  /// Serializes the computed graph (use/def sets, define-use arcs, entry
-  /// reachability) as a text blob for the on-disk analysis cache.
-  std::string serialize() const;
-
-  /// Rebuilds a dataflow from a serialize() blob. Returns null on any
-  /// structural mismatch (e.g. node count differs from \p Proc); the
-  /// caller guarantees by fingerprint keying that \p Proc and the alias
-  /// facts match the blob.
-  static std::unique_ptr<ProcDataflow> deserialize(const ProcCfg &Proc,
-                                                   const std::string &Blob);
-
   const ProcCfg &proc() const { return Proc; }
 
   NameRange uses(NodeId N) const { return names(Uses, N); }
@@ -233,11 +221,6 @@ public:
   size_t arcCount() const { return NumArcs; }
 
 private:
-  /// Deserialization shell: binds the procedure, leaves the state empty
-  /// for deserialize() to fill in.
-  struct RestoreTag {};
-  ProcDataflow(const ProcCfg &Proc, RestoreTag) : Proc(Proc) {}
-
   NameRange names(const NodeIdLists &L, NodeId N) const {
     return {L.begin(N), L.end(N), Names.data()};
   }

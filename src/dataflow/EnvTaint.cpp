@@ -85,17 +85,6 @@ EnvAnalysis::EnvAnalysis(const Module &Mod, const AliasAnalysis &Alias,
   runFixpoint(Options);
 }
 
-EnvAnalysis::EnvAnalysis(const Module &Mod, const AliasAnalysis &Alias,
-                         std::vector<const ProcDataflow *> Dataflows,
-                         TaintResult Restored)
-    : Mod(Mod), AliasPtr(&Alias), DataflowPtrs(std::move(Dataflows)),
-      Result(std::move(Restored)) {
-  assert(DataflowPtrs.size() == Mod.Procs.size() &&
-         "one dataflow per procedure");
-  assert(Result.Procs.size() == Mod.Procs.size() &&
-         "restored result must cover every procedure");
-}
-
 namespace {
 
 /// Size snapshot of all monotone sets, for fixpoint detection.

@@ -115,15 +115,6 @@ public:
               std::vector<const ProcDataflow *> Dataflows,
               TaintOptions Options = {});
 
-  /// Rehydrating constructor for the analysis cache: installs a previously
-  /// computed TaintResult instead of running the fixpoint. The caller
-  /// certifies (by fingerprint keying) that \p Restored was computed on an
-  /// identical module with identical options; \p Alias and \p Dataflows
-  /// obey the borrowing constructor's contract.
-  EnvAnalysis(const Module &Mod, const AliasAnalysis &Alias,
-              std::vector<const ProcDataflow *> Dataflows,
-              TaintResult Restored);
-
   const Module &module() const { return Mod; }
   const AliasAnalysis &alias() const { return *AliasPtr; }
   const ProcDataflow &dataflow(size_t ProcIdx) const {

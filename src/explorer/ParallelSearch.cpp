@@ -269,7 +269,7 @@ bool Explorer::donateOne(ExploreScheduler &Sched, int W) {
     Item.Prefix.push_back(D.step(End - 1));
     // Ship the deepest checkpoint at or below the donation point: its
     // snapshot is the state before Path[Cursor] with the current choices
-    // [0, Cursor), which are exactly the prefix steps just serialized
+    // [0, Cursor), which are exactly the prefix steps just recorded
     // (Cursor <= I, and backtracking can only have changed choices at or
     // above the checkpoint's own cursor, which pops it first). The
     // receiver then replays Prefix[Cursor..] instead of the whole prefix.

@@ -288,7 +288,7 @@ private:
   /// checkpoint, the first runOnce() restores it and replays only the
   /// prefix tail; the covered head is materialized as placeholder
   /// decisions (single-option, never executed) so currentChoices() and
-  /// donation prefixes still serialize the full path from the root.
+  /// donation prefixes still record the full path from the root.
   void beginSubtree(WorkItem Item);
   /// Moves one unexplored sibling subtree from the current path to worker
   /// \p W's deque (whence an idle worker steals it).

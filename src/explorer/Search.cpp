@@ -342,7 +342,7 @@ void Explorer::beginSubtree(WorkItem Item) {
          "snapshot must sit strictly inside the work-item prefix");
   // Placeholder decisions for the snapshot-covered head: Cursor starts at
   // SnapCursor on every run of this item, so these are never executed or
-  // backtracked (they sit below Floor) — they only have to serialize
+  // backtracked (they sit below Floor) — they only have to render
   // correctly, which needs exactly one option carrying the seed value.
   // Their vectors come from IntPool like every other scheduling decision's,
   // because clearPath() releases them there.

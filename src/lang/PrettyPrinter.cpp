@@ -1,4 +1,4 @@
-//===- PrettyPrinter.cpp - MiniC source emission ---------------------------===//
+//===- PrettyPrinter.cpp - MiniC expression printing ----------------------===//
 //
 // Part of the closer project: a reproduction of "Automatically Closing Open
 // Reactive Programs" (Colby, Godefroid, Jagadeesan, PLDI 1998).
@@ -90,10 +90,6 @@ std::string printSub(const Expr *Parent, const Expr *Child) {
   return Text;
 }
 
-std::string indentText(unsigned Indent) {
-  return std::string(2 * Indent, ' ');
-}
-
 std::string printIntLit(int64_t Value) {
   const AtomTable &Atoms = AtomTable::global();
   if (Atoms.isAtom(Value))
@@ -140,151 +136,4 @@ std::string closer::printExpr(const Expr *E) {
   }
   }
   return "<bad-expr>";
-}
-
-std::string closer::printStmt(const Stmt *S, unsigned Indent) {
-  if (!S)
-    return "";
-  std::string Pad = indentText(Indent);
-  switch (S->Kind) {
-  case StmtKind::VarDecl: {
-    std::string Out = Pad + "var " + S->Name;
-    if (S->ArraySize >= 0)
-      Out += "[" + std::to_string(S->ArraySize) + "]";
-    if (S->Cond)
-      Out += " = " + printExpr(S->Cond.get());
-    return Out + ";\n";
-  }
-  case StmtKind::Assign:
-    return Pad + printExpr(S->Target.get()) + " = " +
-           printExpr(S->Value.get()) + ";\n";
-  case StmtKind::ExprCall:
-    return Pad + printExpr(S->Value.get()) + ";\n";
-  case StmtKind::If: {
-    std::string Out =
-        Pad + "if (" + printExpr(S->Cond.get()) + ")\n";
-    Out += printStmt(S->ThenBody.get(),
-                     S->ThenBody->Kind == StmtKind::Block ? Indent
-                                                          : Indent + 1);
-    if (S->ElseBody) {
-      Out += Pad + "else\n";
-      Out += printStmt(S->ElseBody.get(),
-                       S->ElseBody->Kind == StmtKind::Block ? Indent
-                                                            : Indent + 1);
-    }
-    return Out;
-  }
-  case StmtKind::While: {
-    std::string Out = Pad + "while (" + printExpr(S->Cond.get()) + ")\n";
-    Out += printStmt(S->ThenBody.get(),
-                     S->ThenBody->Kind == StmtKind::Block ? Indent
-                                                          : Indent + 1);
-    return Out;
-  }
-  case StmtKind::For: {
-    std::string Init, Step;
-    if (S->InitStmt) {
-      Init = printStmt(S->InitStmt.get(), 0);
-      // Strip trailing ";\n" back to an inline clause.
-      while (!Init.empty() && (Init.back() == '\n' || Init.back() == ';'))
-        Init.pop_back();
-    }
-    if (S->StepStmt) {
-      Step = printStmt(S->StepStmt.get(), 0);
-      while (!Step.empty() && (Step.back() == '\n' || Step.back() == ';'))
-        Step.pop_back();
-    }
-    std::string Out = Pad + "for (" + Init + "; " +
-                      (S->Cond ? printExpr(S->Cond.get()) : "") + "; " + Step +
-                      ")\n";
-    Out += printStmt(S->ThenBody.get(),
-                     S->ThenBody->Kind == StmtKind::Block ? Indent
-                                                          : Indent + 1);
-    return Out;
-  }
-  case StmtKind::Switch: {
-    std::string Out = Pad + "switch (" + printExpr(S->Cond.get()) + ") {\n";
-    for (const SwitchCase &Arm : S->Cases) {
-      Out += indentText(Indent) + "case " + printIntLit(Arm.Value) + ":\n";
-      for (const StmtPtr &Sub : Arm.Body)
-        Out += printStmt(Sub.get(), Indent + 1);
-    }
-    if (S->HasDefault) {
-      Out += indentText(Indent) + "default:\n";
-      for (const StmtPtr &Sub : S->DefaultBody)
-        Out += printStmt(Sub.get(), Indent + 1);
-    }
-    return Out + Pad + "}\n";
-  }
-  case StmtKind::Return:
-    if (S->Cond)
-      return Pad + "return " + printExpr(S->Cond.get()) + ";\n";
-    return Pad + "return;\n";
-  case StmtKind::Break:
-    return Pad + "break;\n";
-  case StmtKind::Continue:
-    return Pad + "continue;\n";
-  case StmtKind::Goto:
-    return Pad + "goto " + S->Name + ";\n";
-  case StmtKind::Label:
-    return Pad + S->Name + ":\n" + printStmt(S->ThenBody.get(), Indent);
-  case StmtKind::Block: {
-    std::string Out = Pad + "{\n";
-    for (const StmtPtr &Sub : S->Body)
-      Out += printStmt(Sub.get(), Indent + 1);
-    return Out + Pad + "}\n";
-  }
-  case StmtKind::Empty:
-    return Pad + ";\n";
-  }
-  return Pad + "<bad-stmt>\n";
-}
-
-std::string closer::printProgram(const Program &Prog) {
-  std::string Out;
-  for (const CommDecl &C : Prog.Comms) {
-    switch (C.Kind) {
-    case CommKind::Channel:
-      Out += "chan " + C.Name + "[" + std::to_string(C.Param) + "];\n";
-      break;
-    case CommKind::Semaphore:
-      Out += "sem " + C.Name + "(" + std::to_string(C.Param) + ");\n";
-      break;
-    case CommKind::SharedVar:
-      Out += "shared " + C.Name +
-             (C.Param ? " = " + std::to_string(C.Param) : "") + ";\n";
-      break;
-    }
-  }
-  for (const GlobalDecl &G : Prog.Globals) {
-    Out += "var " + G.Name;
-    if (G.ArraySize >= 0)
-      Out += "[" + std::to_string(G.ArraySize) + "]";
-    if (G.Init)
-      Out += " = " + std::to_string(G.Init);
-    Out += ";\n";
-  }
-  if (!Out.empty())
-    Out += "\n";
-  for (const ProcDecl &P : Prog.Procs) {
-    Out += "proc " + P.Name + "(";
-    for (size_t I = 0, N = P.Params.size(); I != N; ++I) {
-      if (I)
-        Out += ", ";
-      Out += P.Params[I].Name;
-    }
-    Out += ")\n";
-    Out += printStmt(P.Body.get(), 0);
-    Out += "\n";
-  }
-  for (const ProcessDecl &P : Prog.Processes) {
-    Out += "process " + P.Name + " = " + P.ProcName + "(";
-    for (size_t I = 0, N = P.Args.size(); I != N; ++I) {
-      if (I)
-        Out += ", ";
-      Out += P.Args[I].IsEnv ? "env" : printIntLit(P.Args[I].Value);
-    }
-    Out += ");\n";
-  }
-  return Out;
 }

@@ -1,4 +1,4 @@
-//===- PrettyPrinter.h - MiniC source emission -----------------*- C++ -*-===//
+//===- PrettyPrinter.h - MiniC expression printing -------------*- C++ -*-===//
 //
 // Part of the closer project: a reproduction of "Automatically Closing Open
 // Reactive Programs" (Colby, Godefroid, Jagadeesan, PLDI 1998).
@@ -6,10 +6,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Renders MiniC ASTs (and individual expressions) back to source text. The
-/// output reparses to an equivalent program; round-tripping is covered by
-/// the parser tests. Atom-valued integer literals are rendered back in
-/// quoted form when the atom table knows their spelling.
+/// Renders MiniC expressions back to source text, for the CFG printers
+/// (cfg/CfgPrinter.h), whose emitModuleSource() is the one source emitter;
+/// RoundTripTest covers that emit -> reparse round trip. Atom-valued
+/// integer literals are rendered back in quoted form when the atom table
+/// knows their spelling.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,12 +25,6 @@ namespace closer {
 
 /// Renders an expression as source text, parenthesized as needed.
 std::string printExpr(const Expr *E);
-
-/// Renders a statement subtree with \p Indent leading double-space units.
-std::string printStmt(const Stmt *S, unsigned Indent = 0);
-
-/// Renders a whole program.
-std::string printProgram(const Program &Prog);
 
 } // namespace closer
 

@@ -7,6 +7,7 @@
 
 #include "support/CommandLine.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
@@ -18,14 +19,28 @@ void Args::fail(const std::string &Message) const {
     Error = Message;
 }
 
-bool Args::has(const std::string &Flag) const {
+void Args::rejectUnread() const {
+  std::vector<std::string> Unread;
   for (const auto &[Name, _] : Flags)
-    if (Name == Flag)
-      return true;
-  return false;
+    if (!Asked.count(Name) &&
+        std::find(Unread.begin(), Unread.end(), Name) == Unread.end())
+      Unread.push_back(Name);
+  if (Unread.empty())
+    return;
+  std::string List;
+  for (const std::string &Name : Unread)
+    List += (List.empty() ? "'" : ", '") + Name + "'";
+  fail((Unread.size() == 1 ? "option " + List + " does"
+                           : "options " + List + " do") +
+       " not apply to this command");
+}
+
+bool Args::has(const std::string &Flag) const {
+  return value(Flag) != nullptr;
 }
 
 const std::string *Args::value(const std::string &Flag) const {
+  Asked.insert(Flag);
   for (const auto &[Name, Val] : Flags)
     if (Name == Flag)
       return &Val;

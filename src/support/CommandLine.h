@@ -13,6 +13,9 @@
 /// that made `closer explore --stop-on-error prog.mc` die with the usage
 /// text). Numeric accessors validate strictly: `--depth foo` and
 /// `--max-runs 1e6` are diagnosed instead of silently becoming 0 and 1.
+/// Every accessor records the flag it was asked about, so a flag the
+/// subcommand never reads (`closer close --depth 3`) is diagnosed too
+/// instead of being silently ignored.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +23,7 @@
 #define CLOSER_SUPPORT_COMMANDLINE_H
 
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -67,6 +71,14 @@ struct Args {
 
   /// Records \p Message as the first diagnostic (later failures keep it).
   void fail(const std::string &Message) const;
+
+  /// Records a diagnostic naming every given flag that no accessor has
+  /// been asked about: the subcommand never reads it, so it would have no
+  /// effect. Call once the subcommand has read all of its options.
+  void rejectUnread() const;
+
+  /// Flags the accessors have been asked about, given or not.
+  mutable std::set<std::string> Asked;
 };
 
 /// Parses Argv[From..Argc) against \p Spec. Unknown flags, boolean flags

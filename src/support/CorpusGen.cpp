@@ -57,11 +57,6 @@ std::string closer::generateCorpusSource(const CorpusConfig &Config) {
         break;
       }
     }
-    // The "edit": pure local arithmetic, so the tweaked corpus has the
-    // same variables and points-to facts (none) — only this procedure's
-    // fingerprint changes.
-    if (static_cast<int>(P) == Config.TweakProc)
-      S += "  v0 = v0 * 3 + 1;\n";
     S += "}\n";
   }
   // Environment-instantiated processes keep the corpus open (env-bound

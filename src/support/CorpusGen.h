@@ -10,8 +10,7 @@
 /// procedures of S statements each, mixing environment inputs, tainted and
 /// untainted arithmetic, global writes, channel sends and cross-procedure
 /// calls. Shared by `closer gen-corpus`, the scaling benchmark and the
-/// incremental-closing tests (which need two corpora differing in exactly
-/// one procedure — see CorpusConfig::TweakProc).
+/// batch-closing tests.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,11 +26,6 @@ struct CorpusConfig {
   int Procs = 8;         ///< Number of procedures p0..p{N-1}.
   int StmtsPerProc = 32; ///< Generated statements per procedure body.
   uint64_t Seed = 11;    ///< PRNG seed; same config -> same bytes.
-  /// When in [0, Procs), append one extra (pure, pointer-free) statement
-  /// to that procedure's body: the result differs from the untweaked
-  /// corpus in exactly one procedure, which is how the incremental
-  /// analysis-cache gate produces an "edited corpus".
-  int TweakProc = -1;
 };
 
 /// Emits the corpus as MiniC source.

@@ -8,7 +8,7 @@
 /// \file
 /// A small JSON *writer* shared by the run-artifact emitter
 /// (`closer explore --stats-json`) and the benchmark outputs
-/// (`bench/BenchUtil.h`). Build a tree of `json::Value`s and serialize it
+/// (`bench/BenchUtil.h`). Build a tree of `json::Value`s and print it
 /// compactly or pretty-printed; object members keep insertion order so the
 /// emitted artifacts are deterministic and diffable across runs.
 ///
@@ -113,8 +113,8 @@ public:
     return Out;
   }
 
-  /// Serializes the value. \p Pretty uses two-space indentation; compact
-  /// mode matches the historical bench format (`"key": value` pairs
+  /// Renders the value as JSON text. \p Pretty uses two-space indentation;
+  /// compact mode matches the historical bench format (`"key": value` pairs
   /// separated by `, ` on one line).
   std::string str(bool Pretty = false) const {
     std::string Out;

@@ -11,7 +11,8 @@
 //  * a positional argument following a boolean flag was swallowed as the
 //    flag's value (`closer explore --stop-on-error prog.mc` lost prog.mc);
 //  * numeric flag values went through unchecked strtol, so `--depth foo`
-//    silently meant 0 and `--max-runs 1e6` silently meant 1.
+//    silently meant 0 and `--max-runs 1e6` silently meant 1;
+//  * a flag the subcommand never read was silently ignored.
 //
 //===----------------------------------------------------------------------===//
 
@@ -177,6 +178,34 @@ TEST(CliTest, FirstErrorWins) {
   std::string First = A.Error;
   A.intOf("--max-runs", 0);
   EXPECT_EQ(A.Error, First);
+}
+
+TEST(CliTest, UnreadFlagsAreDiagnosed) {
+  // A subcommand used to ignore a flag it never read: `closer close
+  // prog.mc --depth 3` closed the program and exited 0.
+  Args A = parse({"prog.mc", "--depth", "3", "--no-por", "--no-por"});
+  A.countOf("--depth", 0);
+  A.has("--max-runs"); // Asked about but not given: nothing to report.
+  A.rejectUnread();
+  EXPECT_EQ(A.Error, "option '--no-por' does not apply to this command");
+
+  Args B = parse({"--stats-json", "x.json", "--progress", "-D", "2"});
+  B.rejectUnread();
+  EXPECT_EQ(B.Error, "options '--stats-json', '--progress', '-D' do not "
+                     "apply to this command");
+
+  // Every accessor counts as reading its flag.
+  Args C = parse({"--stop-on-error", "prog.mc", "--depth", "3",
+                  "--time-budget", "1", "--stats-json", "x.json",
+                  "--progress=0.5", "-D", "2"});
+  C.has("--stop-on-error");
+  C.intOf("--depth", 0);
+  C.secondsOf("--time-budget", 0);
+  C.strOf("--stats-json", "");
+  C.value("--progress");
+  C.countOf("-D", 0);
+  C.rejectUnread();
+  EXPECT_TRUE(C.Error.empty()) << C.Error;
 }
 
 TEST(CliTest, ParseLongAndDoubleHelpers) {

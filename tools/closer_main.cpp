@@ -50,7 +50,6 @@ void usage() {
   closer close <file.mc>... [--coarse] [--dedup-toss] [--partition]
                [--max-reps N] [--passes LIST] [--print-after PASS]
                [--verify-each] [--stats-json FILE] [--jobs N]
-               [--analysis-cache DIR]
       Close the program with its most general environment; print MiniC.
       Runs the pass pipeline parse, sema, lower, verify, close by
       default. --partition inserts the section 7 input-domain
@@ -69,10 +68,7 @@ void usage() {
       --jobs N closes them on N worker threads. Output order and bytes
       are identical to closing each file in its own process, and
       --stats-json then writes a closer-close-batch-stats-v1 artifact
-      with one per-module stats block per input. --analysis-cache DIR
-      persists analysis results keyed by content fingerprints, so
-      re-closing an edited corpus recomputes only touched procedures
-      (restored entries surface as `reused` in the stats artifact).
+      with one per-module stats block per input.
   closer cfg <file.mc> [proc]
       Print the closed control-flow graph listing(s).
   closer dot <file.mc> <proc>
@@ -118,11 +114,9 @@ void usage() {
   closer gen-switchapp [--lines N] [--trunks N] [--events N] [--variants N]
                        [--bug]
       Emit the synthetic call-processing application source.
-  closer gen-corpus [--procs N] [--stmts N] [--seed S] [--tweak K]
+  closer gen-corpus [--procs N] [--stmts N] [--seed S]
       Emit a deterministic open multi-procedure corpus (same flags, same
-      bytes). --tweak K appends one pure statement to procedure K — an
-      "edited corpus" differing in exactly one procedure, for exercising
-      the incremental analysis cache.
+      bytes).
 )");
 }
 
@@ -157,11 +151,9 @@ const FlagSpec &closerFlagSpec() {
       {"--exec", FlagArity::Value},
       {"--passes", FlagArity::Value},
       {"--print-after", FlagArity::Value},
-      {"--analysis-cache", FlagArity::Value},
       {"--procs", FlagArity::Value},
       {"--stmts", FlagArity::Value},
       {"--seed", FlagArity::Value},
-      {"--tweak", FlagArity::Value},
       // `--progress` alone uses the default interval; `--progress=0.5`
       // overrides it. It never consumes the next argument.
       {"--progress", FlagArity::OptionalValue},
@@ -172,8 +164,11 @@ const FlagSpec &closerFlagSpec() {
   return Spec;
 }
 
-/// Prints the accumulated Args diagnostic (if any); true when clean.
+/// Prints the accumulated Args diagnostic (if any), including a flag the
+/// subcommand never read; true when clean. Call once the subcommand has
+/// read all of its options.
 bool argsOk(const Args &A) {
+  A.rejectUnread();
   if (A.Error.empty())
     return true;
   std::fprintf(stderr, "error: %s\n", A.Error.c_str());
@@ -202,19 +197,14 @@ void scheduleDedupToss(const Args &A, std::vector<std::string> &Passes) {
     Passes.insert(Close + 1, "dedup-toss");
 }
 
-/// Closes \p Path with the default pipeline; exits on failure. Writes no
-/// artifact: `explore --stats-json` names the explore artifact.
-CompileResult closeFileOrDie(const std::string &Path, const Args &A) {
+/// The default close pipeline with --coarse and --dedup-toss applied: what
+/// `cfg`, `dot`, `explore` and `replay` run before their own work.
+PipelineOptions closeOptionsFromArgs(const Args &A) {
   PipelineOptions Options;
   Options.Closing.Taint.CoarseMode = A.has("--coarse");
   Options.Passes = {"close"};
   scheduleDedupToss(A, Options.Passes);
-  CompileResult R = compile(readFile(Path.c_str()), Options);
-  if (!R.ok()) {
-    std::fprintf(stderr, "%s", R.Diags.str().c_str());
-    std::exit(1);
-  }
-  return R;
+  return Options;
 }
 
 /// Splits a comma-separated --passes list; empty segments are dropped.
@@ -250,7 +240,6 @@ PipelineOptions pipelineOptionsFromArgs(const Args &A,
   if (Opts.Passes.empty())
     Opts.Passes = std::move(DefaultTail);
   scheduleDedupToss(A, Opts.Passes);
-  Opts.AnalysisCacheDir = A.strOf("--analysis-cache", "");
   return Opts;
 }
 
@@ -263,13 +252,13 @@ std::string renderCaptures(const CompileResult &R) {
 }
 
 /// Runs compile(), dumps --print-after captures to stderr and writes the
-/// --stats-json artifact (also for failed runs — the per-pass timings
-/// show where the pipeline stopped). Exits on failure.
+/// artifact to \p StatsJsonPath unless it is empty (also for failed runs —
+/// the per-pass timings show where the pipeline stopped). Exits on failure.
 CompileResult compileFileOrDie(const std::string &Path,
-                               const PipelineOptions &Opts, const Args &A) {
+                               const PipelineOptions &Opts,
+                               const std::string &StatsJsonPath) {
   CompileResult R = compile(readFile(Path.c_str()), Opts);
   std::fputs(renderCaptures(R).c_str(), stderr);
-  std::string StatsJsonPath = A.strOf("--stats-json", "");
   if (!StatsJsonPath.empty()) {
     std::string Err;
     if (!json::writeJsonFile(StatsJsonPath, compileArtifactToJson(R),
@@ -347,12 +336,12 @@ int cmdClose(const Args &A) {
     return 1;
 
   // Batch compile: every positional file runs the same pipeline (one pass
-  // registry, one options struct, optionally one shared analysis-cache
-  // directory) inside this process. Reads happen up front on the main
-  // thread so a missing file dies with the usual diagnostic. A worker
-  // renders each file's output as soon as it is compiled, freeing its
-  // modules, and the main thread prints the renderings in input order as
-  // they arrive, so a batch holds about one compile per worker in memory.
+  // registry, one options struct) inside this process. Reads happen up
+  // front on the main thread so a missing file dies with the usual
+  // diagnostic. A worker renders each file's output as soon as it is
+  // compiled, freeing its modules, and the main thread prints the
+  // renderings in input order as they arrive, so a batch holds about one
+  // compile per worker in memory.
   const std::vector<std::string> &Files = A.Positional;
   std::vector<std::string> Sources;
   Sources.reserve(Files.size());
@@ -416,7 +405,10 @@ int cmdCfg(const Args &A) {
     usage();
     return 1;
   }
-  CompileResult R = closeFileOrDie(A.Positional[0], A);
+  PipelineOptions Opts = closeOptionsFromArgs(A);
+  if (!argsOk(A))
+    return 1;
+  CompileResult R = compileFileOrDie(A.Positional[0], Opts, "");
   if (A.Positional.size() > 1) {
     const ProcCfg *Proc = R.M->findProc(A.Positional[1]);
     if (!Proc) {
@@ -436,7 +428,10 @@ int cmdDot(const Args &A) {
     usage();
     return 1;
   }
-  CompileResult R = closeFileOrDie(A.Positional[0], A);
+  PipelineOptions Opts = closeOptionsFromArgs(A);
+  if (!argsOk(A))
+    return 1;
+  CompileResult R = compileFileOrDie(A.Positional[0], Opts, "");
   const ProcCfg *Proc = R.M->findProc(A.Positional[1]);
   if (!Proc) {
     std::fprintf(stderr, "error: no procedure '%s'\n",
@@ -462,22 +457,10 @@ int cmdExplore(const Args &A) {
     usage();
     return 1;
   }
-  std::string Source = readFile(A.Positional[0].c_str());
-
-  std::unique_ptr<Module> ToExplore;
-  if (A.has("--open")) {
-    DiagnosticEngine Diags;
-    ToExplore = compileAndVerify(Source, Diags);
-    if (!ToExplore) {
-      std::fprintf(stderr, "%s", Diags.str().c_str());
-      return 1;
-    }
-  } else {
-    CompileResult R = closeFileOrDie(A.Positional[0], A);
-    ToExplore = std::move(R.M);
-    if (R.Closing.EnvCallsRemoved || R.Closing.ParamsRemoved)
-      std::fprintf(stderr, "note: program was open; closed automatically\n");
-  }
+  bool Open = A.has("--open");
+  PipelineOptions CloseOpts;
+  if (!Open)
+    CloseOpts = closeOptionsFromArgs(A);
 
   SearchOptions Opts;
   Opts.MaxDepth = static_cast<size_t>(A.countOf("--depth", 60));
@@ -527,6 +510,22 @@ int cmdExplore(const Args &A) {
   std::string StatsJsonPath = A.strOf("--stats-json", "");
   if (!argsOk(A))
     return 1;
+
+  std::unique_ptr<Module> ToExplore;
+  if (Open) {
+    DiagnosticEngine Diags;
+    ToExplore = compileAndVerify(readFile(A.Positional[0].c_str()), Diags);
+    if (!ToExplore) {
+      std::fprintf(stderr, "%s", Diags.str().c_str());
+      return 1;
+    }
+  } else {
+    // --stats-json names the explore artifact, not the close's.
+    CompileResult R = compileFileOrDie(A.Positional[0], CloseOpts, "");
+    ToExplore = std::move(R.M);
+    if (R.Closing.EnvCallsRemoved || R.Closing.ParamsRemoved)
+      std::fprintf(stderr, "note: program was open; closed automatically\n");
+  }
 
   // One centralized options check instead of scattered ad-hoc clamps: all
   // diagnostics are printed, and any error stops the run before it starts.
@@ -581,9 +580,10 @@ int cmdNaive(const Args &A) {
     return 1;
   }
   PipelineOptions Opts = pipelineOptionsFromArgs(A, {"naive-close"});
+  std::string StatsJsonPath = A.strOf("--stats-json", "");
   if (!argsOk(A))
     return 1;
-  CompileResult R = compileFileOrDie(A.Positional[0], Opts, A);
+  CompileResult R = compileFileOrDie(A.Positional[0], Opts, StatsJsonPath);
   std::printf("%s", emitModuleSource(*R.M).c_str());
   std::fprintf(stderr,
                "// naive closing over [0,%lld]: %zu env input(s), %zu env "
@@ -600,9 +600,10 @@ int cmdInterface(const Args &A) {
     return 1;
   }
   PipelineOptions Opts = pipelineOptionsFromArgs(A, {"interface"});
+  std::string StatsJsonPath = A.strOf("--stats-json", "");
   if (!argsOk(A))
     return 1;
-  CompileResult R = compileFileOrDie(A.Positional[0], Opts, A);
+  CompileResult R = compileFileOrDie(A.Positional[0], Opts, StatsJsonPath);
   if (!R.Interface) {
     std::fprintf(stderr, "error: pipeline ran no interface pass\n");
     return 1;
@@ -622,8 +623,17 @@ int cmdReplay(const Args &A) {
     return 1;
   }
 
+  bool Open = A.has("--open");
+  PipelineOptions CloseOpts;
+  if (!Open)
+    CloseOpts = closeOptionsFromArgs(A);
+  SystemOptions SysOpts;
+  SysOpts.EnvDomainBound = A.intOf("--env-domain", 1);
+  if (!argsOk(A))
+    return 1;
+
   std::unique_ptr<Module> Mod;
-  if (A.has("--open")) {
+  if (Open) {
     DiagnosticEngine Diags;
     Mod = compileAndVerify(readFile(A.Positional[0].c_str()), Diags);
     if (!Mod) {
@@ -631,14 +641,8 @@ int cmdReplay(const Args &A) {
       return 1;
     }
   } else {
-    CompileResult R = closeFileOrDie(A.Positional[0], A);
-    Mod = std::move(R.M);
+    Mod = std::move(compileFileOrDie(A.Positional[0], CloseOpts, "").M);
   }
-
-  SystemOptions SysOpts;
-  SysOpts.EnvDomainBound = A.intOf("--env-domain", 1);
-  if (!argsOk(A))
-    return 1;
   ReplayResult R = replayChoices(*Mod, Steps, SysOpts);
   std::printf("%s", traceToString(R.TraceOut).c_str());
   if (!R.Violations.empty())
@@ -667,7 +671,6 @@ int cmdGenCorpus(const Args &A) {
   Config.Procs = static_cast<int>(A.countOf("--procs", 8));
   Config.StmtsPerProc = static_cast<int>(A.countOf("--stmts", 32));
   Config.Seed = static_cast<uint64_t>(A.intOf("--seed", 11));
-  Config.TweakProc = static_cast<int>(A.intOf("--tweak", -1));
   if (!argsOk(A))
     return 1;
   std::printf("%s", generateCorpusSource(Config).c_str());
