@@ -94,6 +94,53 @@ process main = q(env);
 )";
 }
 
+/// Each kind of declaration and most kinds of statement in one program:
+/// for, switch with fall-through arms and a default, while with continue
+/// and break, a call with a returned value, and an assertion.
+inline const char *statementMixSource() {
+  return R"(
+chan c[2];
+sem s(1);
+shared sv = 4;
+var g = 1;
+
+proc helper(a, b) {
+  var t;
+  t = a % (b + 1);
+  if (t == 0 && a < b)
+    return a;
+  return b;
+}
+
+proc main(x) {
+  var i;
+  var acc = 0;
+  for (i = 0; i < 4; i = i + 1) {
+    acc = helper(acc, i);
+    switch (acc % 3) {
+    case 0:
+      send(c, acc);
+    case 1:
+      sem_wait(s);
+      sem_signal(s);
+    default:
+      write(sv, acc);
+    }
+  }
+  while (acc > 0) {
+    acc = acc - 1;
+    if (acc == 2)
+      continue;
+    if (acc == 1)
+      break;
+  }
+  VS_assert(acc >= 0);
+}
+
+process m = main(env);
+)";
+}
+
 } // namespace closer
 
 #endif // CLOSER_TESTS_TESTUTIL_H
