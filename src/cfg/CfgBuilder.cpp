@@ -344,15 +344,23 @@ private:
 
 } // namespace
 
-std::unique_ptr<Module> closer::buildModule(const Program &Prog,
+std::unique_ptr<Module> closer::buildModule(Program &Prog,
                                             DiagnosticEngine &Diags) {
   auto Mod = std::make_unique<Module>();
   Mod->Comms = Prog.Comms;
   Mod->Globals = Prog.Globals;
   Mod->Processes = Prog.Processes;
-  for (const ProcDecl &P : Prog.Procs) {
+  Mod->Procs.reserve(Prog.Procs.size());
+  for (ProcDecl &P : Prog.Procs) {
     ProcBuilder Builder(Prog, P);
     Mod->Procs.push_back(Builder.take());
+    // The nodes own clones of the procedure's expressions, so free its
+    // whole body now: the freed statements and expressions lie together
+    // and leave room the next procedures' nodes reuse in one piece.
+    // Moving the expressions instead would leave each freed statement a
+    // hole between expressions the module keeps, which the heap cannot
+    // hand back or merge.
+    P.Body.reset();
   }
   if (Diags.hasErrors())
     return nullptr;

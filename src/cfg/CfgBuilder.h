@@ -30,10 +30,12 @@
 
 namespace closer {
 
-/// Lowers \p Prog (which must have passed checkProgram) to CFG form.
+/// Lowers \p Prog (which must have passed checkProgram) to CFG form,
+/// consuming its procedure bodies: each ProcDecl::Body is reset once its
+/// procedure is lowered (the CFG nodes own clones of its expressions), so
+/// lowering holds at most one procedure twice. The declarations stay.
 /// Returns nullptr and reports via \p Diags on internal lowering failures.
-std::unique_ptr<Module> buildModule(const Program &Prog,
-                                    DiagnosticEngine &Diags);
+std::unique_ptr<Module> buildModule(Program &Prog, DiagnosticEngine &Diags);
 
 /// Convenience: parse + sema + lower in one call. Returns nullptr on any
 /// error (details in \p Diags).

@@ -170,11 +170,14 @@ private:
 
     // Builtin: replace environment-dependent value arguments with the
     // distinguished `unknown` placeholder. The object argument (if any) is
-    // never data.
+    // never data. The taint query takes the open node's own argument: the
+    // memo is keyed by address, and a clone may sit where a freed
+    // expression was.
     const BuiltinInfo &Info = builtinInfo(Node.Builtin);
     unsigned FirstValueArg = Info.TakesObject ? 1 : 0;
+    const CfgNode &Orig = Proc.Nodes[OrigId];
     for (size_t A = FirstValueArg, AE = Node.Args.size(); A != AE; ++A) {
-      const Expr *Arg = Node.Args[A].get();
+      const Expr *Arg = Orig.Args[A].get();
       if (Arg->Kind == ExprKind::Unknown)
         continue; // Already sanitized (idempotence).
       if (Analysis.taint().exprTainted(Mod, Analysis.alias(), ProcIdx, OrigId,
@@ -235,27 +238,27 @@ private:
 
 } // namespace
 
-Module closer::closeModule(const Module &Mod, const EnvAnalysis &Analysis,
-                           const ClosingOptions & /*Options*/,
-                           ClosingStats *Stats) {
-  ClosingStats Local;
-  ClosingStats &S = Stats ? *Stats : Local;
-  S.NodesBefore = Mod.totalNodes();
+ModuleCloser::ModuleCloser(const Module &Open, const EnvAnalysis &Analysis,
+                           ClosingStats *StatsOut)
+    : Open(Open), Analysis(Analysis), Stats(StatsOut ? *StatsOut : Local),
+      Procs(Open) {
+  Stats.NodesBefore = Open.totalNodes();
+  Out.Comms = Open.Comms;
+  Out.Globals = Open.Globals;
+  Out.Procs.reserve(Open.Procs.size());
+}
 
-  Module Out;
-  Out.Comms = Mod.Comms;
-  Out.Globals = Mod.Globals;
+void ModuleCloser::closeProc(size_t ProcIdx) {
+  assert(ProcIdx == Out.Procs.size() && "procedures close in order");
+  Out.Procs.push_back(ProcCloser(Open, Analysis, ProcIdx, Stats, Procs).run());
+}
 
-  ProcIndex Procs(Mod);
-  for (size_t P = 0, E = Mod.Procs.size(); P != E; ++P) {
-    ProcCloser Closer(Mod, Analysis, P, S, Procs);
-    Out.Procs.push_back(Closer.run());
-  }
-
+Module ModuleCloser::finish() {
+  assert(Out.Procs.size() == Open.Procs.size() && "a procedure is unclosed");
   // Step 5 for process instantiations: drop the arguments bound to removed
   // top-level parameters (this also drops the `env` markers, making the
   // instantiations closed).
-  for (const ProcessDecl &Inst : Mod.Processes) {
+  for (const ProcessDecl &Inst : Open.Processes) {
     ProcessDecl NewInst = Inst;
     int ProcIdx = Procs.lookup(Inst.ProcName);
     if (ProcIdx >= 0) {
@@ -270,8 +273,17 @@ Module closer::closeModule(const Module &Mod, const EnvAnalysis &Analysis,
     Out.Processes.push_back(std::move(NewInst));
   }
 
-  S.NodesAfter = Out.totalNodes();
-  return Out;
+  Stats.NodesAfter = Out.totalNodes();
+  return std::move(Out);
+}
+
+Module closer::closeModule(const Module &Mod, const EnvAnalysis &Analysis,
+                           const ClosingOptions & /*Options*/,
+                           ClosingStats *Stats) {
+  ModuleCloser Closer(Mod, Analysis, Stats);
+  for (size_t P = 0, E = Mod.Procs.size(); P != E; ++P)
+    Closer.closeProc(P);
+  return Closer.finish();
 }
 
 Module closer::closeModule(const Module &Mod, const ClosingOptions &Options,

@@ -64,9 +64,38 @@ struct ClosingStats {
   size_t TossNodesDeduped = 0;  ///< Removed by the dedup-toss pass.
 };
 
+/// Figure 1 one procedure at a time, the one closing path: closeProc(P)
+/// closes procedure P of \p Open into the module under construction, and
+/// finish() applies Step 5 to the process instantiations and returns it.
+/// closeProc(P) reads procedure P's nodes and taint facts and nothing else
+/// of the open module but its declarations, its procedure names and
+/// parameter taint, so the close pass frees procedure P and its analyses
+/// as soon as the call returns. Procedures close in index order, each
+/// once, before finish().
+class ModuleCloser {
+public:
+  /// \p Analysis must have been computed on \p Open; both must outlive
+  /// the closer. Counters accumulate into \p Stats when it is non-null.
+  ModuleCloser(const Module &Open, const EnvAnalysis &Analysis,
+               ClosingStats *Stats = nullptr);
+
+  void closeProc(size_t ProcIdx);
+  Module finish();
+
+private:
+  const Module &Open;
+  const EnvAnalysis &Analysis;
+  ClosingStats Local;
+  ClosingStats &Stats;
+  ProcIndex Procs; ///< Borrows the open module's procedure names.
+  Module Out;
+};
+
 /// Closes \p Mod with its most general environment: returns the transformed
 /// module S'. \p Analysis must have been computed on \p Mod, and it
 /// carries every knob the transform depends on, so \p Options is unused.
+/// Leaves \p Mod and \p Analysis intact (a ModuleCloser loop over every
+/// procedure).
 Module closeModule(const Module &Mod, const EnvAnalysis &Analysis,
                    const ClosingOptions &Options = {},
                    ClosingStats *Stats = nullptr);

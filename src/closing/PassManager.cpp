@@ -68,11 +68,10 @@ public:
       Ctx.Diags.error(SourceLoc(), "pass 'lower' requires a checked program");
       return false;
     }
+    // buildModule frees each procedure's body once its nodes exist; no
+    // later pass reads the declarations left.
     Ctx.M = buildModule(*Ctx.AST, Ctx.Diags);
     Ctx.ClosingDescribesM = false;
-    // The module owns clones of every expression and no later pass reads
-    // the AST, so release it now instead of carrying it (about as large as
-    // the module) through the analyses and the close.
     Ctx.AST.reset();
     if (!Ctx.M)
       return false;
@@ -110,10 +109,18 @@ public:
   bool run(CompilationContext &Ctx) override {
     if (!requireModule(Ctx, name()))
       return false;
-    const PipelineOptions &O = Ctx.EffectiveOptions;
-    const EnvAnalysis &Analysis = Ctx.AM->getEnvTaint(O.Closing.Taint);
-    auto Closed = std::make_unique<Module>(
-        closeModule(*Ctx.M, Analysis, O.Closing, &Ctx.Closing));
+    // Figure 1 closes each procedure on its own once Step 2's facts exist,
+    // so free each open procedure and its analyses as soon as its closed
+    // form exists: the pass holds at most one procedure twice.
+    ModuleCloser Closer(
+        *Ctx.M, Ctx.AM->getEnvTaint(Ctx.EffectiveOptions.Closing.Taint),
+        &Ctx.Closing);
+    for (size_t P = 0, E = Ctx.M->Procs.size(); P != E; ++P) {
+      Closer.closeProc(P);
+      Ctx.AM->releaseProc(P);
+      std::vector<CfgNode>().swap(Ctx.M->Procs[P].Nodes);
+    }
+    auto Closed = std::make_unique<Module>(Closer.finish());
     if (!verifyModule(*Closed, Ctx.Diags)) {
       Ctx.Diags.error(SourceLoc(),
                       "internal error: closed module failed verification");

@@ -80,6 +80,14 @@ void AnalysisManager::invalidateAll() {
     DF.reset();
 }
 
+void AnalysisManager::releaseProc(size_t ProcIdx) {
+  // The taint fixpoint borrows the define-use graph; release its view of
+  // the procedure first.
+  if (Taint)
+    Taint->releaseProc(ProcIdx);
+  DefUse[ProcIdx].reset();
+}
+
 void AnalysisManager::rebind(const Module &NewMod) {
   invalidateAll();
   M = &NewMod;

@@ -23,6 +23,9 @@
 ///  * invalidateProc(I, AliasPreserved=false) — conservative variant: also
 ///    drops the alias analysis and with it every define-use graph (they
 ///    were computed against the dropped alias facts).
+///  * releaseProc(I) — the close pass has closed procedure I and frees it:
+///    its define-use graph and its per-node taint facts go, while the
+///    alias analysis and the taint summaries serve the procedures left.
 ///  * rebind(NewModule) — the pass replaced the module wholesale (the
 ///    closing transformation rebuilds every procedure); everything is
 ///    dropped and the manager re-targets the new module.
@@ -82,6 +85,14 @@ public:
 
   /// Drops every cached analysis.
   void invalidateAll();
+
+  /// A pass that dismantles the module procedure by procedure (the close
+  /// pass) is done with procedure \p ProcIdx: frees its define-use graph
+  /// and the taint fixpoint's per-node facts about it. The alias analysis
+  /// and the taint summaries the other procedures need stay; the counters
+  /// do not move. Once every procedure is released, only rebind() may
+  /// follow.
+  void releaseProc(size_t ProcIdx);
 
   /// The module was replaced wholesale (all cached analyses reference the
   /// old object); drop everything and re-target \p NewMod. Call this

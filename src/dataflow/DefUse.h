@@ -171,20 +171,23 @@ using NameRange = IdRange<NameOfId>;
 /// A node's definitions, in the order the node performs them.
 using DefRange = IdRange<DefOfCode>;
 
-/// Per-node id lists in CSR form: node I's ids are Dat[Off[I] .. Off[I+1]).
+/// Per-node lists in CSR form: node I's entries are Dat[Off[I] .. Off[I+1]).
 /// Off is empty when no node has an entry, so a kind of set that is empty
 /// everywhere costs nothing per node.
-struct NodeIdLists {
+template <class T> struct NodeLists {
   std::vector<uint32_t> Off;
-  std::vector<uint32_t> Dat;
+  std::vector<T> Dat;
 
-  const uint32_t *begin(size_t I) const {
+  const T *begin(size_t I) const {
     return Off.empty() ? Dat.data() : Dat.data() + Off[I];
   }
-  const uint32_t *end(size_t I) const {
+  const T *end(size_t I) const {
     return Off.empty() ? Dat.data() : Dat.data() + Off[I + 1];
   }
 };
+
+/// Per-node name-table ids.
+using NodeIdLists = NodeLists<uint32_t>;
 
 /// The define-use graph of one procedure.
 class ProcDataflow {

@@ -32,7 +32,7 @@ bool TaintResult::exprTainted(const Module &Mod, const AliasAnalysis &Alias,
   case ExprKind::Unknown:
     return true;
   case ExprKind::VarRef:
-    return Procs[ProcIdx].VI[N].count(E->Name) != 0;
+    return Procs[ProcIdx].vi(N).count(E->Name) != 0;
   default:
     break;
   }
@@ -49,7 +49,7 @@ bool TaintResult::exprTainted(const Module &Mod, const AliasAnalysis &Alias,
   }
   if (U->UsesUnknown)
     return true;
-  const std::set<std::string> &Vi = Procs[ProcIdx].VI[N];
+  const TaintedVars Vi = Procs[ProcIdx].vi(N);
   for (const std::string &V : U->Plain)
     if (Vi.count(V))
       return true;
@@ -131,7 +131,6 @@ void EnvAnalysis::runFixpoint(TaintOptions Options) {
     Result.Procs[P].TaintedParams.assign(Proc.Params.size(), false);
     Result.Procs[P].InNI.assign(Proc.Nodes.size(), false);
     Result.Procs[P].EnvSource.assign(Proc.Nodes.size(), false);
-    Result.Procs[P].VI.assign(Proc.Nodes.size(), {});
   }
 
   // Seed: `env` process arguments bind environment values to top-level
@@ -273,8 +272,11 @@ void EnvAnalysis::runFixpoint(TaintOptions Options) {
       }
 
       // --- V_I(n) --------------------------------------------------------
+      PT.VI.Dat.clear();
+      PT.VI.Off.clear();
+      PT.VI.Off.reserve(N + 1);
       for (size_t I = 0; I != N; ++I) {
-        PT.VI[I].clear();
+        PT.VI.Off.push_back(static_cast<uint32_t>(PT.VI.Dat.size()));
         if (!PT.InNI[I])
           continue;
         for (const std::string &V : DF.uses(I)) {
@@ -300,9 +302,12 @@ void EnvAnalysis::runFixpoint(TaintOptions Options) {
             }
           }
           if (Tainted)
-            PT.VI[I].insert(V);
+            PT.VI.Dat.push_back(&V);
         }
       }
+      PT.VI.Off.push_back(static_cast<uint32_t>(PT.VI.Dat.size()));
+      if (PT.VI.Dat.empty())
+        std::vector<uint32_t>().swap(PT.VI.Off);
 
       // --- Export summaries ----------------------------------------------
       for (size_t I = 0; I != N; ++I) {
@@ -374,6 +379,17 @@ void EnvAnalysis::runFixpoint(TaintOptions Options) {
       break;
     Prev = Now;
   }
+}
+
+void EnvAnalysis::releaseProc(size_t ProcIdx) {
+  ProcTaint &PT = Result.Procs[ProcIdx];
+  ProcTaint Kept;
+  Kept.TaintedParams = std::move(PT.TaintedParams);
+  Kept.TaintedReturn = PT.TaintedReturn;
+  PT = std::move(Kept);
+  DataflowPtrs[ProcIdx] = nullptr;
+  if (!OwnedDataflows.empty())
+    OwnedDataflows[ProcIdx].reset();
 }
 
 bool EnvAnalysis::moduleIsClosed() const {

@@ -44,9 +44,11 @@
 #include "dataflow/AliasAnalysis.h"
 #include "dataflow/DefUse.h"
 
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -61,15 +63,43 @@ struct TaintOptions {
   bool CoarseMode = false;
 };
 
+/// Read-only view over one node's V_I(n) (see ProcTaint::VI).
+class TaintedVars {
+public:
+  TaintedVars(const std::string *const *B, const std::string *const *E)
+      : B(B), E(E) {}
+
+  /// 1 when V_I(n) holds \p Name, else 0 (a binary search: the names
+  /// ascend in lexicographic order).
+  size_t count(std::string_view Name) const {
+    const std::string *const *It = std::lower_bound(
+        B, E, Name, [](const std::string *V, std::string_view N) {
+          return std::string_view(*V) < N;
+        });
+    return It != E && **It == Name;
+  }
+
+private:
+  const std::string *const *B;
+  const std::string *const *E;
+};
+
 /// Per-procedure taint facts (parallel to Module::Procs).
 struct ProcTaint {
   std::vector<bool> InNI;      ///< n ∈ N_I.
   std::vector<bool> EnvSource; ///< the definition performed by n carries
                                ///< environment data (env_input, tainted
                                ///< recv/read, tainted-return call).
-  std::vector<std::set<std::string>> VI; ///< V_I(n).
+  /// V_I(n) of every node in CSR form. V_I(n) is a subset of uses(n), so
+  /// each entry points into the procedure's define-use name table, and a
+  /// node's entries ascend in name order as its uses do. Read it through
+  /// vi().
+  NodeLists<const std::string *> VI;
   std::vector<bool> TaintedParams;
   bool TaintedReturn = false;
+
+  /// V_I(n) of node \p N.
+  TaintedVars vi(NodeId N) const { return {VI.begin(N), VI.end(N)}; }
 };
 
 /// Whole-module taint facts.
@@ -88,8 +118,10 @@ struct TaintResult {
   /// Memo for the variable sets an expression reads. The sets depend only
   /// on the module and the alias facts — not on the taint state — so one
   /// cache stays valid across every fixpoint round and across the closing
-  /// transform, and expression pointers are stable for the module's
-  /// lifetime.
+  /// transform. Keys are expressions of the analyzed module, and only
+  /// those of procedures still alive may be looked up: the close pass
+  /// frees each procedure once it is closed, and a later allocation (a
+  /// closed node's expression, say) may reuse a freed key's address.
   using ExprUsesCache = std::unordered_map<const Expr *, ExprUses>;
 
   /// True when an argument expression of node \p N in procedure \p ProcIdx
@@ -132,6 +164,14 @@ public:
   /// procedure's N_I is empty and there are no env_input/env_output nodes
   /// or env process arguments) — Lemma 5's closedness criterion.
   bool moduleIsClosed() const;
+
+  /// Drops procedure \p ProcIdx's per-node facts (N_I, the env sources,
+  /// V_I) and its define-use graph (freed when owned, let go when
+  /// borrowed), for a client done with that procedure for good: the close
+  /// pass, which frees each open procedure once it is closed. Its
+  /// parameter and return taint and the module-wide sets stay, so the
+  /// other procedures can still be closed.
+  void releaseProc(size_t ProcIdx);
 
 private:
   void runFixpoint(TaintOptions Options);

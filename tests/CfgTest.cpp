@@ -9,6 +9,8 @@
 
 #include "cfg/CfgPrinter.h"
 #include "cfg/CfgVerifier.h"
+#include "lang/Parser.h"
+#include "lang/Sema.h"
 #include "TestUtil.h"
 
 #include <gtest/gtest.h>
@@ -217,6 +219,55 @@ TEST(CfgTest, LabelOnlySelfLoopNormalizesToReturn) {
   auto Mod = mustCompile("proc f() { spin: goto spin; }");
   const ProcCfg &P = onlyProc(*Mod);
   EXPECT_EQ(countKind(P, CfgNodeKind::Return), 1u);
+}
+
+TEST(CfgTest, LoweringConsumesEveryProcedureBody) {
+  // buildModule frees each procedure's body once its nodes exist, so
+  // lowering holds at most one procedure twice. The declarations stay.
+  const char *Src = R"(
+chan c[2];
+
+proc g(v) {
+  return v + 1;
+}
+
+proc f(x) {
+  var a = x;
+  var i;
+  for (i = 0; i < 2; i = i + 1) {
+    if (a > 0)
+      send(c, a);
+    else
+      a = g(a);
+  }
+  while (a < 3)
+    a = a + 1;
+  switch (a) {
+  case 1:
+    send(c, 1);
+  default:
+    VS_assert(a);
+  }
+}
+
+process m = f(env);
+)";
+  DiagnosticEngine Diags;
+  std::unique_ptr<Program> Prog = parseMiniC(Src, Diags);
+  ASSERT_TRUE(Prog) << Diags.str();
+  ASSERT_TRUE(checkProgram(*Prog, Diags)) << Diags.str();
+  std::unique_ptr<Module> Mod = buildModule(*Prog, Diags);
+  ASSERT_TRUE(Mod) << Diags.str();
+  ASSERT_TRUE(verifyModule(*Mod, Diags)) << Diags.str();
+  ASSERT_EQ(Prog->Procs.size(), 2u);
+  for (const ProcDecl &P : Prog->Procs)
+    EXPECT_EQ(P.Body, nullptr) << P.Name;
+  EXPECT_EQ(Prog->Procs[1].Name, "f");
+  ASSERT_EQ(Prog->Procs[1].Params.size(), 1u);
+  EXPECT_EQ(Prog->Processes.size(), 1u);
+  // The module owns its expressions: it outlives the AST intact.
+  Prog.reset();
+  EXPECT_EQ(printModule(*Mod), printModule(*mustCompile(Src)));
 }
 
 //===----------------------------------------------------------------------===//

@@ -393,6 +393,46 @@ process m = main();
   EXPECT_EQ(RealAsserts, 1u);    // VS_assert(ok) is preserved.
 }
 
+TEST(ClosingTransformTest, EveryTaintedPayloadIsSanitized) {
+  // Both asserts read the environment through x. The taint memo is keyed
+  // by expression address: when sanitizing asked about the closed node's
+  // clone of an argument, the first payload's clone was memoized, replaced
+  // by `unknown` and freed, and the second payload's clone, allocated at
+  // the freed address, read the stale entry and kept `z > 1`.
+  const char *Src = R"(
+proc p(x) {
+  var y;
+  var z;
+  y = x + 1;
+  z = x + 2;
+  VS_assert(y > 0);
+  VS_assert(z > 1);
+}
+
+process a = p(env);
+)";
+  auto Mod = mustCompile(Src);
+  ASSERT_TRUE(Mod);
+  ClosingStats Stats;
+  Module Closed = closeModule(*Mod, {}, &Stats);
+  CompileResult R = compile(Src);
+  ASSERT_TRUE(R.ok()) << R.Diags.str();
+  for (const Module *M : {&Closed, R.M.get()}) {
+    size_t Asserts = 0;
+    for (const CfgNode &Node : M->Procs[0].Nodes) {
+      if (Node.Kind != CfgNodeKind::Call ||
+          Node.Builtin != BuiltinKind::VsAssert)
+        continue;
+      ++Asserts;
+      EXPECT_EQ(Node.Args[0]->Kind, ExprKind::Unknown)
+          << "node at line " << Node.Loc.Line;
+    }
+    EXPECT_EQ(Asserts, 2u);
+  }
+  EXPECT_EQ(Stats.PayloadsSanitized, 2u);
+  EXPECT_EQ(R.Closing.PayloadsSanitized, 2u);
+}
+
 //===----------------------------------------------------------------------===//
 // Divergence elimination (|succ(a)| == 0)
 //===----------------------------------------------------------------------===//

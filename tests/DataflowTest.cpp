@@ -305,7 +305,7 @@ process m = p(env);
     const CfgNode &N = P.Nodes[I];
     if (N.Kind == CfgNodeKind::Branch) {
       EXPECT_TRUE(PT.InNI[I]) << "the x > 0 test uses the env value";
-      EXPECT_TRUE(PT.VI[I].count("x"));
+      EXPECT_TRUE(PT.vi(I).count("x"));
     }
     if (N.Kind == CfgNodeKind::Assign) {
       // No assignment reads environment data: a, b, c carry constants.

@@ -31,6 +31,7 @@
 #include <algorithm>
 #include <atomic>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -164,6 +165,20 @@ const FlagSpec &closerFlagSpec() {
   return Spec;
 }
 
+/// Checks that the subcommand got between \p Min and \p Max positional
+/// arguments. Too few prints the usage and returns false; a surplus is
+/// recorded for argsOk() to diagnose, like a flag the subcommand never
+/// reads.
+bool positionalsOk(const Args &A, size_t Min, size_t Max) {
+  if (A.Positional.size() < Min) {
+    usage();
+    return false;
+  }
+  if (A.Positional.size() > Max)
+    A.fail("unexpected argument '" + A.Positional[Max] + "'");
+  return true;
+}
+
 /// Prints the accumulated Args diagnostic (if any), including a flag the
 /// subcommand never read; true when clean. Call once the subcommand has
 /// read all of its options.
@@ -226,20 +241,33 @@ std::vector<std::string> splitPassList(const std::string &List) {
 }
 
 /// The pipeline knobs every pipeline-backed subcommand shares; a missing
-/// or empty --passes list runs the subcommand's \p DefaultTail.
+/// or empty --passes list runs the subcommand's \p DefaultTail, and
+/// \p PartitionFlag accepts `--partition`, which schedules partition first.
+/// A pass's own knob is read only when the pass is scheduled (--max-reps
+/// for partition, -D for naive-close), so one that no pass reads is
+/// diagnosed as unread.
 PipelineOptions pipelineOptionsFromArgs(const Args &A,
-                                        std::vector<std::string> DefaultTail) {
+                                        std::vector<std::string> DefaultTail,
+                                        bool PartitionFlag = false) {
   PipelineOptions Opts;
   Opts.Closing.Taint.CoarseMode = A.has("--coarse");
-  Opts.Partition.MaxRepresentatives =
-      static_cast<size_t>(A.countOf("--max-reps", 16));
-  Opts.Naive.DomainBound = A.intOf("-D", 1);
   Opts.VerifyEach = A.has("--verify-each");
   Opts.PrintAfter = A.strOf("--print-after", "");
   Opts.Passes = splitPassList(A.strOf("--passes", ""));
   if (Opts.Passes.empty())
     Opts.Passes = std::move(DefaultTail);
+  auto Scheduled = [&Opts](const char *Name) {
+    return std::find(Opts.Passes.begin(), Opts.Passes.end(), Name) !=
+           Opts.Passes.end();
+  };
+  if (PartitionFlag && A.has("--partition") && !Scheduled("partition"))
+    Opts.Passes.insert(Opts.Passes.begin(), "partition");
   scheduleDedupToss(A, Opts.Passes);
+  if (Scheduled("partition"))
+    Opts.Partition.MaxRepresentatives =
+        static_cast<size_t>(A.countOf("--max-reps", 16));
+  if (Scheduled("naive-close"))
+    Opts.Naive.DomainBound = A.intOf("-D", 1);
   return Opts;
 }
 
@@ -322,14 +350,10 @@ ClosedFile renderClose(const CompileResult &R, bool WantStats) {
 }
 
 int cmdClose(const Args &A) {
-  if (A.Positional.empty()) {
-    usage();
+  if (!positionalsOk(A, 1, SIZE_MAX))
     return 1;
-  }
-  PipelineOptions Opts = pipelineOptionsFromArgs(A, {"close"});
-  if (A.has("--partition") && std::find(Opts.Passes.begin(), Opts.Passes.end(),
-                                        "partition") == Opts.Passes.end())
-    Opts.Passes.insert(Opts.Passes.begin(), "partition");
+  PipelineOptions Opts =
+      pipelineOptionsFromArgs(A, {"close"}, /*PartitionFlag=*/true);
   size_t Jobs = static_cast<size_t>(std::max(A.countOf("--jobs", 1), 1L));
   std::string StatsJsonPath = A.strOf("--stats-json", "");
   if (!argsOk(A))
@@ -401,10 +425,8 @@ int cmdClose(const Args &A) {
 }
 
 int cmdCfg(const Args &A) {
-  if (A.Positional.empty()) {
-    usage();
+  if (!positionalsOk(A, 1, 2))
     return 1;
-  }
   PipelineOptions Opts = closeOptionsFromArgs(A);
   if (!argsOk(A))
     return 1;
@@ -424,10 +446,8 @@ int cmdCfg(const Args &A) {
 }
 
 int cmdDot(const Args &A) {
-  if (A.Positional.size() < 2) {
-    usage();
+  if (!positionalsOk(A, 2, 2))
     return 1;
-  }
   PipelineOptions Opts = closeOptionsFromArgs(A);
   if (!argsOk(A))
     return 1;
@@ -453,10 +473,8 @@ extern "C" void closerOnSigint(int) {
 }
 
 int cmdExplore(const Args &A) {
-  if (A.Positional.empty()) {
-    usage();
+  if (!positionalsOk(A, 1, 1))
     return 1;
-  }
   bool Open = A.has("--open");
   PipelineOptions CloseOpts;
   if (!Open)
@@ -575,10 +593,8 @@ int cmdExplore(const Args &A) {
 }
 
 int cmdNaive(const Args &A) {
-  if (A.Positional.empty()) {
-    usage();
+  if (!positionalsOk(A, 1, 1))
     return 1;
-  }
   PipelineOptions Opts = pipelineOptionsFromArgs(A, {"naive-close"});
   std::string StatsJsonPath = A.strOf("--stats-json", "");
   if (!argsOk(A))
@@ -595,10 +611,8 @@ int cmdNaive(const Args &A) {
 }
 
 int cmdInterface(const Args &A) {
-  if (A.Positional.empty()) {
-    usage();
+  if (!positionalsOk(A, 1, 1))
     return 1;
-  }
   PipelineOptions Opts = pipelineOptionsFromArgs(A, {"interface"});
   std::string StatsJsonPath = A.strOf("--stats-json", "");
   if (!argsOk(A))
@@ -613,10 +627,8 @@ int cmdInterface(const Args &A) {
 }
 
 int cmdReplay(const Args &A) {
-  if (A.Positional.size() < 2) {
-    usage();
+  if (!positionalsOk(A, 2, 2))
     return 1;
-  }
   std::vector<ReplayStep> Steps;
   if (!parseReplay(A.Positional[1], Steps)) {
     std::fprintf(stderr, "error: malformed choice sequence\n");
@@ -667,6 +679,8 @@ int cmdReplay(const Args &A) {
 }
 
 int cmdGenCorpus(const Args &A) {
+  if (!positionalsOk(A, 0, 0))
+    return 1;
   CorpusConfig Config;
   Config.Procs = static_cast<int>(A.countOf("--procs", 8));
   Config.StmtsPerProc = static_cast<int>(A.countOf("--stmts", 32));
@@ -678,6 +692,8 @@ int cmdGenCorpus(const Args &A) {
 }
 
 int cmdGenSwitchApp(const Args &A) {
+  if (!positionalsOk(A, 0, 0))
+    return 1;
   SwitchAppConfig Config;
   Config.NumLines = static_cast<int>(A.countOf("--lines", 3));
   Config.NumTrunks = static_cast<int>(A.countOf("--trunks", 2));
