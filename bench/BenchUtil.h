@@ -135,7 +135,11 @@ inline std::string scalingProgram(size_t N, uint64_t Seed = 7) {
   S += "proc work(x) {\n";
   for (int V = 0; V != 10; ++V)
     S += "  var v" + std::to_string(V) + " = " + std::to_string(V) + ";\n";
-  auto Var = [&] { return "v" + std::to_string(R.below(10)); };
+  auto Var = [&] {
+    std::string Name = "v";
+    Name += std::to_string(R.below(10));
+    return Name;
+  };
   for (size_t I = 0; I != N; ++I) {
     switch (R.below(8)) {
     case 0:

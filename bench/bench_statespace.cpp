@@ -185,8 +185,11 @@ int runStealGridSeries(BenchJson &Json) {
     const Sample &Median = *ByTime[ByTime.size() / 2];
     const SearchStats &S = Median.R.Stats;
     std::string ByWorker;
-    for (size_t W = 0; W != Median.R.Workers.size(); ++W)
-      ByWorker += (W ? "," : "") + std::to_string(Median.R.Workers[W].Steals);
+    for (size_t W = 0; W != Median.R.Workers.size(); ++W) {
+      if (W)
+        ByWorker += ',';
+      ByWorker += std::to_string(Median.R.Workers[W].Steals);
+    }
     BenchJson::Record &Row =
         Json.record("steal_grid_j" + std::to_string(Median.R.Options.Jobs))
             .str("exec", execName(Median.R.Options.Exec))

@@ -16,7 +16,20 @@ using namespace closer;
 
 namespace {
 
-std::string nodeLabel(NodeId Id) { return "N" + std::to_string(Id); }
+std::string nodeLabel(NodeId Id) {
+  std::string Out = "N";
+  Out += std::to_string(Id);
+  return Out;
+}
+
+/// Appends "[N]" for an array of N elements, nothing for a scalar (-1).
+void appendArraySize(std::string &Out, int64_t Size) {
+  if (Size < 0)
+    return;
+  Out += '[';
+  Out += std::to_string(Size);
+  Out += ']';
+}
 
 std::string arcText(const CfgArc &Arc) {
   switch (Arc.Kind) {
@@ -110,10 +123,11 @@ std::string closer::printModule(const Module &Mod) {
       break;
     }
   }
-  for (const GlobalDecl &G : Mod.Globals)
-    Out += "var " + G.Name +
-           (G.ArraySize >= 0 ? "[" + std::to_string(G.ArraySize) + "]" : "") +
-           "\n";
+  for (const GlobalDecl &G : Mod.Globals) {
+    Out += "var " + G.Name;
+    appendArraySize(Out, G.ArraySize);
+    Out += "\n";
+  }
   for (const ProcCfg &P : Mod.Procs)
     Out += printCfg(P);
   for (const ProcessDecl &P : Mod.Processes) {
@@ -198,8 +212,7 @@ void emitProcSource(const ProcCfg &Proc, std::string &Out) {
   Out += ") {\n";
   for (const LocalVar &L : Proc.Locals) {
     Out += "  var " + L.Name;
-    if (L.ArraySize >= 0)
-      Out += "[" + std::to_string(L.ArraySize) + "]";
+    appendArraySize(Out, L.ArraySize);
     Out += ";\n";
   }
   // Fresh temporaries for TossBranch nodes.
@@ -298,10 +311,11 @@ std::string closer::emitModuleSource(const Module &Mod) {
   }
   for (const GlobalDecl &G : Mod.Globals) {
     Out += "var " + G.Name;
-    if (G.ArraySize >= 0)
-      Out += "[" + std::to_string(G.ArraySize) + "]";
-    else if (G.Init)
-      Out += " = " + std::to_string(G.Init);
+    appendArraySize(Out, G.ArraySize);
+    if (G.ArraySize < 0 && G.Init) {
+      Out += " = ";
+      Out += std::to_string(G.Init);
+    }
     Out += ";\n";
   }
   Out += "\n";

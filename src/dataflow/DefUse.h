@@ -251,8 +251,8 @@ private:
 
   /// Def-site variables (parameters, then every other defined variable in
   /// the order nodes first define it) as name ids. The reaching-definitions
-  /// solver numbers variables this way, and the analysis cache's text
-  /// format records both this table and EntryReaching against it.
+  /// solver numbers variables this way: its arcs and EntryReaching hold
+  /// indices into this table.
   std::vector<uint32_t> DefVars;
   /// Per node, ascending DefVars indices: the parameters whose entry value
   /// reaches the node and is used there.

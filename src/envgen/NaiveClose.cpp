@@ -15,6 +15,13 @@ using namespace closer;
 /// Name of the sink local absorbing env_output payloads.
 static const char *envSinkName() { return "__envsink"; }
 
+/// Name of the wrapper local a0..aN holding argument \p A.
+static std::string argLocalName(size_t A) {
+  std::string Name = "a";
+  Name += std::to_string(A);
+  return Name;
+}
+
 Module closer::naiveCloseModule(const Module &Mod,
                                 const NaiveCloseOptions &Options,
                                 NaiveCloseStats *Stats) {
@@ -70,7 +77,7 @@ Module closer::naiveCloseModule(const Module &Mod,
     Wrapper.Name = "__env_" + Inst.Name;
     // Locals a0..aN hold the argument values.
     for (size_t A = 0, AE = Inst.Args.size(); A != AE; ++A)
-      Wrapper.Locals.push_back({"a" + std::to_string(A), -1});
+      Wrapper.Locals.push_back({argLocalName(A), -1});
 
     CfgNode Start;
     Start.Kind = CfgNodeKind::Start;
@@ -81,7 +88,7 @@ Module closer::naiveCloseModule(const Module &Mod,
     for (size_t A = 0, AE = Inst.Args.size(); A != AE; ++A) {
       CfgNode Init;
       Init.Loc = Inst.Loc;
-      Init.Target = Expr::varRef("a" + std::to_string(A));
+      Init.Target = Expr::varRef(argLocalName(A));
       if (Inst.Args[A].IsEnv) {
         Init.Kind = CfgNodeKind::Call;
         Init.Callee = "VS_toss";
@@ -102,7 +109,7 @@ Module closer::naiveCloseModule(const Module &Mod,
     CallNode.Callee = Inst.ProcName;
     CallNode.Builtin = BuiltinKind::None;
     for (size_t A = 0, AE = Inst.Args.size(); A != AE; ++A)
-      CallNode.Args.push_back(Expr::varRef("a" + std::to_string(A)));
+      CallNode.Args.push_back(Expr::varRef(argLocalName(A)));
     CallNode.Arcs.push_back({ArcKind::Always, 0, Next + 1});
     Wrapper.Nodes.push_back(std::move(CallNode));
 

@@ -266,24 +266,26 @@ bool Explorer::donateOne(ExploreScheduler &Sched, int W) {
     WorkItem Item;
     Item.FreshFrom = I;
     Item.Prefix = choicesUpTo(I);
-    Item.Prefix.push_back(D.step(End - 1));
+    Item.Prefix.push_back(step(D, End - 1));
     // Ship the deepest checkpoint at or below the donation point: its
     // snapshot is the state before Path[Cursor] with the current choices
     // [0, Cursor), which are exactly the prefix steps just recorded
     // (Cursor <= I, and backtracking can only have changed choices at or
     // above the checkpoint's own cursor, which pops it first). The
     // receiver then replays Prefix[Cursor..] instead of the whole prefix.
-    for (auto It = Ckpts.rbegin(); It != Ckpts.rend(); ++It) {
-      if (It->Cursor > I)
+    for (size_t C = Ckpts.size(); C-- != 0;) {
+      const Checkpoint &Ckpt = Ckpts[C];
+      if (Ckpt.Cursor > I)
         continue;
-      if (It->Cursor > 0) {
+      if (Ckpt.Cursor > 0) {
         Item.HasSnap = true;
-        Item.SnapCursor = It->Cursor;
-        Item.SnapSleep = It->Sleep;
+        Item.SnapCursor = Ckpt.Cursor;
+        const std::span<const int> Sleep = sleep(Ckpt);
+        Item.SnapSleep.assign(Sleep.begin(), Sleep.end());
         // Checkpoints are trace-light; the receiver's trace is unrelated
         // to ours, so ship a full copy (valid here for the same reason the
         // checkpoint itself is: the prefix it covers is still in force).
-        Item.Snap = Sys.materializeTrace(It->Snap);
+        Sys.materializeTraceInto(Snaps[C], Item.Snap);
       }
       break;
     }

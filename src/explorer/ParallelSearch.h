@@ -57,11 +57,11 @@
 #include "explorer/Footprints.h"
 #include "explorer/Search.h"
 #include "explorer/Scheduler.h"
-#include "support/Arena.h"
 
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <span>
 #include <vector>
 
 namespace closer {
@@ -126,11 +126,12 @@ struct SharedSearchControl {
 /// worker and count as fresh for stats/report purposes.
 ///
 /// When the donor held a checkpoint at or below the donation point, a copy
-/// rides along (HasSnap): the receiver restores Snap and replays only
-/// Prefix[SnapCursor..] instead of re-executing the whole prefix from the
-/// initial state. Without it, a work item donated at depth d costs d
-/// replayed transitions before any fresh exploration starts, which
-/// dominates the wall clock of deep, donation-heavy runs.
+/// rides along (HasSnap) and becomes the receiver's checkpoint 0: the
+/// receiver restores Snap and replays only Prefix[SnapCursor..] instead of
+/// re-executing the whole prefix from the initial state. Without it, a work
+/// item donated at depth d costs d replayed transitions before any fresh
+/// exploration starts, which dominates the wall clock of deep,
+/// donation-heavy runs.
 struct WorkItem {
   std::vector<ReplayStep> Prefix;
   size_t FreshFrom = 0;
@@ -207,43 +208,45 @@ public:
   std::vector<ReplayStep> LastInFlight;
 
 private:
+  /// One choice point of the DFS path. A scheduling decision's candidates
+  /// (in exploration order) and its entry sleep set are two slices of
+  /// PathInts; toss and env decisions own empty slices at the stack top.
   struct Decision {
-    enum class Kind { Sched, Toss, Env };
+    enum class Kind : uint8_t { Sched, Toss, Env };
     Kind K = Kind::Sched;
-    // Sched:
-    std::vector<int> Procs; ///< Candidate processes, in exploration order.
-    std::vector<int> Sleep; ///< Sleep set on entry (process indices).
-    // Toss/Env:
-    int64_t Bound = 0;
-    size_t Chosen = 0;
     /// Trailing options handed to another worker by work sharing;
     /// backtrack() must not re-explore them.
     uint32_t DonatedTail = 0;
+    uint32_t NumCands = 0;
+    uint32_t NumSleep = 0;
+    size_t CandsAt = 0; ///< PathInts offset of the candidates.
+    size_t SleepAt = 0; ///< PathInts offset of the sleep set.
+    int64_t Bound = 0;  ///< Toss/Env: the options are [0, Bound].
+    size_t Chosen = 0;
 
     size_t optionCount() const {
       if (K == Kind::Sched)
-        return Procs.size();
+        return NumCands;
       // A negative bound is a runtime error (the System reports it before
       // any choice is recorded); never let it wrap into a huge count.
       return Bound < 0 ? 1 : static_cast<size_t>(Bound) + 1;
     }
     /// Options still owned by this explorer (donated ones excluded).
     size_t ownedOptionEnd() const { return optionCount() - DonatedTail; }
-    /// The replay step that selects option \p Option of this decision.
-    ReplayStep step(size_t Option) const;
   };
 
   class PathProvider;
 
-  /// A snapshot of the System just before executing decision Path[Cursor],
-  /// with the sleep set in force at that point. Stays valid while the
-  /// decision survives backtracking (Cursor < Path.size()) — the decision's
+  /// A checkpoint: snapshot slot Snaps[I] for Ckpts[I] holds the System
+  /// just before executing decision Path[Cursor], and CkptInts[SleepAt,
+  /// SleepAt + NumSleep) the sleep set in force there. Stays valid while
+  /// the decisions before Cursor survive backtracking — Path[Cursor]'s
   /// Chosen branch may change underneath it, since the snapshot captures
   /// the state *before* the choice is acted on.
   struct Checkpoint {
     size_t Cursor = 0;
-    std::vector<int> Sleep;
-    SystemSnapshot Snap;
+    size_t SleepAt = 0;
+    size_t NumSleep = 0;
   };
 
   /// Executes one full path following (and extending) Path. Returns false
@@ -259,18 +262,34 @@ private:
   std::vector<ReplayStep> currentChoices() const {
     return choicesUpTo(std::min(Cursor, Path.size()));
   }
-  /// Persistent-set candidate selection; overwrites \p Out (which is pool
-  /// or scratch storage on the hot path).
+  /// The replay step that selects option \p Option of \p D.
+  ReplayStep step(const Decision &D, size_t Option) const;
+  /// Slices of the path stacks. Read them before the next push: an append
+  /// may move the stack.
+  std::span<const int> cands(const Decision &D) const {
+    return {PathInts.data() + D.CandsAt, D.NumCands};
+  }
+  std::span<const int> sleep(const Decision &D) const {
+    return {PathInts.data() + D.SleepAt, D.NumSleep};
+  }
+  std::span<const int> sleep(const Checkpoint &C) const {
+    return {CkptInts.data() + C.SleepAt, C.NumSleep};
+  }
+  /// Pushes a scheduling decision with candidates \p Cands and entry sleep
+  /// set \p Sleep (neither may point into PathInts).
+  void pushSched(std::span<const int> Cands, std::span<const int> Sleep,
+                 size_t Chosen);
+  /// Pushes a toss or env decision.
+  void pushChoice(Decision::Kind K, int64_t Bound, size_t Chosen);
+  /// Persistent-set candidate selection; overwrites \p Out (scratch storage
+  /// on the hot path).
   void schedCandidatesInto(const std::vector<int> &Enabled,
                            const std::vector<int> &Sleep,
                            std::vector<int> &Out);
-  // Pool recycling for path/checkpoint storage; popping without releasing
-  // is only a missed reuse, never a leak.
-  void releaseDecision(Decision &D);
-  void releaseCheckpoint(Checkpoint &C);
-  void clearPath();
-  void clearCkpts();
-  void report(ErrorReport R);
+  /// Records an error at the current state, reached along the current
+  /// choices, and stops the search under StopOnFirstError.
+  void reportHere(ErrorReport::Type Kind, int Process = -1,
+                  SourceLoc Loc = {}, const RunError &Error = {});
   /// Copies this explorer's running totals into its progress slot, once
   /// per run; no-op when progress is off.
   void publishProgress();
@@ -285,10 +304,11 @@ private:
   /// recomputed) during the first runOnce() without recounting stats;
   /// decisions at index >= Item.FreshFrom count as fresh. backtrack() then
   /// never pops below the prefix. When the item ships the donor's
-  /// checkpoint, the first runOnce() restores it and replays only the
-  /// prefix tail; the covered head is materialized as placeholder
-  /// decisions (single-option, never executed) so currentChoices() and
-  /// donation prefixes still record the full path from the root.
+  /// checkpoint, it becomes checkpoint 0, so every run restores it (or a
+  /// deeper one) and replays only the prefix tail; the covered head is
+  /// materialized as placeholder decisions (single-option, never executed)
+  /// so currentChoices() and donation prefixes still record the full path
+  /// from the root.
   void beginSubtree(WorkItem Item);
   /// Moves one unexplored sibling subtree from the current path to worker
   /// \p W's deque (whence an idle worker steals it).
@@ -302,11 +322,21 @@ private:
   /// Owned here: each explorer needs its own register file even when the
   /// compiled code is shared.
   std::unique_ptr<ExecEngine> Engine;
+  /// The DFS path and the int stack behind its decisions' candidate and
+  /// sleep-set slices: pushing a decision appends to both, popping
+  /// truncates both, so the storage is reused from path to path.
   std::vector<Decision> Path;
+  std::vector<int> PathInts;
   size_t Cursor = 0;
   /// Checkpoints along the current path, shallowest first (strictly
-  /// increasing Cursor). Empty when CheckpointInterval is 0.
+  /// increasing Cursor), and the int stack behind their sleep sets. Empty
+  /// when CheckpointInterval is 0.
   std::vector<Checkpoint> Ckpts;
+  std::vector<int> CkptInts;
+  /// Snapshot slots: Ckpts[I] always uses Snaps[I]. Slots outlive their
+  /// checkpoints and keep their buffers, so a capture allocates only when
+  /// the state outgrows what its slot held before.
+  std::vector<SystemSnapshot> Snaps;
   /// The run's visited-state fingerprint table, consulted at fresh
   /// arrivals and shared by every explorer of the run (null when caching
   /// is off).
@@ -329,24 +359,7 @@ private:
   /// First prefix index whose execution counts as fresh (seeded items:
   /// prefix length — nothing; donated items: the donated sibling step).
   size_t SeedFresh = 0;
-  /// Work-item snapshot: restored whenever no regular checkpoint survives,
-  /// so with CheckpointInterval 0 every path of the item still starts at
-  /// SeedSnap.Cursor instead of the initial state. Cursor/Sleep/Snap reuse
-  /// the Checkpoint layout.
-  bool SeedSnapValid = false;
-  Checkpoint SeedSnap;
 
-  // Hot-path allocation recycling (support/Arena.h). All per-explorer and
-  // single-threaded: in a parallel run each worker's Explorer owns its own
-  // pools and scratch, so the steady state touches no shared allocator at
-  // all. Pool misses are bounded by the DFS-stack high-water mark.
-  /// Recycles Decision::Procs/Sleep (work-item placeholders included) and
-  /// Checkpoint::Sleep: every vector released here was acquired here, so
-  /// the freelist never outgrows the DFS stack.
-  support::VectorPool<int> IntPool;
-  /// Recycles checkpoint snapshots: restoring content into a pooled
-  /// snapshot reuses its process/comm/trace buffers.
-  support::ObjectPool<SystemSnapshot> SnapPool;
   // Per-transition scratch, reused across every state expansion.
   std::vector<int> EnabledBuf;
   /// One footprint row per process (Footprints.wordsPerSet() words each);

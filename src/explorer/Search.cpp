@@ -154,25 +154,21 @@ public:
       ++E.Cursor;
       return static_cast<int64_t>(D.Chosen);
     }
-    Decision D;
-    D.K = DK;
-    D.Bound = Bound;
-    D.Chosen = 0;
+    size_t Chosen = 0;
     if (E.SeedCursor < E.SeedPrefix.size()) {
       const ReplayStep &S = E.SeedPrefix[E.SeedCursor];
       assert(((DK == Decision::Kind::Toss && S.K == ReplayStep::Kind::Toss) ||
               (DK == Decision::Kind::Env && S.K == ReplayStep::Kind::Env)) &&
              S.Value >= 0 && S.Value <= Bound &&
              "work-item prefix diverged from the donor's execution");
-      D.Chosen = static_cast<size_t>(S.Value);
+      Chosen = static_cast<size_t>(S.Value);
       ++E.SeedCursor;
     }
-    int64_t Out = static_cast<int64_t>(D.Chosen);
     if (E.Cursor >= FreshFrom)
       FreshMode = true;
-    E.Path.push_back(std::move(D));
+    E.pushChoice(DK, Bound, Chosen);
     ++E.Cursor;
-    return Out;
+    return static_cast<int64_t>(Chosen);
   }
 
 private:
@@ -201,21 +197,32 @@ Explorer::Explorer(const Module &Mod, const SearchOptions &Options,
   }
 }
 
-void Explorer::report(ErrorReport R) {
+void Explorer::reportHere(ErrorReport::Type Kind, int Process, SourceLoc Loc,
+                          const RunError &Error) {
   if (Reports.size() < Options.MaxReports) {
-    Reports.push_back(std::move(R));
+    ErrorReport &R = Reports.emplace_back();
+    R.Kind = Kind;
+    R.Depth = Sys.depth();
+    R.TraceToError = Sys.trace();
+    R.Choices = currentChoices();
+    R.Error = Error;
+    R.Loc = Loc;
+    R.Process = Process;
+    R.StateFp = Sys.fingerprint();
   } else {
     ++Stats.ReportsDropped;
   }
+  if (Options.StopOnFirstError)
+    requestStop();
 }
 
-ReplayStep Explorer::Decision::step(size_t Option) const {
-  switch (K) {
-  case Kind::Sched:
-    return {ReplayStep::Kind::Sched, Procs[Option]};
-  case Kind::Toss:
+ReplayStep Explorer::step(const Decision &D, size_t Option) const {
+  switch (D.K) {
+  case Decision::Kind::Sched:
+    return {ReplayStep::Kind::Sched, cands(D)[Option]};
+  case Decision::Kind::Toss:
     return {ReplayStep::Kind::Toss, static_cast<int64_t>(Option)};
-  case Kind::Env:
+  case Decision::Kind::Env:
     return {ReplayStep::Kind::Env, static_cast<int64_t>(Option)};
   }
   return {};
@@ -225,8 +232,29 @@ std::vector<ReplayStep> Explorer::choicesUpTo(size_t N) const {
   std::vector<ReplayStep> Out;
   Out.reserve(N);
   for (size_t I = 0; I != N; ++I)
-    Out.push_back(Path[I].step(Path[I].Chosen));
+    Out.push_back(step(Path[I], Path[I].Chosen));
   return Out;
+}
+
+void Explorer::pushSched(std::span<const int> Cands,
+                         std::span<const int> Sleep, size_t Chosen) {
+  Decision &D = Path.emplace_back();
+  D.K = Decision::Kind::Sched;
+  D.NumCands = static_cast<uint32_t>(Cands.size());
+  D.NumSleep = static_cast<uint32_t>(Sleep.size());
+  D.CandsAt = PathInts.size();
+  D.SleepAt = D.CandsAt + Cands.size();
+  D.Chosen = Chosen;
+  PathInts.insert(PathInts.end(), Cands.begin(), Cands.end());
+  PathInts.insert(PathInts.end(), Sleep.begin(), Sleep.end());
+}
+
+void Explorer::pushChoice(Decision::Kind K, int64_t Bound, size_t Chosen) {
+  Decision &D = Path.emplace_back();
+  D.K = K;
+  D.CandsAt = D.SleepAt = PathInts.size();
+  D.Bound = Bound;
+  D.Chosen = Chosen;
 }
 
 /// Persistent-set computation: processes are partitioned into components of
@@ -314,7 +342,7 @@ void Explorer::schedCandidatesInto(const std::vector<int> &Enabled,
 
 void Explorer::finish() {
   Stats.ArenaBytes = FpWords.capacity() * sizeof(uint64_t);
-  Stats.PoolFresh = IntPool.fresh() + SnapPool.fresh();
+  Stats.PoolFresh = Snaps.size();
   Stats.VisibleOpsCovered = 0;
   for (uint64_t Word : Covered)
     Stats.VisibleOpsCovered += static_cast<uint64_t>(std::popcount(Word));
@@ -326,54 +354,48 @@ void Explorer::finish() {
 }
 
 void Explorer::beginSubtree(WorkItem Item) {
-  clearPath();
+  Path.clear();
+  PathInts.clear();
   Cursor = 0;
-  clearCkpts(); // Snapshots index into the abandoned path.
+  Ckpts.clear(); // Snapshots index into the abandoned path.
+  CkptInts.clear();
   LastInFlight.clear();
   Floor = Item.Prefix.size();
   SeedPrefix = std::move(Item.Prefix);
   SeedCursor = 0;
   SeedFresh = Item.FreshFrom;
-  SeedSnapValid = Item.HasSnap;
-  SeedSnap = Checkpoint();
   if (!Item.HasSnap)
     return;
-  assert(Item.SnapCursor < SeedPrefix.size() &&
+  assert(Item.SnapCursor > 0 && Item.SnapCursor < SeedPrefix.size() &&
          "snapshot must sit strictly inside the work-item prefix");
-  // Placeholder decisions for the snapshot-covered head: Cursor starts at
-  // SnapCursor on every run of this item, so these are never executed or
+  // Placeholder decisions for the snapshot-covered head: every run of this
+  // item starts at checkpoint 0 or deeper, so these are never executed or
   // backtracked (they sit below Floor) — they only have to render
   // correctly, which needs exactly one option carrying the seed value.
-  // Their vectors come from IntPool like every other scheduling decision's,
-  // because clearPath() releases them there.
   for (size_t I = 0; I < Item.SnapCursor; ++I) {
     const ReplayStep &S = SeedPrefix[I];
-    Decision D;
     switch (S.K) {
-    case ReplayStep::Kind::Sched:
-      D.K = Decision::Kind::Sched;
-      D.Procs = IntPool.acquire();
-      D.Procs.push_back(static_cast<int>(S.Value));
-      D.Sleep = IntPool.acquire();
-      D.Chosen = 0;
-      break;
-    case ReplayStep::Kind::Toss:
-      D.K = Decision::Kind::Toss;
-      D.Bound = S.Value;
-      D.Chosen = static_cast<size_t>(S.Value);
-      break;
-    case ReplayStep::Kind::Env:
-      D.K = Decision::Kind::Env;
-      D.Bound = S.Value;
-      D.Chosen = static_cast<size_t>(S.Value);
+    case ReplayStep::Kind::Sched: {
+      const int P = static_cast<int>(S.Value);
+      pushSched({&P, 1}, {}, 0);
       break;
     }
-    Path.push_back(std::move(D));
+    case ReplayStep::Kind::Toss:
+      pushChoice(Decision::Kind::Toss, S.Value, static_cast<size_t>(S.Value));
+      break;
+    case ReplayStep::Kind::Env:
+      pushChoice(Decision::Kind::Env, S.Value, static_cast<size_t>(S.Value));
+      break;
+    }
   }
   SeedCursor = Item.SnapCursor;
-  SeedSnap.Cursor = Item.SnapCursor;
-  SeedSnap.Sleep = std::move(Item.SnapSleep);
-  SeedSnap.Snap = std::move(Item.Snap);
+  // The shipped snapshot is checkpoint 0. It sits below Floor, so no
+  // backtrack inside the item ever pops it.
+  if (Snaps.empty())
+    Snaps.emplace_back();
+  Snaps[0] = std::move(Item.Snap);
+  Ckpts.push_back({Item.SnapCursor, 0, Item.SnapSleep.size()});
+  CkptInts.assign(Item.SnapSleep.begin(), Item.SnapSleep.end());
 }
 
 bool Explorer::runOnce() {
@@ -399,69 +421,38 @@ bool Explorer::runOnce() {
   CurSleep.clear();
 
   auto HandleExec = [&](const ExecResult &R) {
-    if (FreshMode) {
-      for (const AssertionViolation &V : R.Violations) {
-        ++Stats.AssertionViolations;
-        ErrorReport Rep;
-        Rep.Kind = ErrorReport::Type::AssertionViolation;
-        Rep.Depth = Sys.depth();
-        Rep.TraceToError = Sys.trace();
-        Rep.Choices = currentChoices();
-        Rep.Loc = V.Loc;
-        Rep.Process = V.Process;
-        Rep.StateFp = Sys.fingerprint();
-        report(std::move(Rep));
-        if (Options.StopOnFirstError)
-          requestStop();
-      }
-      if (R.Error) {
-        ErrorReport Rep;
-        Rep.Depth = Sys.depth();
-        Rep.TraceToError = Sys.trace();
-        Rep.Choices = currentChoices();
-        Rep.Error = R.Error;
-        Rep.Process = R.Error.Process;
-        Rep.StateFp = Sys.fingerprint();
-        if (R.Error.Kind == RunErrorKind::Divergence) {
-          ++Stats.Divergences;
-          Rep.Kind = ErrorReport::Type::Divergence;
-        } else {
-          ++Stats.RuntimeErrors;
-          Rep.Kind = ErrorReport::Type::RuntimeError;
-        }
-        report(std::move(Rep));
-        if (Options.StopOnFirstError)
-          requestStop();
-      }
+    if (!FreshMode)
+      return;
+    for (const AssertionViolation &V : R.Violations) {
+      ++Stats.AssertionViolations;
+      reportHere(ErrorReport::Type::AssertionViolation, V.Process, V.Loc);
+    }
+    if (!R.Error)
+      return;
+    if (R.Error.Kind == RunErrorKind::Divergence) {
+      ++Stats.Divergences;
+      reportHere(ErrorReport::Type::Divergence, R.Error.Process, {}, R.Error);
+    } else {
+      ++Stats.RuntimeErrors;
+      reportHere(ErrorReport::Type::RuntimeError, R.Error.Process, {},
+                 R.Error);
     }
   };
 
-  // Checkpointed backtracking: drop snapshots that point past the surviving
-  // path, then restore the deepest remaining one instead of re-executing
-  // the prefix from the initial state. A checkpoint captures the state
-  // *before* decision Ckpts.back().Cursor executes, so the replay below
-  // resumes there and runs only the suffix. Checkpoints never sit at cursor
-  // 0, so a fresh path (which must report initialization errors) always
-  // takes the reset branch.
-  while (!Ckpts.empty() && Ckpts.back().Cursor >= Path.size()) {
-    releaseCheckpoint(Ckpts.back());
-    Ckpts.pop_back();
-  }
+  // Checkpointed backtracking: restore the deepest checkpoint that survived
+  // backtrack() instead of re-executing the prefix from the initial state.
+  // A checkpoint captures the state *before* decision Ckpts.back().Cursor
+  // executes, so the replay below resumes there and runs only the suffix.
+  // Initialization errors are the root run's to report: checkpoints never
+  // sit at cursor 0, so a fresh path always takes the reset branch.
   if (!Ckpts.empty()) {
     const Checkpoint &C = Ckpts.back();
-    Sys.restore(C.Snap);
+    const SystemSnapshot &Snap = Snaps[Ckpts.size() - 1];
+    Sys.restore(Snap);
     Cursor = C.Cursor;
-    CurSleep = C.Sleep;
-    Stats.TransitionsRestored += C.Snap.depth();
-  } else if (SeedSnapValid) {
-    // Work-item snapshot: the donor already executed (and its checkpoint
-    // captured) everything before SeedSnap.Cursor. Initialization errors
-    // were the root run's to report, so no HandleExec here — same as a
-    // regular checkpoint restore.
-    Sys.restore(SeedSnap.Snap);
-    Cursor = SeedSnap.Cursor;
-    CurSleep = SeedSnap.Sleep;
-    Stats.TransitionsRestored += SeedSnap.Snap.depth();
+    const std::span<const int> Sleep = sleep(C);
+    CurSleep.assign(Sleep.begin(), Sleep.end());
+    Stats.TransitionsRestored += Snap.depth();
   } else {
     ExecResult Init = Sys.reset(Provider);
     HandleExec(Init);
@@ -496,19 +487,13 @@ bool Explorer::runOnce() {
       const ReplayStep &S = SeedPrefix[SeedCursor];
       assert(S.K == ReplayStep::Kind::Sched &&
              "work-item prefix diverged: expected a scheduling step");
-      Decision D;
-      D.K = Decision::Kind::Sched;
-      D.Procs = IntPool.acquire();
-      schedCandidatesInto(Enabled, CurSleep, D.Procs);
-      D.Sleep = IntPool.acquire();
-      D.Sleep.assign(CurSleep.begin(), CurSleep.end());
-      auto It = std::find(D.Procs.begin(), D.Procs.end(),
+      schedCandidatesInto(Enabled, CurSleep, CandBuf);
+      auto It = std::find(CandBuf.begin(), CandBuf.end(),
                           static_cast<int>(S.Value));
-      assert(It != D.Procs.end() &&
+      assert(It != CandBuf.end() &&
              "work-item prefix diverged: process not a candidate");
-      D.Chosen = static_cast<size_t>(It - D.Procs.begin());
+      pushSched(CandBuf, CurSleep, static_cast<size_t>(It - CandBuf.begin()));
       ++SeedCursor;
-      Path.push_back(std::move(D));
     } else if (AtPathEnd) {
       FreshMode = true;
       if (FrontierSink && Path.size() >= FrontierDepth) {
@@ -552,15 +537,7 @@ bool Explorer::runOnce() {
       if (Enabled.empty()) {
         if (Sys.classify() == GlobalStateKind::Deadlock) {
           ++Stats.Deadlocks;
-          ErrorReport Rep;
-          Rep.Kind = ErrorReport::Type::Deadlock;
-          Rep.Depth = Sys.depth();
-          Rep.TraceToError = Sys.trace();
-          Rep.Choices = currentChoices();
-          Rep.StateFp = Sys.fingerprint();
-          report(std::move(Rep));
-          if (Options.StopOnFirstError)
-            requestStop();
+          reportHere(ErrorReport::Type::Deadlock);
         } else {
           ++Stats.Terminations;
         }
@@ -578,21 +555,14 @@ bool Explorer::runOnce() {
         RecordLeafTrace();
         return true;
       }
-      Decision D;
-      D.K = Decision::Kind::Sched;
-      D.Procs = IntPool.acquire();
-      D.Procs.assign(CandBuf.begin(), CandBuf.end());
-      D.Sleep = IntPool.acquire();
-      D.Sleep.assign(CurSleep.begin(), CurSleep.end());
-      D.Chosen = 0;
-      Path.push_back(std::move(D));
+      pushSched(CandBuf, CurSleep, 0);
     } else {
       // A replay should never end early or reach a disabled choice
       // (execution is deterministic given the recorded choices); be
       // defensive rather than crash.
       const Decision &Next = Path[Cursor];
       if (Next.K != Decision::Kind::Sched || Sys.depth() >= Options.MaxDepth ||
-          !Sys.processEnabled(Next.Procs[Next.Chosen])) {
+          !Sys.processEnabled(cands(Next)[Next.Chosen])) {
         assert(false && "replay diverged: path continues past a leaf");
         return true;
       }
@@ -600,12 +570,13 @@ bool Explorer::runOnce() {
 
     maybeCheckpoint(CurSleep);
 
-    Decision &D = Path[Cursor];
+    const Decision &D = Path[Cursor];
     assert(D.K == Decision::Kind::Sched && "expected a scheduling decision");
     if (Cursor >= FreshFrom)
       FreshMode = true;
     ++Cursor;
-    int Chosen = D.Procs[D.Chosen];
+    const std::span<const int> Cands = cands(D);
+    int Chosen = Cands[D.Chosen];
 
     // Sleep-set propagation: processes already covered stay asleep across
     // independent transitions; earlier siblings of this decision go to
@@ -616,11 +587,11 @@ bool Explorer::runOnce() {
       int QObj = Sys.currentVisibleObject(Q);
       return QObj < 0 || ChosenObj < 0 || QObj != ChosenObj;
     };
-    for (int Q : D.Sleep)
+    for (int Q : sleep(D))
       if (Q != Chosen && Independent(Q))
         NewSleep.push_back(Q);
     for (size_t S = 0; S < D.Chosen; ++S) {
-      int Q = D.Procs[S];
+      int Q = Cands[S];
       if (Q != Chosen && Independent(Q) &&
           std::find(NewSleep.begin(), NewSleep.end(), Q) == NewSleep.end())
         NewSleep.push_back(Q);
@@ -647,49 +618,25 @@ void Explorer::maybeCheckpoint(const std::vector<int> &CurSleep) {
     return;
   // Interval rule: one snapshot every K global states along the path. A
   // worker with a pinned prefix (Floor > 0) additionally snapshots right
-  // after its prefix replay, so the prefix is re-executed at most once per
-  // work item instead of once per leaf.
-  const size_t LastDepth = Ckpts.empty() ? 0 : Ckpts.back().Snap.depth();
+  // after its prefix replay unless a checkpoint already sits at or past
+  // Floor, so the prefix is re-executed at most once per work item instead
+  // of once per leaf.
+  const size_t N = Ckpts.size();
+  const size_t LastDepth = N ? Snaps[N - 1].depth() : 0;
   const bool Due = Sys.depth() >= LastDepth + K;
-  const bool ForcePrefix = Floor > 0 && Cursor >= Floor && Ckpts.empty();
+  const bool ForcePrefix =
+      Floor > 0 && Cursor >= Floor && (N == 0 || Ckpts.back().Cursor < Floor);
   if (!Due && !ForcePrefix)
     return;
-  Checkpoint C;
-  C.Cursor = Cursor;
-  C.Sleep = IntPool.acquire();
-  C.Sleep.assign(CurSleep.begin(), CurSleep.end());
+  Ckpts.push_back({Cursor, CkptInts.size(), CurSleep.size()});
+  CkptInts.insert(CkptInts.end(), CurSleep.begin(), CurSleep.end());
   // Light flavor: checkpoints live and die on this explorer's own DFS
   // path, so the O(depth) event trace is rewound by truncation instead of
   // being copied in and out (donateOne materializes a full copy on the
   // rare occasion a checkpoint leaves this path inside a work item).
-  // Snapshotting into a pooled snapshot reuses its buffers element-wise.
-  C.Snap = SnapPool.acquire();
-  Sys.snapshotLightInto(C.Snap);
-  Ckpts.push_back(std::move(C));
-}
-
-void Explorer::releaseDecision(Decision &D) {
-  if (D.K == Decision::Kind::Sched) {
-    IntPool.release(std::move(D.Procs));
-    IntPool.release(std::move(D.Sleep));
-  }
-}
-
-void Explorer::releaseCheckpoint(Checkpoint &C) {
-  IntPool.release(std::move(C.Sleep));
-  SnapPool.release(std::move(C.Snap));
-}
-
-void Explorer::clearPath() {
-  for (Decision &D : Path)
-    releaseDecision(D);
-  Path.clear();
-}
-
-void Explorer::clearCkpts() {
-  for (Checkpoint &C : Ckpts)
-    releaseCheckpoint(C);
-  Ckpts.clear();
+  if (N == Snaps.size())
+    Snaps.emplace_back();
+  Sys.snapshotLightInto(Snaps[N]);
 }
 
 bool Explorer::backtrack() {
@@ -700,9 +647,15 @@ bool Explorer::backtrack() {
     Decision &D = Path.back();
     if (D.Chosen + 1 < D.ownedOptionEnd()) {
       ++D.Chosen;
+      // Checkpoints past the changed decision captured states its old
+      // choice led to.
+      while (!Ckpts.empty() && Ckpts.back().Cursor >= Path.size()) {
+        CkptInts.resize(Ckpts.back().SleepAt);
+        Ckpts.pop_back();
+      }
       return true;
     }
-    releaseDecision(D);
+    PathInts.resize(D.CandsAt);
     Path.pop_back();
   }
   return false;

@@ -31,7 +31,6 @@ StateCache::StateCache(unsigned Bits) {
   Slots = std::make_unique<std::atomic<uint64_t>[]>(SlotCount);
   for (uint64_t I = 0; I != SlotCount; ++I)
     Slots[I].store(0, std::memory_order_relaxed);
-  Fill = std::make_unique<ShardCount[]>(Shards);
 }
 
 StateCache::Insert StateCache::insert(uint64_t Fp) {
@@ -50,10 +49,8 @@ StateCache::Insert StateCache::insert(uint64_t Fp) {
     if (V == 0) {
       uint64_t Expected = 0;
       if (Slot.compare_exchange_strong(Expected, K,
-                                       std::memory_order_relaxed)) {
-        Fill[Shard].N.fetch_add(1, std::memory_order_relaxed);
+                                       std::memory_order_relaxed))
         return Insert::Inserted;
-      }
       if (Expected == K)
         return Insert::Present; // Lost the race to an equal fingerprint.
       // A different fingerprint claimed the slot first; keep probing.
@@ -80,7 +77,7 @@ bool StateCache::contains(uint64_t Fp) const {
 
 uint64_t StateCache::entries() const {
   uint64_t Total = 0;
-  for (unsigned S = 0; S != Shards; ++S)
-    Total += Fill[S].N.load(std::memory_order_relaxed);
+  for (uint64_t I = 0; I != SlotCount; ++I)
+    Total += Slots[I].load(std::memory_order_relaxed) != 0;
   return Total;
 }

@@ -69,9 +69,9 @@ public:
   bool contains(uint64_t Fp) const;
 
   uint64_t capacity() const { return SlotCount; }
-  /// Stored fingerprints (exact once concurrent inserts have quiesced).
+  /// Stored fingerprints: the occupied slots, counted by a scan (exact
+  /// once concurrent inserts have quiesced; slots are never cleared).
   uint64_t entries() const;
-  unsigned shardCount() const { return Shards; }
 
 private:
   /// The stored form of a fingerprint. The finalizer spreads entropy into
@@ -99,12 +99,6 @@ private:
   /// Probes before giving up; bounds worst-case insert cost and defines
   /// the saturation point of a nearly-full shard.
   uint64_t ProbeLimit = 0;
-  /// Per-shard entry counters, relaxed; padded to a cache line so workers
-  /// inserting into different shards do not false-share.
-  struct alignas(64) ShardCount {
-    std::atomic<uint64_t> N{0};
-  };
-  std::unique_ptr<ShardCount[]> Fill;
 };
 
 } // namespace closer

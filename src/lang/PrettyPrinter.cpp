@@ -92,9 +92,12 @@ std::string printSub(const Expr *Parent, const Expr *Child) {
 
 std::string printIntLit(int64_t Value) {
   const AtomTable &Atoms = AtomTable::global();
-  if (Atoms.isAtom(Value))
-    return "'" + Atoms.spelling(Value) + "'";
-  return std::to_string(Value);
+  if (!Atoms.isAtom(Value))
+    return std::to_string(Value);
+  std::string Out = "'";
+  Out += Atoms.spelling(Value);
+  Out += '\'';
+  return Out;
 }
 
 } // namespace
@@ -113,10 +116,16 @@ std::string closer::printExpr(const Expr *E) {
   case ExprKind::Unary:
     return std::string(E->UOp == UnaryOp::Neg ? "-" : "!") +
            printSub(E, E->Lhs.get());
-  case ExprKind::Deref:
-    return "*" + printSub(E, E->Lhs.get());
-  case ExprKind::AddrOf:
-    return "&" + printExpr(E->Lhs.get());
+  case ExprKind::Deref: {
+    std::string Out = "*";
+    Out += printSub(E, E->Lhs.get());
+    return Out;
+  }
+  case ExprKind::AddrOf: {
+    std::string Out = "&";
+    Out += printExpr(E->Lhs.get());
+    return Out;
+  }
   case ExprKind::Binary: {
     std::string Lhs = printSub(E, E->Lhs.get());
     std::string Rhs = printExpr(E->Rhs.get());

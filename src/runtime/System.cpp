@@ -155,36 +155,9 @@ Value System::CommState::pop() {
 // Checkpointing
 //===----------------------------------------------------------------------===//
 
-SystemSnapshot System::snapshot() const {
-  SystemSnapshot S;
-  snapshotInto(S);
-  return S;
-}
-
-SystemSnapshot System::snapshotLight() const {
-  SystemSnapshot S;
-  snapshotLightInto(S);
-  return S;
-}
-
-SystemSnapshot System::materializeTrace(const SystemSnapshot &Light) const {
-  SystemSnapshot S;
-  materializeTraceInto(Light, S);
-  return S;
-}
-
-void System::snapshotInto(SystemSnapshot &S) const {
-  // Copy-assignment into a recycled snapshot reuses the nested vectors'
-  // capacity element-wise; this is the whole point of the Into form.
-  S.Processes = Processes;
-  S.Comms = Comms;
-  S.EventTrace = EventTrace;
-  S.TraceLen = EventTrace.size();
-  S.HasTrace = true;
-  S.NumTransitions = NumTransitions;
-}
-
 void System::snapshotLightInto(SystemSnapshot &S) const {
+  // Copy-assignment into a reused snapshot reuses the nested vectors'
+  // capacity element-wise.
   S.Processes = Processes;
   S.Comms = Comms;
   S.EventTrace.clear(); // Keeps capacity; a light snapshot carries no trace.

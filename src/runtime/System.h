@@ -231,40 +231,27 @@ public:
   // Checkpointing
   //===--------------------------------------------------------------------===//
 
-  /// Captures the full dynamic state (per-process frames/slots/PCs,
-  /// communication objects, trace, transition count) as a value. Intended
-  /// to be taken at transition boundaries (no execution in flight), where
-  /// it is an exact substitute for re-executing the choice prefix that led
-  /// here: restore() followed by the same transitions is indistinguishable
-  /// from a fresh reset-and-replay, including fingerprints and traces.
-  SystemSnapshot snapshot() const;
-
-  /// Like snapshot(), but records only the event trace's length instead of
-  /// copying it: O(state) instead of O(depth). Restoring such a snapshot
-  /// truncates the live trace, which is only correct while this System
-  /// stays on the DFS path the snapshot was taken on (see SystemSnapshot).
-  SystemSnapshot snapshotLight() const;
-
-  /// Completes a snapshotLight() result into a full, shippable snapshot by
-  /// copying the first TraceLen events of the current trace. Only valid
-  /// while the light snapshot is restorable here (same-path requirement):
-  /// then the live trace's prefix is exactly the trace at capture time.
-  SystemSnapshot materializeTrace(const SystemSnapshot &Light) const;
-
-  /// In-place variants of the three capture operations above. They
-  /// overwrite \p S instead of building a fresh snapshot, so a pooled
-  /// (recycled) snapshot's process/comm/trace buffers are reused by
-  /// element-wise copy assignment — the steady-state checkpointing path
-  /// allocates nothing. Semantically identical to the by-value forms.
-  void snapshotInto(SystemSnapshot &S) const;
+  /// Overwrites \p S with the full dynamic state (per-process frames and
+  /// cells, communication objects, transition count) and the event trace's
+  /// length, not its events: O(state) instead of O(depth). Intended to be
+  /// taken at transition boundaries (no execution in flight), where
+  /// restoring it is an exact substitute for re-executing the choice
+  /// prefix that led here, including fingerprints and traces, as long as
+  /// this System stays on the DFS path it was taken on (see
+  /// SystemSnapshot). Capturing into a reused snapshot reuses its buffers,
+  /// so a steady-state checkpointing search allocates nothing here.
   void snapshotLightInto(SystemSnapshot &S) const;
+
+  /// Overwrites \p Out with \p Light completed into a full, shippable
+  /// snapshot: the first TraceLen events of the current trace ride along.
+  /// Only valid while \p Light is restorable here (same-path requirement):
+  /// then the live trace's prefix is exactly the trace at capture time.
   void materializeTraceInto(const SystemSnapshot &Light,
                             SystemSnapshot &Out) const;
 
-  /// Restores the state captured by snapshot(). The snapshot must come
-  /// from a System bound to the same Module (any instance for full
-  /// snapshots; the capturing instance, still on the capture path, for
-  /// light ones).
+  /// Restores a captured state. The snapshot must come from a System bound
+  /// to the same Module: any instance for a materialized one, the
+  /// capturing instance, still on the capture path, for a light one.
   void restore(const SystemSnapshot &S);
 
   //===--------------------------------------------------------------------===//
@@ -449,23 +436,24 @@ private:
   friend class vm::DifferentialEngine;
 };
 
-/// A value-type copy of a System's full dynamic state, produced by
-/// System::snapshot() and consumed by System::restore(). The state is flat
-/// (per process one cell array and one frame array, per channel one ring,
-/// all trivially copyable), so capturing into or restoring from a recycled
-/// snapshot is a memcpy per array; the explorer keeps a small stack of
-/// these along its DFS path so backtracking can restore a prefix instead
+/// A value-type copy of a System's full dynamic state, captured by
+/// System::snapshotLightInto() and consumed by System::restore(). The state
+/// is flat (per process one cell array and one frame array, per channel one
+/// ring, all trivially copyable), so capturing into or restoring from a
+/// reused snapshot is a memcpy per array; the explorer keeps a small stack
+/// of these along its DFS path so backtracking can restore a prefix instead
 /// of re-executing it.
 ///
 /// Two flavors differ only in how the event trace is captured:
-///  * snapshot() stores a full copy — restorable into any System built
-///    from the same Module (work items ship these across workers);
-///  * snapshotLight() stores just the trace length. Restoring one
+///  * a light snapshot stores just the trace length. Restoring one
 ///    truncates the live trace to that length, which is only correct when
 ///    the System is on the same DFS path the snapshot was taken on (the
 ///    trace is append-only along a path, so the prefix is still intact).
 ///    This keeps per-checkpoint cost O(state) instead of O(depth) — on
-///    deep paths the trace dwarfs the rest of the state.
+///    deep paths the trace dwarfs the rest of the state;
+///  * materializeTraceInto() adds a full copy of the trace, which makes
+///    the snapshot restorable into any System built from the same Module
+///    (work items ship these across workers).
 class SystemSnapshot {
 public:
   SystemSnapshot() = default;

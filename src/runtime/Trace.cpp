@@ -10,12 +10,16 @@
 using namespace closer;
 
 std::string VisibleEvent::str() const {
-  std::string Out = "P" + std::to_string(ProcessIndex) + ":";
+  std::string Out = "P";
+  Out += std::to_string(ProcessIndex);
+  Out += ':';
   Out += builtinInfo(Op).Name;
   if (!Object.empty())
     Out += "(" + Object + ")";
-  if (HasPayload)
-    Out += "=" + Payload.str();
+  if (HasPayload) {
+    Out += '=';
+    Out += Payload.str();
+  }
   return Out;
 }
 

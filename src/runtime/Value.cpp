@@ -15,9 +15,12 @@ std::string Value::str() const {
   switch (K) {
   case Kind::Int: {
     const AtomTable &Atoms = AtomTable::global();
-    if (Atoms.isAtom(Int))
-      return "'" + Atoms.spelling(Int) + "'";
-    return std::to_string(Int);
+    if (!Atoms.isAtom(Int))
+      return std::to_string(Int);
+    std::string Out = "'";
+    Out += Atoms.spelling(Int);
+    Out += '\'';
+    return Out;
   }
   case Kind::Unknown:
     return "unknown";
@@ -27,8 +30,11 @@ std::string Value::str() const {
     if (Addr.Sp == Address::Space::Frame)
       Out += std::to_string(Addr.FrameIndex);
     Out += " slot " + std::to_string(Addr.SlotIndex);
-    if (Addr.ElemIndex >= 0)
-      Out += "[" + std::to_string(Addr.ElemIndex) + "]";
+    if (Addr.ElemIndex >= 0) {
+      Out += '[';
+      Out += std::to_string(Addr.ElemIndex);
+      Out += ']';
+    }
     return Out + "]";
   }
   }

@@ -25,7 +25,11 @@ std::string closer::generateCorpusSource(const CorpusConfig &Config) {
     S += "proc p" + std::to_string(P) + "(x) {\n";
     for (int V = 0; V != 6; ++V)
       S += "  var v" + std::to_string(V) + " = " + std::to_string(V) + ";\n";
-    auto Var = [&] { return "v" + std::to_string(R.below(6)); };
+    auto Var = [&] {
+      std::string Name = "v";
+      Name += std::to_string(R.below(6));
+      return Name;
+    };
     for (size_t I = 0; I != Stmts; ++I) {
       switch (R.below(10)) {
       case 0:

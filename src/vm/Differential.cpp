@@ -7,6 +7,7 @@
 
 #include "vm/Differential.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -111,7 +112,11 @@ ExecResult DifferentialEngine::runBoth(System &S, int PIdx,
   // transition boundaries), but reset() can legitimately hand runPrefix a
   // pending argument-binding error — both legs must see it.
   RunError SavedPending = S.PendingError;
-  SystemSnapshot Pre = S.snapshot();
+  // Both legs run on this System from this state, so a light snapshot
+  // suffices: restore() rewinds the trace by truncation. Only the events a
+  // leg appends are compared; the prefix before them is shared.
+  S.snapshotLightInto(Pre);
+  const size_t PreEvents = S.trace().size();
 
   std::vector<RecordedChoice> Log;
   RecordingProvider Rec(Provider, Log);
@@ -120,7 +125,8 @@ ExecResult DifferentialEngine::runBoth(System &S, int PIdx,
 
   uint64_t InterpFp = S.fingerprint();
   size_t InterpDepth = S.depth();
-  Trace InterpTrace = S.trace();
+  InterpEvents.assign(S.trace().begin() + static_cast<ptrdiff_t>(PreEvents),
+                      S.trace().end());
   std::vector<int> InterpEnabled = S.enabledProcesses();
   GlobalStateKind InterpClass = S.classify();
 
@@ -141,7 +147,9 @@ ExecResult DifferentialEngine::runBoth(System &S, int PIdx,
     die(PIdx, IsPrefix, "assertion violations");
   if (S.depth() != InterpDepth)
     die(PIdx, IsPrefix, "transition count");
-  if (!(S.trace() == InterpTrace))
+  if (S.trace().size() != PreEvents + InterpEvents.size() ||
+      !std::equal(InterpEvents.begin(), InterpEvents.end(),
+                  S.trace().begin() + static_cast<ptrdiff_t>(PreEvents)))
     die(PIdx, IsPrefix, "visible event trace");
   if (S.enabledProcesses() != InterpEnabled)
     die(PIdx, IsPrefix, "enabled process set");

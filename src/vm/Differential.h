@@ -9,7 +9,7 @@
 /// An ExecEngine that runs every transition on BOTH engines and cross-checks
 /// them (--exec=both). Protocol per transition (and per reset prefix):
 ///
-///   1. snapshot the System;
+///   1. snapshot the System (light: the trace is rewound by truncation);
 ///   2. run the tree-walking interpreter, recording every choice the
 ///      provider hands out;
 ///   3. capture the observables: state fingerprint, depth, event trace,
@@ -18,8 +18,9 @@
 ///   4. restore the snapshot and replay the recorded choice sequence into
 ///      the bytecode VM (the replay also verifies the VM asks for exactly
 ///      the same choices, in the same order, with the same bounds);
-///   5. compare every observable. Any divergence is a lowering or VM bug:
-///      report it on stderr and abort.
+///   5. compare every observable (of the trace, the events each leg
+///      appended). Any divergence is a lowering or VM bug: report it on
+///      stderr and abort.
 ///
 /// The VM leg runs second so the System is left in the VM-produced state —
 /// the oracle catches any drift on the very next transition even if a
@@ -51,6 +52,10 @@ private:
                      bool IsPrefix);
 
   Vm TheVm;
+  /// Per-transition scratch: the state before the interpreter leg and the
+  /// events that leg appended.
+  SystemSnapshot Pre;
+  Trace InterpEvents;
 };
 
 } // namespace vm

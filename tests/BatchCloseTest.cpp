@@ -78,7 +78,7 @@ std::string scrubVolatile(std::string Json) {
       while (End < Json.size() && Json[End] != ',' && Json[End] != '}' &&
              Json[End] != '\n')
         ++End;
-      Json.replace(Start, End - Start, "X");
+      Json.replace(Start, End - Start, 1, 'X');
       At = Start;
     }
   }
@@ -95,7 +95,9 @@ TEST(BatchCloseTest, JobsOutputByteIdenticalToSequential) {
     Config.Procs = 3 + I;
     Config.StmtsPerProc = 10 + 4 * I;
     Config.Seed = 100 + static_cast<uint64_t>(I);
-    std::string Path = (Dir.Path / ("m" + std::to_string(I) + ".mc")).string();
+    std::string Name = "m";
+    Name += std::to_string(I);
+    std::string Path = (Dir.Path / (Name + ".mc")).string();
     std::ofstream(Path) << generateCorpusSource(Config);
     Files.push_back(Path);
   }

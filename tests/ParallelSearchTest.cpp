@@ -26,36 +26,6 @@ using namespace closer;
 
 namespace {
 
-/// The statistics that describe the search tree itself (as opposed to the
-/// replay effort, which legitimately differs between the sequential and
-/// the parallel traversal).
-std::string treeShape(const SearchStats &S) {
-  std::string Out;
-  Out += "states=" + std::to_string(S.StatesVisited);
-  Out += " tree-transitions=" + std::to_string(S.TreeTransitions);
-  Out += " deadlocks=" + std::to_string(S.Deadlocks);
-  Out += " terminations=" + std::to_string(S.Terminations);
-  Out += " assertion-violations=" + std::to_string(S.AssertionViolations);
-  Out += " divergences=" + std::to_string(S.Divergences);
-  Out += " runtime-errors=" + std::to_string(S.RuntimeErrors);
-  Out += " depth-limit-hits=" + std::to_string(S.DepthLimitHits);
-  Out += " sleep-prunes=" + std::to_string(S.SleepSetPrunes);
-  Out += " covered=" + std::to_string(S.VisibleOpsCovered);
-  Out += S.Completed ? " complete" : " stopped";
-  return Out;
-}
-
-/// Order-independent fingerprint of the reported errors: kind plus the
-/// replayable choice sequence identifies a report uniquely.
-std::vector<std::string> errorSet(const std::vector<ErrorReport> &Reports) {
-  std::vector<std::string> Out;
-  for (const ErrorReport &R : Reports)
-    Out.push_back(std::to_string(static_cast<int>(R.Kind)) + ":" +
-                  replayToString(R.Choices));
-  std::sort(Out.begin(), Out.end());
-  return Out;
-}
-
 void expectParallelMatchesSequential(const Module &Mod, SearchOptions Opts,
                                      const std::string &Label) {
   Opts.MaxReports = 4096; // Compare full error sets, not truncations.

@@ -116,8 +116,11 @@ private:
 
   std::string randomCond() {
     static const char *Cmp[] = {"<", "<=", ">", ">=", "==", "!="};
-    return "(" + randomExpr(1) + ") " + Cmp[R.below(6)] + " (" +
-           randomExpr(1) + ")";
+    // Drawn right to left, the order every seed's program was generated in.
+    std::string Rhs = randomExpr(1);
+    const char *Op = Cmp[R.below(6)];
+    std::string Lhs = randomExpr(1);
+    return "(" + Lhs + ") " + Op + " (" + Rhs + ")";
   }
 
   void emitStmt(int Depth, std::string Pad) {

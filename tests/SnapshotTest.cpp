@@ -68,6 +68,15 @@ process b = consumer();
 )";
 }
 
+/// A full snapshot of \p Sys, restorable anywhere: a light capture with
+/// the trace materialized, as a donated work item ships it.
+SystemSnapshot fullSnapshot(const System &Sys) {
+  SystemSnapshot Light, Full;
+  Sys.snapshotLightInto(Light);
+  Sys.materializeTraceInto(Light, Full);
+  return Full;
+}
+
 int firstEnabled(const System &Sys) {
   std::vector<int> E = Sys.enabledProcesses();
   return E.empty() ? -1 : E.front();
@@ -85,7 +94,7 @@ TEST(SnapshotTest, RestoreMidRunEqualsFreshReplayOfThePrefix) {
   std::vector<uint64_t> Prints;
   std::vector<std::string> Traces;
   for (;;) {
-    Snaps.push_back(Sys.snapshot());
+    Snaps.push_back(fullSnapshot(Sys));
     Prints.push_back(Sys.fingerprint());
     Traces.push_back(traceToString(Sys.trace()));
     int P = firstEnabled(Sys);
@@ -133,7 +142,7 @@ TEST(SnapshotTest, RestoreUndoesCommObjectMutation) {
   ZeroChoiceProvider Zero;
   System Sys(*Mod, {});
 
-  SystemSnapshot Initial = Sys.snapshot();
+  SystemSnapshot Initial = fullSnapshot(Sys);
   uint64_t InitialPrint = Sys.fingerprint();
 
   // Mutate every object kind: sends fill the channel, the consumer
@@ -199,8 +208,9 @@ process q = consumer();
   // while wrapped.
   Run(Sys, 1, 8);
   Run(Sys, 0, 8);
-  SystemSnapshot Full = Sys.snapshot();
-  SystemSnapshot Light = Sys.snapshotLight();
+  SystemSnapshot Full = fullSnapshot(Sys);
+  SystemSnapshot Light;
+  Sys.snapshotLightInto(Light);
   const uint64_t Print = Sys.fingerprint();
   Run(Sys, 0, 0);
   const std::string Final = traceToString(Sys.trace());
@@ -234,34 +244,6 @@ process q = consumer();
 //===----------------------------------------------------------------------===//
 // Search-level equivalence: checkpointed vs stateless
 //===----------------------------------------------------------------------===//
-
-/// The statistics that describe the search tree itself. Replay effort
-/// (Transitions/TransitionsReplayed/TransitionsRestored) legitimately
-/// differs between checkpoint intervals; everything else must not.
-std::string treeShape(const SearchStats &S) {
-  std::string Out;
-  Out += "states=" + std::to_string(S.StatesVisited);
-  Out += " tree-transitions=" + std::to_string(S.TreeTransitions);
-  Out += " deadlocks=" + std::to_string(S.Deadlocks);
-  Out += " terminations=" + std::to_string(S.Terminations);
-  Out += " assertion-violations=" + std::to_string(S.AssertionViolations);
-  Out += " divergences=" + std::to_string(S.Divergences);
-  Out += " runtime-errors=" + std::to_string(S.RuntimeErrors);
-  Out += " depth-limit-hits=" + std::to_string(S.DepthLimitHits);
-  Out += " sleep-prunes=" + std::to_string(S.SleepSetPrunes);
-  Out += " covered=" + std::to_string(S.VisibleOpsCovered);
-  Out += S.Completed ? " complete" : " stopped";
-  return Out;
-}
-
-std::vector<std::string> errorSet(const std::vector<ErrorReport> &Reports) {
-  std::vector<std::string> Out;
-  for (const ErrorReport &R : Reports)
-    Out.push_back(std::to_string(static_cast<int>(R.Kind)) + ":" +
-                  replayToString(R.Choices));
-  std::sort(Out.begin(), Out.end());
-  return Out;
-}
 
 void expectCheckpointedMatchesStateless(const Module &Mod,
                                         SearchOptions Opts,

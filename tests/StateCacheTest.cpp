@@ -137,19 +137,6 @@ std::string cachedShape(const SearchStats &S) {
   return Out;
 }
 
-/// Report identity under caching: the erroneous state plus the error
-/// details (the representative trace legitimately varies with scheduling).
-std::vector<std::string> stateErrorSet(const std::vector<ErrorReport> &Rs) {
-  std::vector<std::string> Out;
-  for (const ErrorReport &R : Rs)
-    Out.push_back(std::to_string(static_cast<int>(R.Kind)) + ":" +
-                  std::to_string(R.StateFp) + ":" +
-                  std::to_string(static_cast<int>(R.Error.Kind)) + ":" +
-                  std::to_string(R.Process));
-  std::sort(Out.begin(), Out.end());
-  return Out;
-}
-
 void expectCachedParallelMatchesSequential(const Module &Mod,
                                            SearchOptions Opts,
                                            const std::string &Label) {

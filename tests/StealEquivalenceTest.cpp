@@ -39,50 +39,6 @@ using namespace closer;
 
 namespace {
 
-/// The tree-shaped statistics (not replay effort, not the new scheduler
-/// counters — Steals/Wakeups/ArenaBytes/PoolFresh legitimately vary with
-/// scheduling and are deliberately absent here).
-std::string treeShape(const SearchStats &S) {
-  std::string Out;
-  Out += "states=" + std::to_string(S.StatesVisited);
-  Out += " tree-transitions=" + std::to_string(S.TreeTransitions);
-  Out += " deadlocks=" + std::to_string(S.Deadlocks);
-  Out += " terminations=" + std::to_string(S.Terminations);
-  Out += " assertion-violations=" + std::to_string(S.AssertionViolations);
-  Out += " divergences=" + std::to_string(S.Divergences);
-  Out += " runtime-errors=" + std::to_string(S.RuntimeErrors);
-  Out += " depth-limit-hits=" + std::to_string(S.DepthLimitHits);
-  Out += " sleep-prunes=" + std::to_string(S.SleepSetPrunes);
-  Out += " covered=" + std::to_string(S.VisibleOpsCovered);
-  Out += S.Completed ? " complete" : " stopped";
-  return Out;
-}
-
-std::vector<std::string> errorSet(const std::vector<ErrorReport> &Reports) {
-  std::vector<std::string> Out;
-  for (const ErrorReport &R : Reports)
-    Out.push_back(std::to_string(static_cast<int>(R.Kind)) + ":" +
-                  replayToString(R.Choices));
-  std::sort(Out.begin(), Out.end());
-  return Out;
-}
-
-/// Report identity for cached runs: the erroneous state plus the error
-/// details. A cached state is expanded by whichever worker inserts its
-/// fingerprint first, so the representative trace varies with scheduling
-/// while the (state, error) set does not — the same identity
-/// StateCacheTest pins for the cache layer itself.
-std::vector<std::string> stateErrorSet(const std::vector<ErrorReport> &Rs) {
-  std::vector<std::string> Out;
-  for (const ErrorReport &R : Rs)
-    Out.push_back(std::to_string(static_cast<int>(R.Kind)) + ":" +
-                  std::to_string(R.StateFp) + ":" +
-                  std::to_string(static_cast<int>(R.Error.Kind)) + ":" +
-                  std::to_string(R.Process));
-  std::sort(Out.begin(), Out.end());
-  return Out;
-}
-
 struct MatrixProgram {
   const char *Label;
   std::unique_ptr<Module> Mod;

@@ -5,7 +5,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "support/Arena.h"
 #include "support/Diagnostics.h"
 #include "support/Random.h"
 #include "support/SourceLoc.h"
@@ -94,49 +93,6 @@ TEST(RngTest, ChanceIsroughlyCalibrated) {
     Hits += R.chance(1, 4);
   EXPECT_GT(Hits, 2000);
   EXPECT_LT(Hits, 3000);
-}
-
-TEST(ObjectPoolTest, RecyclesAndCountsFresh) {
-  support::ObjectPool<std::string> Pool;
-  EXPECT_EQ(Pool.fresh(), 0u);
-  std::string S = Pool.acquire();
-  EXPECT_EQ(Pool.fresh(), 1u);
-  S = "payload";
-  Pool.release(std::move(S));
-  EXPECT_EQ(Pool.idle(), 1u);
-  // A pool hit: no fresh construction.
-  std::string T = Pool.acquire();
-  EXPECT_EQ(Pool.fresh(), 1u);
-  EXPECT_EQ(Pool.idle(), 0u);
-}
-
-TEST(VectorPoolTest, AcquireClearsButKeepsCapacity) {
-  support::VectorPool<int> Pool;
-  std::vector<int> V = Pool.acquire();
-  EXPECT_EQ(Pool.fresh(), 1u);
-  V.assign(1000, 42);
-  Pool.release(std::move(V));
-  std::vector<int> W = Pool.acquire();
-  EXPECT_EQ(Pool.fresh(), 1u) << "recycled, not fresh";
-  EXPECT_TRUE(W.empty()) << "acquire must clear recycled contents";
-  EXPECT_GE(W.capacity(), 1000u) << "capacity is the whole point";
-}
-
-TEST(VectorPoolTest, SteadyStateFreshCountIsHighWaterBounded) {
-  // The property the bench's steady-state-allocation gate builds on:
-  // fresh() tracks the maximum number of simultaneously-live vectors,
-  // not the total acquire() traffic.
-  support::VectorPool<int> Pool;
-  for (int Round = 0; Round != 100; ++Round) {
-    std::vector<std::vector<int>> Live;
-    for (int I = 0; I != 5; ++I) {
-      Live.push_back(Pool.acquire());
-      Live.back().push_back(Round + I);
-    }
-    for (std::vector<int> &V : Live)
-      Pool.release(std::move(V));
-  }
-  EXPECT_EQ(Pool.fresh(), 5u);
 }
 
 } // namespace

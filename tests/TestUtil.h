@@ -10,14 +10,17 @@
 
 #include "cfg/CfgBuilder.h"
 #include "cfg/CfgVerifier.h"
+#include "explorer/Search.h"
 #include "support/Diagnostics.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 namespace closer {
 
@@ -41,6 +44,54 @@ inline std::unique_ptr<Module> mustCompile(const std::string &Source) {
     EXPECT_TRUE(verifyModule(*Mod, Diags)) << Diags.str();
   }
   return Mod;
+}
+
+/// The statistics that describe the search tree itself. Replay effort
+/// (Runs, Transitions, TransitionsReplayed, TransitionsRestored) and the
+/// scheduler and allocator counters legitimately differ between job
+/// counts, checkpoint intervals and schedules, so they are absent.
+inline std::string treeShape(const SearchStats &S) {
+  std::string Out;
+  Out += "states=" + std::to_string(S.StatesVisited);
+  Out += " tree-transitions=" + std::to_string(S.TreeTransitions);
+  Out += " deadlocks=" + std::to_string(S.Deadlocks);
+  Out += " terminations=" + std::to_string(S.Terminations);
+  Out += " assertion-violations=" + std::to_string(S.AssertionViolations);
+  Out += " divergences=" + std::to_string(S.Divergences);
+  Out += " runtime-errors=" + std::to_string(S.RuntimeErrors);
+  Out += " depth-limit-hits=" + std::to_string(S.DepthLimitHits);
+  Out += " sleep-prunes=" + std::to_string(S.SleepSetPrunes);
+  Out += " covered=" + std::to_string(S.VisibleOpsCovered);
+  Out += S.Completed ? " complete" : " stopped";
+  return Out;
+}
+
+/// Order-independent digest of the reported errors: kind plus the
+/// replayable choice sequence identifies a report uniquely.
+inline std::vector<std::string>
+errorSet(const std::vector<ErrorReport> &Reports) {
+  std::vector<std::string> Out;
+  for (const ErrorReport &R : Reports)
+    Out.push_back(std::to_string(static_cast<int>(R.Kind)) + ":" +
+                  replayToString(R.Choices));
+  std::sort(Out.begin(), Out.end());
+  return Out;
+}
+
+/// Report identity under state caching: the erroneous state plus the error
+/// details. A cached state is expanded by whichever worker inserts its
+/// fingerprint first, so the representative trace varies with scheduling
+/// while the (state, error) set does not.
+inline std::vector<std::string>
+stateErrorSet(const std::vector<ErrorReport> &Reports) {
+  std::vector<std::string> Out;
+  for (const ErrorReport &R : Reports)
+    Out.push_back(std::to_string(static_cast<int>(R.Kind)) + ":" +
+                  std::to_string(R.StateFp) + ":" +
+                  std::to_string(static_cast<int>(R.Error.Kind)) + ":" +
+                  std::to_string(R.Process));
+  std::sort(Out.begin(), Out.end());
+  return Out;
 }
 
 /// The paper's Figure 2 procedure p, in MiniC. The process argument `env`

@@ -61,7 +61,7 @@ TEST(TraceTest, EventEquality) {
   B.ProcessIndex = 1;
   EXPECT_FALSE(A == B);
   B = A;
-  B.Object = "d";
+  B.Object = std::string("d");
   EXPECT_FALSE(A == B);
 }
 

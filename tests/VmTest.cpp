@@ -39,7 +39,7 @@ namespace {
 /// The engine-independent observables of a search: every tree-shaped
 /// statistic plus the raw transition count (identical across engines for a
 /// fixed checkpoint interval, since replay structure is engine-blind).
-std::vector<uint64_t> treeShape(const SearchStats &S) {
+std::vector<uint64_t> engineShape(const SearchStats &S) {
   return {S.StatesVisited,
           S.Runs,
           S.TreeTransitions,
@@ -84,8 +84,8 @@ void expectEnginesAgree(const Module &Mod, SearchOptions Opts,
   Opts.Exec = ExecMode::Both;
   SearchResult B = explore(Mod, Opts);
 
-  EXPECT_EQ(treeShape(I.Stats), treeShape(V.Stats)) << Label << " (vm)";
-  EXPECT_EQ(treeShape(I.Stats), treeShape(B.Stats)) << Label << " (both)";
+  EXPECT_EQ(engineShape(I.Stats), engineShape(V.Stats)) << Label << " (vm)";
+  EXPECT_EQ(engineShape(I.Stats), engineShape(B.Stats)) << Label << " (both)";
   EXPECT_EQ(reportSet(I.Reports), reportSet(V.Reports)) << Label << " (vm)";
   EXPECT_EQ(reportSet(I.Reports), reportSet(B.Reports)) << Label << " (both)";
 }
@@ -268,7 +268,7 @@ TEST(VmTest, LowerBytecodePassProducesSharableCode) {
   WithCode.VmCode = C.Bytecode;
   SearchResult RV = explore(*C.M, WithCode);
 
-  EXPECT_EQ(treeShape(RI.Stats), treeShape(RV.Stats));
+  EXPECT_EQ(engineShape(RI.Stats), engineShape(RV.Stats));
   EXPECT_EQ(reportSet(RI.Reports), reportSet(RV.Reports));
 }
 
