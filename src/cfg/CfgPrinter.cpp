@@ -11,6 +11,7 @@
 
 #include <cassert>
 #include <string>
+#include <vector>
 
 using namespace closer;
 
@@ -295,40 +296,56 @@ void emitProcSource(const ProcCfg &Proc, std::string &Out) {
 } // namespace
 
 std::string closer::emitModuleSource(const Module &Mod) {
-  std::string Out;
+  // The output is allocated once, at its final size, instead of growing by
+  // doubling: each procedure renders into its own small string (which the
+  // heap serves from memory it already holds), and each part is released
+  // as soon as it is copied out.
+  std::vector<std::string> Parts(Mod.Procs.size() + 2);
+  std::string &Decls = Parts.front();
   for (const CommDecl &C : Mod.Comms) {
     switch (C.Kind) {
     case CommKind::Channel:
-      Out += "chan " + C.Name + "[" + std::to_string(C.Param) + "];\n";
+      Decls += "chan " + C.Name + "[" + std::to_string(C.Param) + "];\n";
       break;
     case CommKind::Semaphore:
-      Out += "sem " + C.Name + "(" + std::to_string(C.Param) + ");\n";
+      Decls += "sem " + C.Name + "(" + std::to_string(C.Param) + ");\n";
       break;
     case CommKind::SharedVar:
-      Out += "shared " + C.Name + " = " + std::to_string(C.Param) + ";\n";
+      Decls += "shared " + C.Name + " = " + std::to_string(C.Param) + ";\n";
       break;
     }
   }
   for (const GlobalDecl &G : Mod.Globals) {
-    Out += "var " + G.Name;
-    appendArraySize(Out, G.ArraySize);
+    Decls += "var " + G.Name;
+    appendArraySize(Decls, G.ArraySize);
     if (G.ArraySize < 0 && G.Init) {
-      Out += " = ";
-      Out += std::to_string(G.Init);
+      Decls += " = ";
+      Decls += std::to_string(G.Init);
     }
-    Out += ";\n";
+    Decls += ";\n";
   }
-  Out += "\n";
-  for (const ProcCfg &P : Mod.Procs)
-    emitProcSource(P, Out);
+  Decls += "\n";
+  for (size_t I = 0, E = Mod.Procs.size(); I != E; ++I)
+    emitProcSource(Mod.Procs[I], Parts[I + 1]);
+  std::string &Processes = Parts.back();
   for (const ProcessDecl &P : Mod.Processes) {
-    Out += "process " + P.Name + " = " + P.ProcName + "(";
+    Processes += "process " + P.Name + " = " + P.ProcName + "(";
     for (size_t I = 0, E = P.Args.size(); I != E; ++I) {
       if (I)
-        Out += ", ";
-      Out += P.Args[I].IsEnv ? "env" : std::to_string(P.Args[I].Value);
+        Processes += ", ";
+      Processes += P.Args[I].IsEnv ? "env" : std::to_string(P.Args[I].Value);
     }
-    Out += ");\n";
+    Processes += ");\n";
+  }
+
+  size_t Size = 0;
+  for (const std::string &Part : Parts)
+    Size += Part.size();
+  std::string Out;
+  Out.reserve(Size);
+  for (std::string &Part : Parts) {
+    Out += Part;
+    std::string().swap(Part);
   }
   return Out;
 }

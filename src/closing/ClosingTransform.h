@@ -93,7 +93,8 @@ private:
 
 /// Closes \p Mod with its most general environment: returns the transformed
 /// module S'. \p Analysis must have been computed on \p Mod, and it
-/// carries every knob the transform depends on, so \p Options is unused.
+/// carries every knob the transform depends on, so \p Options is unused;
+/// it stays in the signature only because perfbench calls this form.
 /// Leaves \p Mod and \p Analysis intact (a ModuleCloser loop over every
 /// procedure).
 Module closeModule(const Module &Mod, const EnvAnalysis &Analysis,

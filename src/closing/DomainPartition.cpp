@@ -66,10 +66,7 @@ bool isAddressTaken(const ProcCfg &Proc, const std::string &Var) {
     if (E->Kind == ExprKind::AddrOf && E->Lhs->Kind == ExprKind::VarRef &&
         E->Lhs->Name == Var)
       return true;
-    Stack.push_back(E->Lhs.get());
-    Stack.push_back(E->Rhs.get());
-    for (const ExprPtr &Arg : E->Args)
-      Stack.push_back(Arg.get());
+    E->forEachChild([&](const Expr *Sub) { Stack.push_back(Sub); });
   }
   return false;
 }

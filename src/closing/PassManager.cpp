@@ -341,9 +341,9 @@ std::vector<Diagnostic> PipelineOptions::validate() const {
 // CompilationContext
 //===----------------------------------------------------------------------===//
 
-CompilationContext::CompilationContext(std::string SourceText,
+CompilationContext::CompilationContext(std::string_view SourceText,
                                        PipelineOptions Options)
-    : Source(std::move(SourceText)) {
+    : Source(SourceText) {
   EffectiveOptions = std::move(Options);
 }
 

@@ -48,6 +48,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace closer {
@@ -135,10 +136,13 @@ struct CompileResult {
 /// plus what only the passes need.
 class CompilationContext : public CompileResult {
 public:
-  CompilationContext(std::string SourceText, PipelineOptions Options);
+  /// Views \p SourceText without copying it: the caller keeps the text
+  /// alive until the context is destroyed (compile() owns its context, so
+  /// its caller's text outlives the run).
+  CompilationContext(std::string_view SourceText, PipelineOptions Options);
   ~CompilationContext();
 
-  std::string Source;
+  std::string_view Source;
   /// Set by the parse pass; released by the lower pass once the module
   /// exists.
   std::unique_ptr<Program> AST;

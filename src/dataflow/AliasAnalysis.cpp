@@ -175,12 +175,10 @@ static bool exprHasPointerOp(const Expr *E) {
     return false;
   if (E->Kind == ExprKind::AddrOf || E->Kind == ExprKind::Deref)
     return true;
-  if (exprHasPointerOp(E->Lhs.get()) || exprHasPointerOp(E->Rhs.get()))
-    return true;
-  for (const ExprPtr &Arg : E->Args)
-    if (exprHasPointerOp(Arg.get()))
-      return true;
-  return false;
+  bool Found = false;
+  E->forEachChild(
+      [&](const Expr *Sub) { Found = Found || exprHasPointerOp(Sub); });
+  return Found;
 }
 
 void AliasAnalysis::processProc(const ProcIndex &Procs, const ProcCfg &Proc) {
@@ -276,10 +274,7 @@ std::vector<std::string> AliasAnalysis::derefTargets(const ProcCfg &Proc,
       std::vector<std::string> Pts = pointsTo(Proc, Cur->Name);
       Out.insert(Out.end(), Pts.begin(), Pts.end());
     }
-    Stack.push_back(Cur->Lhs.get());
-    Stack.push_back(Cur->Rhs.get());
-    for (const ExprPtr &Arg : Cur->Args)
-      Stack.push_back(Arg.get());
+    Cur->forEachChild([&](const Expr *Sub) { Stack.push_back(Sub); });
   }
   std::sort(Out.begin(), Out.end());
   Out.erase(std::unique(Out.begin(), Out.end()), Out.end());

@@ -504,33 +504,32 @@ void ProcDataflow::computeReachingDefs() {
   }
   dropIfEmpty(EntryReaching);
   // Flat order is (use node, In-site order), so per-defining-node arcs in
-  // DuSuccDat arrive with ascending use node and each node's DuPredDat
-  // slice preserves In-site order.
+  // DuSucc arrive with ascending use node and each node's DuPred slice
+  // preserves In-site order.
   buildArcs(Arcs);
 }
 
 void ProcDataflow::buildArcs(const std::vector<FlatArc> &Arcs) {
   size_t N = Proc.Nodes.size();
-  DuSuccOff.assign(N + 1, 0);
-  DuPredOff.assign(N + 1, 0);
+  DuSucc.Off.assign(N + 1, 0);
+  DuPred.Off.assign(N + 1, 0);
   for (const FlatArc &A : Arcs) {
-    ++DuSuccOff[A.From + 1];
-    ++DuPredOff[A.To + 1];
+    ++DuSucc.Off[A.From + 1];
+    ++DuPred.Off[A.To + 1];
   }
   for (size_t I = 1; I != N + 1; ++I) {
-    DuSuccOff[I] += DuSuccOff[I - 1];
-    DuPredOff[I] += DuPredOff[I - 1];
+    DuSucc.Off[I] += DuSucc.Off[I - 1];
+    DuPred.Off[I] += DuPred.Off[I - 1];
   }
-  DuSuccDat.resize(Arcs.size());
-  DuPredDat.resize(Arcs.size());
-  std::vector<size_t> SuccAt(DuSuccOff.begin(), DuSuccOff.end() - 1);
-  std::vector<size_t> PredAt(DuPredOff.begin(), DuPredOff.end() - 1);
+  DuSucc.Dat.resize(Arcs.size());
+  DuPred.Dat.resize(Arcs.size());
+  std::vector<uint32_t> SuccAt(DuSucc.Off.begin(), DuSucc.Off.end() - 1);
+  std::vector<uint32_t> PredAt(DuPred.Off.begin(), DuPred.Off.end() - 1);
   for (const FlatArc &A : Arcs) {
-    const std::string *Var = &Names[DefVars[A.Var]];
-    DuSuccDat[SuccAt[A.From]++] = {A.To, Var};
-    DuPredDat[PredAt[A.To]++] = {A.From, Var};
+    uint32_t Var = DefVars[A.Var];
+    DuSucc.Dat[SuccAt[A.From]++] = {A.To, Var};
+    DuPred.Dat[PredAt[A.To]++] = {A.From, Var};
   }
-  NumArcs = Arcs.size();
 }
 
 bool ProcDataflow::paramEntryReaches(NodeId N, const std::string &Var) const {

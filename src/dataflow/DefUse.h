@@ -72,32 +72,25 @@ struct VarDef {
   bool Strong;             ///< Kills previous definitions of Name.
 };
 
-/// One endpoint of a define-use arc: the node on the far side and the arc's
-/// variable label. \c Var points into the owning ProcDataflow's name table
-/// and stays valid for the analysis' lifetime.
+/// One endpoint of a define-use arc, as duSuccessors() and duPredecessors()
+/// yield it: the node on the far side and the arc's variable label. \c Var
+/// points into the owning ProcDataflow's name table and stays valid for the
+/// analysis' lifetime.
 struct DuArc {
   NodeId Node;
   const std::string *Var;
 };
 
-/// Contiguous, read-only view over one node's define-use arcs (a slice of
-/// the analysis-owned CSR arc array).
-class DuArcRange {
-public:
-  DuArcRange(const DuArc *B, const DuArc *E) : B(B), E(E) {}
-  const DuArc *begin() const { return B; }
-  const DuArc *end() const { return E; }
-  size_t size() const { return static_cast<size_t>(E - B); }
-  bool empty() const { return B == E; }
-  const DuArc &operator[](size_t I) const { return B[I]; }
-
-private:
-  const DuArc *B;
-  const DuArc *E;
+/// A define-use arc as the analysis stores it: the far node and the name
+/// id of the variable, half the size of a DuArc.
+struct PackedDuArc {
+  NodeId Node;
+  uint32_t Var;
 };
+static_assert(sizeof(PackedDuArc) == 8, "a stored arc is two 32-bit ids");
 
-/// Id decoders for the two kinds of IdRange: a name-set entry is a plain
-/// name id; a def entry is (name id << 1) | strong.
+/// Decoders for the kinds of IdRange: a name-set entry is a plain name id;
+/// a def entry is (name id << 1) | strong; an arc carries a name id.
 struct NameOfId {
   const std::string &operator()(const std::string *Names, uint32_t Id) const {
     return Names[Id];
@@ -108,21 +101,26 @@ struct DefOfCode {
     return {Names[Code >> 1], (Code & 1) != 0};
   }
 };
+struct ArcOfPacked {
+  DuArc operator()(const std::string *Names, PackedDuArc A) const {
+    return {A.Node, &Names[A.Var]};
+  }
+};
 
-/// Read-only view over one slice of name-table ids; \p Decode turns an id
-/// into the element the view yields.
-template <class Decode> class IdRange {
+/// Read-only view over one slice of stored entries that refer to the name
+/// table; \p Decode turns an entry into the element the view yields.
+template <class Decode, class Stored = uint32_t> class IdRange {
 public:
   class iterator {
   public:
     using iterator_category = std::forward_iterator_tag;
-    using reference = decltype(Decode{}(nullptr, 0));
+    using reference = decltype(Decode{}(nullptr, Stored{}));
     using value_type = std::remove_cvref_t<reference>;
     using difference_type = std::ptrdiff_t;
     using pointer = void;
 
     iterator() = default;
-    iterator(const uint32_t *P, const std::string *Names)
+    iterator(const Stored *P, const std::string *Names)
         : P(P), Names(Names) {}
     reference operator*() const { return Decode{}(Names, *P); }
     iterator &operator++() {
@@ -137,11 +135,11 @@ public:
     bool operator==(const iterator &O) const { return P == O.P; }
 
   private:
-    const uint32_t *P = nullptr;
+    const Stored *P = nullptr;
     const std::string *Names = nullptr;
   };
 
-  IdRange(const uint32_t *B, const uint32_t *E, const std::string *Names)
+  IdRange(const Stored *B, const Stored *E, const std::string *Names)
       : B(B), E(E), Names(Names) {}
   iterator begin() const { return {B, Names}; }
   iterator end() const { return {E, Names}; }
@@ -161,8 +159,8 @@ public:
   }
 
 private:
-  const uint32_t *B;
-  const uint32_t *E;
+  const Stored *B;
+  const Stored *E;
   const std::string *Names;
 };
 
@@ -170,6 +168,8 @@ private:
 using NameRange = IdRange<NameOfId>;
 /// A node's definitions, in the order the node performs them.
 using DefRange = IdRange<DefOfCode>;
+/// One node's define-use arcs, as DuArcs.
+using DuArcRange = IdRange<ArcOfPacked, PackedDuArc>;
 
 /// Per-node lists in CSR form: node I's entries are Dat[Off[I] .. Off[I+1]).
 /// Off is empty when no node has an entry, so a kind of set that is empty
@@ -206,14 +206,10 @@ public:
   NameRange crossDefs(NodeId N) const { return names(CrossDefs, N); }
 
   /// Define-use arcs out of \p N: (successor use node, variable).
-  DuArcRange duSuccessors(NodeId N) const {
-    return {DuSuccDat.data() + DuSuccOff[N], DuSuccDat.data() + DuSuccOff[N + 1]};
-  }
+  DuArcRange duSuccessors(NodeId N) const { return arcs(DuSucc, N); }
 
   /// Define-use arcs into \p N: (defining node, variable).
-  DuArcRange duPredecessors(NodeId N) const {
-    return {DuPredDat.data() + DuPredOff[N], DuPredDat.data() + DuPredOff[N + 1]};
-  }
+  DuArcRange duPredecessors(NodeId N) const { return arcs(DuPred, N); }
 
   /// True when the value parameter \p Var received at entry may reach the
   /// use at node \p N (no intervening strong definition on some path).
@@ -221,10 +217,13 @@ public:
 
   /// Total number of define-use arcs (size measure for the linearity
   /// experiment).
-  size_t arcCount() const { return NumArcs; }
+  size_t arcCount() const { return DuSucc.Dat.size(); }
 
 private:
   NameRange names(const NodeIdLists &L, NodeId N) const {
+    return {L.begin(N), L.end(N), Names.data()};
+  }
+  DuArcRange arcs(const NodeLists<PackedDuArc> &L, NodeId N) const {
     return {L.begin(N), L.end(N), Names.data()};
   }
 
@@ -258,12 +257,10 @@ private:
   /// reaches the node and is used there.
   NodeIdLists EntryReaching;
 
-  /// Define-use arcs in CSR form, both directions: node I's arcs live in
-  /// Du*Dat[Du*Off[I] .. Du*Off[I+1]). Two flat arrays per direction keep
-  /// arc iteration sequential instead of chasing 2N per-node vectors.
-  std::vector<size_t> DuSuccOff, DuPredOff;
-  std::vector<DuArc> DuSuccDat, DuPredDat;
-  size_t NumArcs = 0;
+  /// Define-use arcs in CSR form, both directions, 8 bytes per arc and 4
+  /// per offset. Two flat arrays per direction keep arc iteration
+  /// sequential instead of chasing 2N per-node vectors.
+  NodeLists<PackedDuArc> DuSucc, DuPred;
 };
 
 } // namespace closer

@@ -8,22 +8,46 @@
 #include "lang/Ast.h"
 
 #include <cassert>
+#include <memory>
 
 using namespace closer;
 
+Expr::Expr(ExprKind Kind, SourceLoc Loc) : Kind(Kind), Loc(Loc) {
+  if (hasName())
+    std::construct_at(&Name);
+  else
+    IntValue = 0;
+  if (Kind == ExprKind::Call)
+    std::construct_at(&Args);
+  else
+    std::construct_at(&Rhs);
+}
+
+Expr::~Expr() {
+  // Name and IntValue need no destruction.
+  if (Kind == ExprKind::Call)
+    std::destroy_at(&Args);
+  else
+    std::destroy_at(&Rhs);
+}
+
 ExprPtr Expr::clone() const {
   auto Copy = std::make_unique<Expr>(Kind, Loc);
-  Copy->IntValue = IntValue;
-  Copy->Name = Name;
   Copy->UOp = UOp;
   Copy->BOp = BOp;
+  if (hasName())
+    Copy->Name = Name;
+  else
+    Copy->IntValue = IntValue;
   if (Lhs)
     Copy->Lhs = Lhs->clone();
-  if (Rhs)
+  if (Kind == ExprKind::Call) {
+    Copy->Args.reserve(Args.size());
+    for (const ExprPtr &Arg : Args)
+      Copy->Args.push_back(Arg->clone());
+  } else if (Rhs) {
     Copy->Rhs = Rhs->clone();
-  Copy->Args.reserve(Args.size());
-  for (const ExprPtr &Arg : Args)
-    Copy->Args.push_back(Arg->clone());
+  }
   return Copy;
 }
 

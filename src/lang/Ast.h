@@ -20,7 +20,10 @@
 /// The records are packed because a large source holds millions of them:
 /// kinds and operators are one byte each and sit together, names are
 /// interned Symbols (8 bytes), and a call's arguments are one pointer that
-/// is null when there are none.
+/// is null when there are none. An Expr overlays fields that no kind uses
+/// together, in two unions (an IntLit's value or a name; a Binary's right
+/// operand or a call's arguments), so its kind, fixed at construction,
+/// says which member of each is live.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -81,9 +84,9 @@ enum class BinaryOp : uint8_t {
 struct Expr;
 using ExprPtr = std::unique_ptr<Expr>;
 
-/// A call's argument list in one pointer: null when the list is empty, so
-/// the expressions that are not calls (all but a handful) pay 8 bytes for
-/// it. Reads like the std::vector<ExprPtr> it owns.
+/// A call's argument list in one pointer (null when the list is empty), so
+/// it fits the slot a Call shares with a Binary's right operand. Reads like
+/// the std::vector<ExprPtr> it owns.
 class ExprList {
 public:
   ExprList &operator=(std::vector<ExprPtr> Args) {
@@ -120,20 +123,49 @@ private:
 };
 
 struct Expr {
-  ExprKind Kind;
+  /// Set once by the factories below: it selects the live member of each
+  /// union.
+  const ExprKind Kind;
   UnaryOp UOp = UnaryOp::Neg;
   BinaryOp BOp = BinaryOp::Add;
   SourceLoc Loc;
 
-  int64_t IntValue = 0; ///< IntLit.
-  Symbol Name;          ///< VarRef / ArrayIndex array / Call callee.
+  union {
+    int64_t IntValue; ///< IntLit; 0 for every kind without a name.
+    Symbol Name;      ///< VarRef / ArrayIndex array / Call callee.
+  };
   ExprPtr Lhs; ///< Unary operand, ArrayIndex index, AddrOf place, Deref
                ///< pointer, Binary left.
-  ExprPtr Rhs;   ///< Binary right.
-  ExprList Args; ///< Call arguments.
+  union {
+    ExprPtr Rhs;   ///< Binary right (null for the other kinds but Call).
+    ExprList Args; ///< Call arguments.
+  };
 
-  explicit Expr(ExprKind Kind, SourceLoc Loc = SourceLoc())
-      : Kind(Kind), Loc(Loc) {}
+  /// Starts the union members \p Kind uses (see hasName()).
+  explicit Expr(ExprKind Kind, SourceLoc Loc = SourceLoc());
+  ~Expr();
+  Expr(const Expr &) = delete;
+  Expr &operator=(const Expr &) = delete;
+
+  /// True when the first union holds Name rather than IntValue.
+  bool hasName() const {
+    return Kind == ExprKind::VarRef || Kind == ExprKind::ArrayIndex ||
+           Kind == ExprKind::Call;
+  }
+
+  /// Calls \p Visit on each direct subexpression: Lhs, then Rhs or the
+  /// call's arguments. A walk that does not switch on Kind must reach the
+  /// children through this, since Rhs and Args share one slot.
+  template <typename Fn> void forEachChild(Fn &&Visit) const {
+    if (Lhs)
+      Visit(Lhs.get());
+    if (Kind == ExprKind::Call) {
+      for (const ExprPtr &Arg : Args)
+        Visit(Arg.get());
+    } else if (Rhs) {
+      Visit(Rhs.get());
+    }
+  }
 
   /// Deep copy (the CFG IR owns clones of AST expression trees).
   ExprPtr clone() const;
@@ -157,8 +189,8 @@ struct Expr {
 };
 
 // Every phase of the close pipeline holds millions of these; a new field
-// that outgrows a 64-byte malloc chunk gives that memory back.
-static_assert(sizeof(Expr) <= 56, "Expr no longer fits a 64-byte chunk");
+// that outgrows a 48-byte malloc chunk gives that memory back.
+static_assert(sizeof(Expr) <= 40, "Expr no longer fits a 48-byte chunk");
 
 //===----------------------------------------------------------------------===//
 // Statements

@@ -175,8 +175,9 @@ static TokenKind keywordKind(const std::string &Text) {
   return It == Keywords.end() ? TokenKind::Identifier : It->second;
 }
 
-Lexer::Lexer(std::string Source, DiagnosticEngine &Diags, AtomTable &Atoms)
-    : Buffer(std::move(Source)), Diags(Diags), Atoms(Atoms) {}
+Lexer::Lexer(std::string_view Source, DiagnosticEngine &Diags,
+             AtomTable &Atoms)
+    : Buffer(Source), Diags(Diags), Atoms(Atoms) {}
 
 char Lexer::peek(unsigned Ahead) const {
   size_t Index = Pos + Ahead;

@@ -66,7 +66,10 @@ private:
 /// reaches the end of the buffer and reports every lexical error.
 class Lexer {
 public:
-  Lexer(std::string Source, DiagnosticEngine &Diags,
+  /// Views \p Source without copying it: the caller keeps the text alive
+  /// while the lexer runs. Lexing stops at the view's end, whatever
+  /// follows it in memory.
+  Lexer(std::string_view Source, DiagnosticEngine &Diags,
         AtomTable &Atoms = AtomTable::global());
 
   /// The next token. Malformed input yields no token (only a diagnostic);
@@ -86,7 +89,7 @@ private:
   bool atEnd() const { return Pos >= Buffer.size(); }
   SourceLoc currentLoc() const { return SourceLoc(Line, Column); }
 
-  std::string Buffer;
+  std::string_view Buffer;
   DiagnosticEngine &Diags;
   AtomTable &Atoms;
   size_t Pos = 0;

@@ -690,7 +690,7 @@ ExprPtr Parser::parsePrimary() {
 // Entry point
 //===----------------------------------------------------------------------===//
 
-std::unique_ptr<Program> closer::parseMiniC(const std::string &Source,
+std::unique_ptr<Program> closer::parseMiniC(std::string_view Source,
                                             DiagnosticEngine &Diags) {
   // The parser pulls tokens as it goes, so lexical errors surface in the
   // middle of parsing. Hold the parser's diagnostics back; parseProgram()

@@ -121,7 +121,7 @@ private:
 /// Convenience entry point: lex + parse \p Source. Returns nullptr when the
 /// source has lexical or syntactic errors (details in \p Diags). A source
 /// with lexical errors reports only those.
-std::unique_ptr<Program> parseMiniC(const std::string &Source,
+std::unique_ptr<Program> parseMiniC(std::string_view Source,
                                     DiagnosticEngine &Diags);
 
 } // namespace closer

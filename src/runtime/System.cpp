@@ -94,10 +94,7 @@ void System::cacheExprTree(int ProcIdx, const Expr *E) {
       // runs, so a name the cache missed resolves to nothing then either.
     }
   }
-  cacheExprTree(ProcIdx, E->Lhs.get());
-  cacheExprTree(ProcIdx, E->Rhs.get());
-  for (const ExprPtr &Arg : E->Args)
-    cacheExprTree(ProcIdx, Arg.get());
+  E->forEachChild([&](const Expr *Sub) { cacheExprTree(ProcIdx, Sub); });
 }
 
 void System::buildResolutionCaches() {

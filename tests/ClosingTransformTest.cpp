@@ -32,12 +32,10 @@ bool referencesVar(const Expr *E, const std::string &Name) {
   if ((E->Kind == ExprKind::VarRef || E->Kind == ExprKind::ArrayIndex) &&
       E->Name == Name)
     return true;
-  if (referencesVar(E->Lhs.get(), Name) || referencesVar(E->Rhs.get(), Name))
-    return true;
-  for (const ExprPtr &Arg : E->Args)
-    if (referencesVar(Arg.get(), Name))
-      return true;
-  return false;
+  bool Found = false;
+  E->forEachChild(
+      [&](const Expr *Sub) { Found = Found || referencesVar(Sub, Name); });
+  return Found;
 }
 
 bool procReferencesVar(const ProcCfg &Proc, const std::string &Name) {

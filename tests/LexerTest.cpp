@@ -10,13 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <thread>
 
 using namespace closer;
 
 namespace {
 
-std::vector<Token> lexOk(const std::string &Source) {
+std::vector<Token> lexOk(std::string_view Source) {
   DiagnosticEngine Diags;
   Lexer Lex(Source, Diags);
   std::vector<Token> Tokens = Lex.lexAll();
@@ -109,6 +110,32 @@ TEST(LexerTest, AtomsInternedOnTwoThreadsRoundTrip) {
       EXPECT_EQ(AtomTable::global().spelling(T.IntValue), T.Text);
     }
   }
+}
+
+TEST(LexerTest, LexingAViewStopsAtItsEnd) {
+  // The lexer views its buffer without copying it, so a slice of a larger
+  // buffer ends where the slice does, not at a NUL: here inside an
+  // identifier, a number and a block comment whose close lies past it.
+  const std::string Buffer = "alpha beta = 12345; /* note */ gamma";
+  std::string_view Text(Buffer);
+
+  auto Tokens = lexOk(Text.substr(0, 8)); // "alpha be"
+  ASSERT_EQ(Tokens.size(), 3u);
+  EXPECT_EQ(Tokens[0].Text, "alpha");
+  EXPECT_EQ(Tokens[1].Text, "be");
+  EXPECT_EQ(Tokens[2].Kind, TokenKind::Eof);
+
+  Tokens = lexOk(Text.substr(6, 9)); // "beta = 12"
+  ASSERT_EQ(Tokens.size(), 4u);
+  EXPECT_EQ(Tokens[2].Kind, TokenKind::IntLiteral);
+  EXPECT_EQ(Tokens[2].IntValue, 12);
+
+  DiagnosticEngine Diags;
+  Lexer Lex(Text.substr(0, 25), Diags); // Ends inside "/* note".
+  std::vector<Token> Cut = Lex.lexAll();
+  EXPECT_TRUE(Cut.back().is(TokenKind::Eof));
+  EXPECT_NE(Diags.str().find("unterminated block comment"), std::string::npos)
+      << Diags.str();
 }
 
 TEST(LexerTest, CommentsAreSkipped) {

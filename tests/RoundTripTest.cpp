@@ -15,15 +15,22 @@
 //    branch chain on emission, so one round changes the counts — but the
 //    emitted form must be a fixpoint: emitting the reparse of an emission
 //    reproduces the emission byte for byte.
+//  * Every expression kind clones to an equal tree, and both trees die
+//    cleanly: an Expr's kind says which member of each of its unions is
+//    live, and AsanTest runs this suite.
 //
 //===----------------------------------------------------------------------===//
 
 #include "closing/Pipeline.h"
 
 #include "cfg/CfgPrinter.h"
+#include "lang/Parser.h"
 
 #include "RandomProgram.h"
 #include "TestUtil.h"
+
+#include <functional>
+#include <set>
 
 namespace closer {
 namespace {
@@ -127,6 +134,61 @@ TEST(RoundTrip, ClosedRandomProgramsReachEmitFixpoint) {
     ASSERT_TRUE(R.ok()) << "seed " << Seed << ": " << R.Diags.str();
     expectEmitFixpoint(*R.M, "seed " + std::to_string(Seed));
   }
+}
+
+TEST(RoundTrip, EveryExprKindClonesToAnEqualTree) {
+  const char *Source = R"(
+    chan c[1];
+    proc f(a, b, d, e) { return; }
+    proc p(x) {
+      var y;
+      var a[4];
+      var q;
+      q = &y;
+      y = f(a[x + 1], -*q, &a[2], !(x < 'even'));
+      *q = unknown;
+      if (a[*q] == 3 && -x != 42) y = y * (x - 1);
+      send(c, y % 2);
+    }
+    process m = p(env);
+  )";
+  DiagnosticEngine Diags;
+  std::unique_ptr<Program> Prog = parseMiniC(Source, Diags);
+  ASSERT_TRUE(Prog) << Diags.str();
+
+  // Clones every expression and subexpression, checks it against its
+  // original, and drops the clone right away.
+  std::set<ExprKind> Seen;
+  std::function<void(const Expr *)> CheckExpr = [&](const Expr *E) {
+    if (!E)
+      return;
+    Seen.insert(E->Kind);
+    ExprPtr Copy = E->clone();
+    EXPECT_TRUE(Expr::equals(E, Copy.get()));
+    EXPECT_EQ(Copy->Kind, E->Kind);
+    E->forEachChild(CheckExpr);
+  };
+  std::function<void(const Stmt *)> CheckStmt = [&](const Stmt *S) {
+    if (!S)
+      return;
+    for (const Expr *E : {S->Cond.get(), S->Target.get(), S->Value.get()})
+      CheckExpr(E);
+    for (const Stmt *Sub : {S->ThenBody.get(), S->ElseBody.get(),
+                            S->InitStmt.get(), S->StepStmt.get()})
+      CheckStmt(Sub);
+    for (const StmtPtr &Sub : S->Body)
+      CheckStmt(Sub.get());
+  };
+  for (const ProcDecl &Proc : Prog->Procs)
+    CheckStmt(Proc.Body.get());
+
+  EXPECT_EQ(Seen.size(), 9u) << "the source must hold every ExprKind";
+  // A clone of a whole call differs from a call with one argument changed.
+  const Expr *Call = Prog->Procs[1].Body->Body[4]->Value.get();
+  ASSERT_EQ(Call->Kind, ExprKind::Call);
+  ExprPtr Changed = Call->clone();
+  Changed->Args[3] = Expr::intLit(0);
+  EXPECT_FALSE(Expr::equals(Call, Changed.get()));
 }
 
 } // namespace

@@ -35,12 +35,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <future>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <sys/stat.h>
 
 using namespace closer;
 
@@ -190,15 +190,29 @@ bool argsOk(const Args &A) {
   return false;
 }
 
+/// Reads \p Path whole into one string; exits 1 when it does not open, or
+/// opens but cannot be read (a directory).
 std::string readFile(const char *Path) {
-  std::ifstream In(Path);
+  std::FILE *In = std::fopen(Path, "rb");
   if (!In) {
     std::fprintf(stderr, "error: cannot open '%s'\n", Path);
     std::exit(1);
   }
-  std::ostringstream Out;
-  Out << In.rdbuf();
-  return Out.str();
+  std::string Text;
+  struct stat St;
+  if (fstat(fileno(In), &St) == 0 && S_ISREG(St.st_mode))
+    Text.reserve(static_cast<size_t>(St.st_size));
+  // Read to EOF rather than trusting the size, so pipes work too.
+  char Buf[1 << 16];
+  while (size_t N = std::fread(Buf, 1, sizeof Buf, In))
+    Text.append(Buf, N);
+  bool Failed = std::ferror(In) != 0;
+  std::fclose(In);
+  if (Failed) {
+    std::fprintf(stderr, "error: cannot read '%s'\n", Path);
+    std::exit(1);
+  }
+  return Text;
 }
 
 /// `--dedup-toss`: schedules the dedup-toss pass right after close, when
